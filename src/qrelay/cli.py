@@ -22,7 +22,7 @@ from .errors import DomainError, OptimizationError, RepairError, ValidationError
 from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
                        optimal_strategy_analytic, retransmission_colatitude)
 from .measurements import (error_probability, greedy_assignment, identity_sum_residual,
-                           min_error_analytic, validate_pom)
+                           min_error_analytic)
 from .optimizer import OptimizerConfig, constraint_residuals, optimize_fidelity
 from .simulator import simulate_error, simulate_fidelity
 from .strategy_io import load_strategy, save_strategy
@@ -37,7 +37,7 @@ def _bloch_of_element(el) -> tuple[float, float, float, float]:
     w = 0.5 * (el.a + el.d)
     if w <= 0.0:
         return 0.0, 0.0, 0.0, 0.0
-    return w, el.b.real / (2.0 * w), -el.b.imag / (2.0 * w), (el.a - el.d) / (2.0 * w)
+    return w, el.b.real / w, -el.b.imag / w, (el.a - el.d) / (2.0 * w)
 
 
 def _print_strategy(s: Strategy) -> None:
@@ -170,10 +170,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         e, strategy, meta = load_strategy(args.strategy_file)
     except ValidationError as exc:
         print(f"invalid: {exc}")
-        return 3
-    violations = validate_pom(strategy.pom)
-    if violations:
-        print(f"invalid: {violations[0]}")
         return 3
     low = min(el.eigenvalues()[1] for el in strategy.pom.elements)
     print(f"valid: m = {e.m}, theta = {_fmt(e.theta)}, "

@@ -12,7 +12,7 @@ class ValidationError(ValueError):
 
 
 class RepairError(RuntimeError):
-    """Constraint repair did not converge; the candidate should be discarded."""
+    """The frame is singular; the candidate should be discarded."""
 
 
 class OptimizationError(RuntimeError):

@@ -59,11 +59,12 @@ class Assignment:
 
 
 def identity_sum_residual(p: Pom) -> float:
-    """Largest entrywise deviation of the element sum from the identity."""
+    """Largest entrywise deviation of the element sum from the identity; NaN if any is NaN."""
     total = Hermitian2.zero()
     for el in p.elements:
         total = total + el
-    return max(abs(total.a - 1.0), abs(total.d - 1.0), abs(total.b))
+    deviations = (abs(total.a - 1.0), abs(total.d - 1.0), abs(total.b))
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
 def validate_pom(p: Pom, tol: Tolerances = TOL) -> list[str]:
@@ -71,12 +72,12 @@ def validate_pom(p: Pom, tol: Tolerances = TOL) -> list[str]:
     violations = []
     for pos, el in enumerate(p.elements):
         low = el.eigenvalues()[1]
-        if low < -tol.psd:
+        if not low >= -tol.psd:
             violations.append(
                 f"element {pos} (label {p.labels[pos]}) is not positive "
                 f"semidefinite (minimum eigenvalue {low:.3e})")
     residual = identity_sum_residual(p)
-    if residual > tol.identity_sum:
+    if not residual <= tol.identity_sum:
         violations.append(f"elements do not sum to the identity (residual {residual:.3e})")
     return violations
 

@@ -7,11 +7,12 @@ element k is w_k [[1 + cos th_k, exp(-i ph_k) sin th_k],
 positive semidefinite by construction. Completeness reduces to three real
 constraints: the weights sum to 1 and the weighted direction vectors cancel.
 
-Feasibility is maintained by repair rather than by penalty: every proposal is
-projected back onto the constraint set with damped Gauss-Newton steps of
-minimum norm, and only repaired candidates are scored. A penalty rate is kept
-as a safety net charging any residual left beyond the feasibility tolerance,
-so unrepaired drift can never look profitable.
+Every random start and every proposal is made feasible in one closed-form
+step, the square-root (frame) normalization E_k -> S^(-1/2) E_k S^(-1/2)
+with S the sum of the elements, which keeps each element rank one and makes
+the set exactly complete. Only normalized candidates are scored; a candidate
+whose frame is singular, or whose residual exceeds the feasibility tolerance,
+is discarded.
 
 The local search is a multi-start random walk with a decaying step; all
 restarts advance in lockstep as rows of one batch so the inner loop stays in
@@ -37,10 +38,6 @@ from .qubit import Hermitian2
 from .tolerances import TOL, Tolerances
 
 STEP_DECAY = 0.995
-REPAIR_TARGET = 1e-12
-REPAIR_ACCEPT = 1e-10
-SEARCH_REPAIR_ROUNDS = 12
-START_ATTEMPTS = 32
 SPOT_EVERY = 100
 STALL_LIMIT = 400
 STALL_FLOOR = 600
@@ -110,163 +107,55 @@ def to_pom(p: ParamPom, tol: Tolerances = TOL) -> Pom:
     return Pom(elements=elements, labels=tuple(range(p.n)))
 
 
-def _max_residual(w: np.ndarray, th: np.ndarray, ph: np.ndarray) -> float:
-    st = np.sin(th)
-    rx = float(w @ (st * np.cos(ph)))
-    ry = float(w @ (st * np.sin(ph)))
-    return max(abs(float(w.sum()) - 1.0),
-               abs(float(w @ np.cos(th))),
-               math.hypot(rx, ry))
+def _frame_map(W: np.ndarray, TH: np.ndarray, PH: np.ndarray, tol: Tolerances = TOL):
+    """Square-root normalization of candidates, one per row.
 
-
-def _canonical(w: np.ndarray, th: np.ndarray, ph: np.ndarray):
-    """Fold colatitudes into [0, pi] and longitudes into [0, 2*pi), same directions."""
-    th = np.mod(th, 2.0 * math.pi)
-    flip = th > math.pi
-    if flip.any():
-        th = th.copy()
-        ph = ph.copy()
-        th[flip] = 2.0 * math.pi - th[flip]
-        ph[flip] += math.pi
-    return w, th, np.mod(ph, 2.0 * math.pi)
-
-
-def _repair_arrays(w: np.ndarray, th: np.ndarray, ph: np.ndarray,
-                   fast_tol: float, max_rounds: int = 100):
-    """Project one candidate onto the constraint set; None when repair fails.
-
-    A point already within fast_tol is returned untouched. Otherwise weights
-    are clipped and renormalized and damped Gauss-Newton steps of minimum norm
-    drive the direction-balance residuals toward REPAIR_TARGET; the weight sum
-    is restored exactly after every step. Success still requires no more than
-    the package feasibility tolerance.
+    With weights clipped at zero, each row's elements E_k = w_k (I + n_k.sigma)
+    sum to the frame S = s0 I + s.sigma, and E_k -> S^(-1/2) E_k S^(-1/2)
+    makes them sum to the identity while staying rank one. Along the frame
+    axis u = s/|s|, with eigenvalues lam+- = s0 +- |s| = sum_k w_k (1 +- u.n_k),
+    element k becomes w'_k (I + n'_k.sigma) where
+        w'_k      = (w_k (1 + u.n_k) / lam+ + w_k (1 - u.n_k) / lam-) / 2,
+        w'_k n'_k = (w_k (1 + u.n_k) / lam+ - w_k (1 - u.n_k) / lam-) / 2 u
+                    + w_k (n_k - (u.n_k) u) / sqrt(lam+ lam-).
+    1 +- u.n_k is taken as |n_k +- u|^2 / 2 so that lam- keeps its relative
+    accuracy. Returns (W, TH, PH, residual) with colatitudes in [0, pi] and
+    longitudes in [0, 2 pi); rows whose frame is singular get an infinite
+    residual.
     """
-    resid = _max_residual(w, th, ph)
-    if resid <= fast_tol:
-        return w, th, ph, resid
-    w = np.clip(w, 0.0, None)
-    tot = float(w.sum())
-    if tot <= 0.0:
-        return None
-    w = w / tot
-    n = w.size
-    jac = np.empty((3, 3 * n))
-    for _ in range(max_rounds):
-        st = np.sin(th)
-        ct = np.cos(th)
-        cp = np.cos(ph)
-        sp = np.sin(ph)
-        nx = st * cp
-        ny = st * sp
-        rx = float(w @ nx)
-        ry = float(w @ ny)
-        rz = float(w @ ct)
-        resid = max(abs(rx), abs(ry), abs(rz))
-        if resid <= REPAIR_TARGET:
-            w, th, ph = _canonical(w, th, ph)
-            return w, th, ph, resid
-        wct = w * ct
-        jac[0, :n] = nx
-        jac[1, :n] = ny
-        jac[2, :n] = ct
-        jac[0, n:2 * n] = wct * cp
-        jac[1, n:2 * n] = wct * sp
-        jac[2, n:2 * n] = -w * st
-        jac[0, 2 * n:] = -w * ny
-        jac[1, 2 * n:] = w * nx
-        jac[2, 2 * n:] = 0.0
-        gram = jac @ jac.T
-        gram.flat[::4] += 1e-13 * (1.0 + gram.trace())
-        try:
-            x = np.linalg.solve(gram, [-rx, -ry, -rz])
-        except np.linalg.LinAlgError:
-            return None
-        w = np.clip(w + jac[:, :n].T @ x, 0.0, None)
-        th = th + jac[:, n:2 * n].T @ x
-        ph = ph + jac[:, 2 * n:].T @ x
-        tot = float(w.sum())
-        if tot <= 0.0:
-            return None
-        w = w / tot
-    resid = _max_residual(w, th, ph)
-    if resid <= TOL.feasibility:
-        w, th, ph = _canonical(w, th, ph)
-        return w, th, ph, resid
-    return None
+    W = np.clip(W, 0.0, None)
+    st = np.sin(TH)
+    n = np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)])
+    s = (W * n).sum(axis=2)
+    norm = np.sqrt((s * s).sum(axis=0))
+    u = (s / np.where(norm > 0.0, norm, 1.0))[:, :, None]
+    plus = W * (0.5 * ((n + u) ** 2).sum(axis=0))
+    minus = W * (0.5 * ((n - u) ** 2).sum(axis=0))
+    lam_plus, lam_minus = plus.sum(axis=1), minus.sum(axis=1)
+    ok = lam_minus > tol.pseudo_inverse
+    plus = plus / np.where(ok, lam_plus, 1.0)[:, None]
+    minus = minus / np.where(ok, lam_minus, 1.0)[:, None]
+    cross = W / np.sqrt(np.where(ok, lam_plus * lam_minus, 1.0))[:, None]
+    d = 0.5 * (plus - minus) * u + cross * (n - (u * n).sum(axis=0) * u)
+    W = 0.5 * (plus + minus)
+    TH = np.arctan2(np.hypot(d[0], d[1]), d[2])
+    PH = np.mod(np.arctan2(d[1], d[0]), 2.0 * math.pi)
+    st = np.sin(TH)
+    resid = np.maximum.reduce([
+        np.abs(W.sum(axis=1) - 1.0),
+        np.abs((W * np.cos(TH)).sum(axis=1)),
+        np.hypot((W * (st * np.cos(PH))).sum(axis=1), (W * (st * np.sin(PH))).sum(axis=1))])
+    return W, TH, PH, np.where(ok, resid, np.inf)
 
 
 def repair(p: ParamPom, tol: Tolerances = TOL) -> ParamPom:
-    """Return the nearest feasible candidate; a feasible input comes back unchanged."""
-    fixed = _repair_arrays(p.weights, p.colatitudes, p.longitudes, tol.feasibility)
-    if fixed is None:
-        raise RepairError("constraint repair did not converge; discard the candidate")
-    w, th, ph, _ = fixed
-    return ParamPom(w, th, ph)
-
-
-def _repair_batch(W: np.ndarray, TH: np.ndarray, PH: np.ndarray, rounds: int):
-    """Batched repair, one candidate per row. Returns (W, TH, PH, residual).
-
-    Rows that cannot be normalized get an infinite residual; callers treat
-    any residual above REPAIR_ACCEPT as a failed repair.
-    """
-    R, n = W.shape
-    W = np.clip(W, 0.0, None)
-    TH = np.array(TH, dtype=float)
-    PH = np.array(PH, dtype=float)
-    tot = W.sum(axis=1, keepdims=True)
-    dead = tot[:, 0] <= 0.0
-    safe = np.where(tot > 0.0, tot, 1.0)
-    W = W / safe
-    diag = np.arange(3)
-    for _ in range(rounds):
-        st = np.sin(TH)
-        ct = np.cos(TH)
-        cp = np.cos(PH)
-        sp = np.sin(PH)
-        nx = st * cp
-        ny = st * sp
-        rx = (W * nx).sum(axis=1)
-        ry = (W * ny).sum(axis=1)
-        rz = (W * ct).sum(axis=1)
-        resid = np.maximum(np.abs(rx), np.maximum(np.abs(ry), np.abs(rz)))
-        if (resid[~dead] <= REPAIR_TARGET).all():
-            break
-        jac = np.empty((R, 3, 3 * n))
-        jac[:, 0, :n] = nx
-        jac[:, 1, :n] = ny
-        jac[:, 2, :n] = ct
-        wct = W * ct
-        jac[:, 0, n:2 * n] = wct * cp
-        jac[:, 1, n:2 * n] = wct * sp
-        jac[:, 2, n:2 * n] = -W * st
-        jac[:, 0, 2 * n:] = -W * ny
-        jac[:, 1, 2 * n:] = W * nx
-        jac[:, 2, 2 * n:] = 0.0
-        gram = jac @ jac.transpose(0, 2, 1)
-        trace = gram[:, diag, diag].sum(axis=1)
-        gram[:, diag, diag] += (1e-13 * (1.0 + np.abs(trace)))[:, None]
-        rhs = -np.stack([rx, ry, rz], axis=1)[:, :, None]
-        try:
-            x = np.linalg.solve(gram, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            return W, TH, PH, np.full(R, np.inf)
-        delta = np.einsum("rkn,rk->rn", jac, x)
-        W = np.clip(W + delta[:, :n], 0.0, None)
-        TH = TH + delta[:, n:2 * n]
-        PH = PH + delta[:, 2 * n:]
-        tot = W.sum(axis=1, keepdims=True)
-        dead |= tot[:, 0] <= 0.0
-        safe = np.where(tot > 0.0, tot, 1.0)
-        W = W / safe
-    st = np.sin(TH)
-    rx = (W * (st * np.cos(PH))).sum(axis=1)
-    ry = (W * (st * np.sin(PH))).sum(axis=1)
-    rz = (W * np.cos(TH)).sum(axis=1)
-    resid = np.maximum(np.abs(rx), np.maximum(np.abs(ry), np.abs(rz)))
-    resid = np.maximum(resid, np.abs(W.sum(axis=1) - 1.0))
-    resid[dead] = np.inf
-    return W, TH, PH, resid
+    """Frame-normalized candidate; a feasible input comes back unchanged."""
+    if is_feasible(p, tol):
+        return p
+    W, TH, PH, resid = _frame_map(p.weights[None], p.colatitudes[None], p.longitudes[None], tol)
+    if not resid[0] <= tol.feasibility:
+        raise RepairError("the frame is singular; discard the candidate")
+    return ParamPom(W[0], TH[0], PH[0])
 
 
 @dataclass(frozen=True)
@@ -275,15 +164,16 @@ class OptimizerConfig:
     restarts: int = 16
     max_iterations: int = 2000
     step_scale: float = 0.3
-    penalty_weight: float = 1.0
     seed: int = 0
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.n_elements < 1 or self.restarts < 1 or self.max_iterations < 1:
-            raise DomainError("n_elements, restarts and max_iterations must be >= 1")
-        if self.step_scale <= 0.0 or self.penalty_weight <= 0.0 or self.tolerance <= 0.0:
-            raise DomainError("step_scale, penalty_weight and tolerance must be positive")
+        if self.n_elements < 2:
+            raise DomainError(f"need at least 2 elements, got {self.n_elements}")
+        if self.restarts < 1 or self.max_iterations < 1:
+            raise DomainError("restarts and max_iterations must be >= 1")
+        if self.step_scale <= 0.0 or self.tolerance <= 0.0:
+            raise DomainError("step_scale and tolerance must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit an unsigned 64-bit integer")
 
@@ -370,27 +260,13 @@ def _correct_objective(e: SymmetricEnsemble) -> Callable:
 
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
                 name: str) -> tuple[ParamPom, SearchTrace]:
-    if cfg.n_elements < 2:
-        raise DomainError(f"need at least 2 elements, got {cfg.n_elements}")
     n, restarts = cfg.n_elements, cfg.restarts
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
-    W = np.zeros((restarts, n))
-    TH = np.zeros((restarts, n))
-    PH = np.zeros((restarts, n))
-    alive = np.zeros(restarts, dtype=bool)
-    for _ in range(START_ATTEMPTS):
-        need = ~alive
-        if not need.any():
-            break
-        k = int(need.sum())
-        w0 = rng.dirichlet(np.ones(n), size=k)
-        th0 = np.arccos(rng.uniform(-1.0, 1.0, (k, n)))
-        ph0 = rng.uniform(0.0, 2.0 * math.pi, (k, n))
-        w0, th0, ph0, resid = _repair_batch(w0, th0, ph0, rounds=40)
-        good = resid <= REPAIR_ACCEPT
-        rows = np.where(need)[0][good]
-        W[rows], TH[rows], PH[rows] = w0[good], th0[good], ph0[good]
-        alive[rows] = True
+    W = rng.dirichlet(np.ones(n), size=restarts)
+    TH = np.arccos(rng.uniform(-1.0, 1.0, (restarts, n)))
+    PH = rng.uniform(0.0, 2.0 * math.pi, (restarts, n))
+    W, TH, PH, resid = _frame_map(W, TH, PH)
+    alive = resid <= TOL.feasibility
     if not alive.any():
         raise OptimizationError(f"no feasible start in {restarts} restarts")
     VAL = np.where(alive, objective(W, TH, PH), -np.inf)
@@ -428,10 +304,9 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         W2[rows, givers[rows]] -= amount[rows]
         W2[rows, takers[rows]] += amount[rows]
         step *= STEP_DECAY
-        W2, TH2, PH2, resid = _repair_batch(W2, TH2, PH2, rounds=SEARCH_REPAIR_ROUNDS)
-        valid = alive & (resid <= REPAIR_ACCEPT)
-        VAL2 = objective(W2, TH2, PH2) - cfg.penalty_weight * np.maximum(
-            0.0, resid - TOL.feasibility)
+        W2, TH2, PH2, resid = _frame_map(W2, TH2, PH2)
+        valid = alive & (resid <= TOL.feasibility)
+        VAL2 = objective(W2, TH2, PH2)
         evaluations += int(valid.sum())
         CONC2 = (W2 * W2).sum(axis=1)
         accept = valid & ((VAL2 > VAL + cfg.tolerance)
@@ -459,8 +334,7 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         if best < 0 or VAL[r] > VAL[best] + RESTART_TIE or (
                 VAL[r] >= VAL[best] - RESTART_TIE and CONC[r] > CONC[best] + 1e-12):
             best = r
-    wb, thb, phb = _canonical(W[best].copy(), TH[best].copy(), PH[best].copy())
-    params = ParamPom(wb, thb, phb)
+    params = ParamPom(W[best], TH[best], PH[best])
     records = tuple(
         RestartRecord(restart=r, start_value=float(start_vals[r]),
                       final_value=float(VAL[r]), iterations=iterations,

@@ -56,6 +56,8 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
         raise DomainError("seed must fit an unsigned 64-bit integer")
     if not 0 <= slot < N_SLOTS:
         raise DomainError(f"slot {slot} outside 0..{N_SLOTS - 1}")
+    if start < 0 or stop < start:
+        raise DomainError(f"trial range {start}..{stop} must satisfy 0 <= start <= stop")
     idx = np.arange(start, stop, dtype=np.uint64)
     counter = idx * np.uint64(N_SLOTS) + np.uint64(slot + 1)
     bits = _mix(np.uint64(seed) + counter * GOLDEN)

@@ -26,16 +26,29 @@ def random_hermitian(rng: np.random.Generator, scale: float = 1.0) -> Hermitian2
     return Hermitian2(a, d, complex(br, bi))
 
 
+def frame_normalized(seeds: list[np.ndarray]) -> list[np.ndarray]:
+    """S^(-1/2) E S^(-1/2) for every seed E, with S the sum of the seeds."""
+    vals, vecs = np.linalg.eigh(np.sum(seeds, axis=0))
+    inv_root = (vecs * vals ** -0.5) @ vecs.conj().T
+    return [inv_root @ s @ inv_root for s in seeds]
+
+
 def random_pom(rng: np.random.Generator, size: int) -> Pom:
     """Random measurement: rank-one seeds conjugated so the elements sum to the identity."""
     seeds = []
     for _ in range(size):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         seeds.append(np.outer(v, v.conj()))
-    vals, vecs = np.linalg.eigh(np.sum(seeds, axis=0))
-    inv_root = (vecs * vals ** -0.5) @ vecs.conj().T
-    elements = tuple(Hermitian2.from_matrix(inv_root @ s @ inv_root) for s in seeds)
+    elements = tuple(Hermitian2.from_matrix(el) for el in frame_normalized(seeds))
     return Pom(elements=elements, labels=tuple(range(size)))
+
+
+def bloch_element(weight: float, colatitude: float, longitude: float) -> np.ndarray:
+    """The matrix weight * (I + n.sigma) for the unit vector n at the given angles."""
+    n = (math.sin(colatitude) * math.cos(longitude),
+         math.sin(colatitude) * math.sin(longitude), math.cos(colatitude))
+    return weight * np.array([[1.0 + n[2], n[0] - 1j * n[1]],
+                              [n[0] + 1j * n[1], 1.0 - n[2]]])
 
 
 def state_matrix(e: SymmetricEnsemble) -> np.ndarray:

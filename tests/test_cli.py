@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -36,6 +37,16 @@ def test_analytic_report_three_signals(capsys):
     assert float(values["chi"]) == pytest.approx(math.pi / 2, abs=1e-12)
     assert values["n_outputs"] == "3"
     assert out.count("outcome") == 3
+
+
+def test_analytic_directions_are_unit_vectors(capsys):
+    code, out, _ = run_cli(capsys, "analytic", "--m", "3", "--theta", "1.5707963267948966")
+    assert code == 0
+    directions = re.findall(r"direction = \(([^)]*)\)", out)
+    assert len(directions) == 3
+    for text in directions:
+        x, y, z = (float(v) for v in text.split(","))
+        assert math.sqrt(x * x + y * y + z * z) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analytic_report_degenerate_two_signals(capsys):

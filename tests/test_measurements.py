@@ -1,5 +1,6 @@
 """Measurement validation, square-root construction and error probabilities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,15 @@ def test_non_psd_element_reported_with_eigenvalue():
               labels=(0, 1))
     violations = validate_pom(bad)
     assert any("positive" in v for v in violations)
+
+
+@pytest.mark.parametrize("entry", ["a", "d", "b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_element_is_a_violation(entry, value):
+    bad = dataclasses.replace(Z_BASIS.elements[0], **{entry: value})
+    pom = Pom(elements=(bad, Z_BASIS.elements[1]), labels=(0, 1))
+    assert validate_pom(pom) != []
+    assert not identity_sum_residual(pom) <= 1e-9
 
 
 def test_square_root_measurement_orthogonal_pair():

@@ -7,12 +7,13 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (DomainError, Hermitian2, OptimizerConfig, ParamPom,
+from qrelay import (DomainError, Hermitian2, OptimizerConfig, ParamPom, RepairError,
                     constraint_residuals, error_probability, fidelity_of_strategy,
                     is_feasible, max_fidelity_analytic, min_error_analytic,
                     optimize_error, optimize_fidelity, repair,
                     square_root_measurement, symmetric_ensemble, to_pom,
                     validate_pom)
+from qrelay.optimizer import _frame_map
 from qrelay.qubit import MINUS, PLUS
 
 
@@ -106,7 +107,35 @@ def test_repair_random_infeasible_candidate():
     assert validate_pom(to_pom(fixed)) == []
 
 
+def test_repair_rejects_singular_frame():
+    aligned = ParamPom(weights=(0.3, 0.5, 0.2), colatitudes=(0.4, 0.4, 0.4),
+                       longitudes=(1.1, 1.1, 1.1))
+    with pytest.raises(RepairError):
+        repair(aligned)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_frame_map_matches_matrix_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    W = rng.dirichlet(np.ones(n), size=32)
+    TH = np.arccos(rng.uniform(-1.0, 1.0, (32, n)))
+    PH = rng.uniform(0.0, 2 * math.pi, (32, n))
+    W2, TH2, PH2, resid = _frame_map(W, TH, PH)
+    assert float(resid.max()) <= 1e-14
+    assert float(W2.min()) >= 0.0
+    for r in range(32):
+        assert max(constraint_residuals(ParamPom(W2[r], TH2[r], PH2[r]))) <= 1e-14
+        expected = helpers.frame_normalized(
+            [helpers.bloch_element(*args) for args in zip(W[r], TH[r], PH[r])])
+        for k in range(n):
+            got = helpers.bloch_element(W2[r, k], TH2[r, k], PH2[r, k])
+            assert np.abs(got - expected[k]).max() <= 1e-12
+            assert abs(float(np.linalg.eigvalsh(got)[0])) <= 1e-14
+
+
 def test_config_validation():
+    with pytest.raises(DomainError):
+        OptimizerConfig(n_elements=1)
     with pytest.raises(DomainError):
         OptimizerConfig(restarts=0)
     with pytest.raises(DomainError):
@@ -183,6 +212,11 @@ def test_optimize_error_interior_point():
 
 def test_never_beats_bound_property(default_fidelity_sweep):
     assert property_suites.optimizer_bound_suite(default_fidelity_sweep) == 25
+
+
+def test_stall_stop_ends_a_converged_search(default_fidelity_sweep):
+    trace = default_fidelity_sweep.results[3, 0.0].trace
+    assert all(rec.iterations < OptimizerConfig().max_iterations for rec in trace.records)
 
 
 def test_search_soundness_property(default_fidelity_sweep):

@@ -1,5 +1,6 @@
 """Monte Carlo estimates and the counter-based randomness contract."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import helpers
 import property_suites
 import qrelay.simulator as simulator
-from qrelay import (DomainError, Hermitian2, Pom, Strategy, counter_uniforms,
+from qrelay import (DomainError, Hermitian2, Pom, Strategy, ValidationError, counter_uniforms,
                     error_probability, fidelity_of_strategy, max_fidelity_analytic,
                     optimal_strategy_analytic, simulate_error, simulate_fidelity,
                     square_root_measurement, symmetric_ensemble)
@@ -50,6 +51,11 @@ def test_counter_uniforms_domain_checks():
         counter_uniforms(2 ** 64, 0, 0, 10)
     with pytest.raises(DomainError):
         counter_uniforms(0, 4, 0, 10)
+    with pytest.raises(DomainError):
+        counter_uniforms(0, 0, -1, 10)
+    with pytest.raises(DomainError):
+        counter_uniforms(0, 0, 10, 9)
+    assert counter_uniforms(0, 0, 10, 10).size == 0
 
 
 def test_degenerate_ensemble_fidelity_is_exactly_one():
@@ -120,6 +126,17 @@ def test_chunked_runs_match_single_pass(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 700)
     assert simulate_fidelity(e, s, 5000, seed=11) == whole_f
     assert simulate_error(e, pom, ident, 5000, seed=11) == whole_e
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_measurement_is_rejected(value):
+    e = symmetric_ensemble(3, math.pi / 2)
+    s = optimal_strategy_analytic(3, math.pi / 2)
+    bad = dataclasses.replace(s.pom.elements[0], a=value)
+    broken = dataclasses.replace(s, pom=dataclasses.replace(
+        s.pom, elements=(bad,) + s.pom.elements[1:]))
+    with pytest.raises(ValidationError):
+        simulate_fidelity(e, broken, 100_000, seed=0)
 
 
 def test_trials_must_be_positive():
