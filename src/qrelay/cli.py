@@ -17,6 +17,9 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
+from . import bloch
 from .ensembles import symmetric_ensemble
 from .errors import DomainError, OptimizationError, RepairError, ValidationError
 from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
@@ -32,22 +35,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _bloch_of_element(el) -> tuple[float, float, float, float]:
-    """(weight, nx, ny, nz) of a rank-one element w (I + n.sigma)."""
-    w = 0.5 * (el.a + el.d)
-    if w <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    return w, el.b.real / w, -el.b.imag / w, (el.a - el.d) / (2.0 * w)
-
-
 def _print_strategy(s: Strategy) -> None:
-    from .qubit import bloch_vector
-    for pos, (el, out) in enumerate(zip(s.pom.elements, s.retransmit)):
-        w, nx, ny, nz = _bloch_of_element(el)
-        b = bloch_vector(out)
-        print(f"outcome {s.pom.labels[pos]}: weight = {_fmt(w)}  "
-              f"direction = ({_fmt(nx)}, {_fmt(ny)}, {_fmt(nz)})  "
-              f"retransmit = ({_fmt(b.x)}, {_fmt(b.y)}, {_fmt(b.z)})")
+    """One line per outcome: element weight t and unit direction r/t, retransmitted Bloch vector."""
+    t, r = s.pom.terms
+    direction = np.divide(r, t[:, None], out=np.zeros_like(r), where=t[:, None] > 0.0)
+    for label, w, n, b in zip(s.pom.labels, t.tolist(), direction.tolist(),
+                              bloch.vectors(s.retransmit).tolist()):
+        print(f"outcome {label}: weight = {_fmt(max(0.0, w))}  "
+              f"direction = ({_fmt(n[0])}, {_fmt(n[1])}, {_fmt(n[2])})  "
+              f"retransmit = ({_fmt(b[0])}, {_fmt(b[1])}, {_fmt(b[2])})")
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -171,7 +167,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         print(f"invalid: {exc}")
         return 3
-    low = min(el.eigenvalues()[1] for el in strategy.pom.elements)
+    low = float(bloch.lowest(*strategy.pom.terms).min())
     print(f"valid: m = {e.m}, theta = {_fmt(e.theta)}, "
           f"{len(strategy.pom.elements)} outcomes, "
           f"identity_residual = {identity_sum_residual(strategy.pom):.3e}, "

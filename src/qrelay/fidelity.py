@@ -21,10 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError
 from .measurements import Pom
-from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit, overlap_prob
+from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 from .tolerances import TOL, Tolerances
 
 
@@ -62,35 +65,33 @@ class FidelityReport:
 
 
 def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
-    """Average fidelity of the strategy on the ensemble, by the exact double sum."""
-    total = 0.0
-    for sig in e.states:
-        for el, out in zip(s.pom.elements, s.retransmit):
-            total += e.prior * el.expectation(sig) * overlap_prob(sig, out)
-    return total
+    """Average fidelity of the strategy on the ensemble, by the exact double sum.
+
+    |<psi_j|phi_k>|^2 is the Born probability of the projector (I + n(phi_k).sigma)/2.
+    """
+    half = np.full(len(s.retransmit), 0.5)
+    overlap = bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors)
+    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * overlap).sum())
 
 
 def outcome_fidelity_operator(e: SymmetricEnsemble, element: Hermitian2) -> Hermitian2:
     """Score operator of one outcome: sum_j p_j <psi_j|pi|psi_j> |psi_j><psi_j|."""
-    op = Hermitian2.zero()
-    for sig in e.states:
-        op = op + (e.prior * element.expectation(sig)) * Hermitian2.projector(sig)
-    return op
+    q = e.prior * bloch.born(*bloch.terms((element,)), e.vectors)
+    return bloch.operators(*bloch.score(q, e.vectors))[0]
 
 
 def optimal_retransmission(e: SymmetricEnsemble, p: Pom, tol: Tolerances = TOL) -> FidelityReport:
     """Exact best fidelity over retransmission states for a fixed measurement.
 
     Independent of how the measurement was obtained: each outcome's score
-    operator is diagonalized in closed form and the top eigenpair is taken.
+    operator has top eigenvalue t + |r| in Bloch terms, and the state to send
+    is its top eigenvector as hermitian_eig2 resolves it.
     """
-    per_outcome = []
-    total = 0.0
-    for el in p.elements:
-        (lam, vec), _ = hermitian_eig2(outcome_fidelity_operator(e, el), tol)
-        per_outcome.append((lam, vec))
-        total += lam
-    return FidelityReport(fidelity=total, per_outcome=tuple(per_outcome))
+    t, r = bloch.score(e.prior * bloch.born(*p.terms, e.vectors), e.vectors)
+    values = bloch.top(t, r)
+    states = [hermitian_eig2(op, tol)[0][1] for op in bloch.operators(t, r)]
+    return FidelityReport(fidelity=float(values.sum()),
+                          per_outcome=tuple(zip(values.tolist(), states)))
 
 
 def max_fidelity_analytic(m: int, theta: float) -> float:
@@ -143,7 +144,7 @@ def optimal_strategy_analytic(m: int, theta: float,
         elements = (Hermitian2(0.5, 0.5, 0.5 + 0.0j), Hermitian2(0.5, 0.5, -0.5 + 0.0j))
         retransmit = (make_qubit(colat, 0.0), make_qubit(colat, math.pi))
         return Strategy(pom=Pom(elements=elements, labels=(0, 1)), retransmit=retransmit)
-    n = m if n_outputs is None else n_outputs
+    n = int(m) if n_outputs is None else n_outputs
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise DomainError(f"n_outputs must be an integer >= 2, got {n!r}")
     elements = []

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
 
+from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError, ValidationError
-from .qubit import Hermitian2, PureQubit, hermitian_eig2
+from .qubit import Hermitian2, PureQubit
 from .tolerances import TOL, Tolerances
 
 
@@ -28,7 +30,8 @@ class Pom:
     Construction checks structure only (at least one element, labels unique
     and of matching length). Positivity and completeness are diagnosed
     separately by validate_pom so that candidate measurements can be built
-    and inspected before being declared sound.
+    and inspected before being declared sound. terms holds the elements as
+    Bloch terms (t[K], r[K, 3]), built once on first use.
     """
 
     elements: tuple[Hermitian2, ...]
@@ -50,6 +53,10 @@ class Pom:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return bloch.terms(self.elements)
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -59,23 +66,21 @@ class Assignment:
 
 
 def identity_sum_residual(p: Pom) -> float:
-    """Largest entrywise deviation of the element sum from the identity; NaN if any is NaN."""
-    total = Hermitian2.zero()
-    for el in p.elements:
-        total = total + el
-    deviations = (abs(total.a - 1.0), abs(total.d - 1.0), abs(total.b))
-    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+    """Largest entrywise deviation of the element sum from the identity; NaN if an entry is not finite."""
+    total, polar, azimuthal = bloch.completeness(*p.terms)
+    return float(max(total + polar, azimuthal))
 
 
 def validate_pom(p: Pom, tol: Tolerances = TOL) -> list[str]:
     """Collect human-readable violations; an empty list means the measure is sound."""
+    t, r = p.terms
+    low = bloch.lowest(t, r)
     violations = []
-    for pos, el in enumerate(p.elements):
-        low = el.eigenvalues()[1]
-        if not low >= -tol.psd:
-            violations.append(
-                f"element {pos} (label {p.labels[pos]}) is not positive "
-                f"semidefinite (minimum eigenvalue {low:.3e})")
+    for pos, value in enumerate(low.tolist()):
+        if not value >= -tol.psd:
+            what = ("has a non-finite entry" if math.isnan(value) else
+                    f"is not positive semidefinite (minimum eigenvalue {value:.3e})")
+            violations.append(f"element {pos} (label {p.labels[pos]}) {what}")
     residual = identity_sum_residual(p)
     if not residual <= tol.identity_sum:
         violations.append(f"elements do not sum to the identity (residual {residual:.3e})")
@@ -87,42 +92,46 @@ def square_root_measurement(e: SymmetricEnsemble, tol: Tolerances = TOL) -> Pom:
 
     Each element is S^(-1/2) |psi_j><psi_j| S^(-1/2) where S is the sum of the
     signal projectors. When S is singular the inverse square root is taken on
-    the support only (eigenvalues at or below the pseudo-inverse cutoff are
+    the support only (an eigenvalue at or below the pseudo-inverse cutoff is
     dropped) and the result is flagged with meta["rank_deficient"] = True.
     """
-    frame = Hermitian2.zero()
-    for s in e.states:
-        frame = frame + Hermitian2.projector(s)
-    (lam1, v1), (lam2, v2) = hermitian_eig2(frame, tol)
-    inv_sqrt = Hermitian2.zero()
-    dropped = 0
-    for lam, vec in ((lam1, v1), (lam2, v2)):
-        if lam > tol.pseudo_inverse:
-            inv_sqrt = inv_sqrt + lam ** -0.5 * Hermitian2.projector(vec)
-        else:
-            dropped += 1
-    mat = inv_sqrt.to_matrix()
-    elements = []
-    for s in e.states:
-        u = mat @ s.as_array()
-        elements.append(Hermitian2.outer(u[0], u[1]))
+    t, r, lam_minus = bloch.frame_normalize(np.full(e.m, 0.5), e.vectors, tol)
     meta: dict[str, Any] = {}
-    if dropped:
+    if lam_minus <= tol.pseudo_inverse:
+        # S has trace m, so its larger eigenvalue is at least m/2 and stays
         meta["rank_deficient"] = True
-        meta["support_dimension"] = 2 - dropped
-    return Pom(elements=tuple(elements), labels=tuple(range(e.m)), meta=meta)
+        meta["support_dimension"] = 1
+    return Pom(elements=bloch.operators(t, r), labels=tuple(range(e.m)), meta=meta)
 
 
-def outcome_probabilities(s: PureQubit, p: Pom, tol: Tolerances = TOL) -> np.ndarray:
-    """Born probabilities of every outcome of a validated measurement, in label order."""
+def _probabilities(p: Pom, n: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Born probabilities P[j, k] of a validated measurement on the states with vectors n."""
     violations = validate_pom(p, tol)
     if violations:
         raise ValidationError("; ".join(violations))
-    probs = np.array([el.expectation(s) for el in p.elements])
+    probs = bloch.born(*p.terms, n)
     if probs.min() < -tol.probability:
         raise ValidationError(
             f"outcome probability {probs.min():.3e} below the clamping window")
     return np.clip(probs, 0.0, 1.0)
+
+
+def outcome_probabilities(s: PureQubit, p: Pom, tol: Tolerances = TOL) -> np.ndarray:
+    """Born probabilities of every outcome of a validated measurement, in label order."""
+    return _probabilities(p, bloch.vectors((s,)), tol)[0]
+
+
+def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
+    """Signal index each outcome is read as, in label order; every label must map into 0..m-1."""
+    read_as = []
+    for label in p.labels:
+        if label not in a.outcome_to_signal:
+            raise DomainError(f"outcome label {label} has no assigned signal")
+        j = a.outcome_to_signal[label]
+        if not 0 <= j < m:
+            raise DomainError(f"assigned signal index {j} outside 0..{m - 1}")
+        read_as.append(j)
+    return read_as
 
 
 def error_probability(e: SymmetricEnsemble, p: Pom, a: Assignment) -> float:
@@ -131,15 +140,8 @@ def error_probability(e: SymmetricEnsemble, p: Pom, a: Assignment) -> float:
     Every outcome label must be assigned to a signal index in range; the
     measurement itself is taken on trust here.
     """
-    correct = 0.0
-    for pos, label in enumerate(p.labels):
-        if label not in a.outcome_to_signal:
-            raise DomainError(f"outcome label {label} has no assigned signal")
-        j = a.outcome_to_signal[label]
-        if not 0 <= j < e.m:
-            raise DomainError(f"assigned signal index {j} outside 0..{e.m - 1}")
-        correct += e.prior * p.elements[pos].expectation(e.states[j])
-    return 1.0 - correct
+    probs = bloch.born(*p.terms, e.vectors).tolist()
+    return 1.0 - e.prior * sum(probs[j][k] for k, j in enumerate(_signal_indices(p, a, e.m)))
 
 
 def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:
@@ -148,11 +150,8 @@ def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:
     With equal priors that is the signal maximizing the element's expectation;
     ties go to the lowest signal index.
     """
-    mapping = {}
-    for pos, label in enumerate(p.labels):
-        scores = [p.elements[pos].expectation(s) for s in e.states]
-        mapping[label] = int(np.argmax(scores))
-    return Assignment(outcome_to_signal=mapping)
+    best = bloch.born(*p.terms, e.vectors).argmax(axis=0).tolist()
+    return Assignment(outcome_to_signal=dict(zip(p.labels, best)))
 
 
 def min_error_analytic(m: int, theta: float) -> float:

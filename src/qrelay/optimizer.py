@@ -30,11 +30,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import bloch
 from .ensembles import SymmetricEnsemble
 from .errors import DomainError, OptimizationError, RepairError
 from .fidelity import FidelityReport, Strategy, fidelity_of_strategy, optimal_retransmission
 from .measurements import Assignment, Pom, error_probability, greedy_assignment
-from .qubit import Hermitian2
 from .tolerances import TOL, Tolerances
 
 STEP_DECAY = 0.995
@@ -74,15 +74,20 @@ class ParamPom:
         return self.weights.size
 
 
+def _directions(TH: np.ndarray, PH: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors [..., 3] at the given angles, stored components first as the kernel likes."""
+    st = np.sin(TH)
+    n = np.array([st * np.cos(PH), st * np.sin(PH), np.cos(TH)])
+    return n.transpose(*range(1, n.ndim), 0)
+
+
+def _terms(W: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return W, W[..., None] * _directions(TH, PH)
+
+
 def constraint_residuals(p: ParamPom) -> tuple[float, float, float]:
     """Residuals of (weight normalization, polar balance, azimuthal balance)."""
-    w = p.weights
-    st = np.sin(p.colatitudes)
-    rx = w @ (st * np.cos(p.longitudes))
-    ry = w @ (st * np.sin(p.longitudes))
-    return (abs(float(w.sum()) - 1.0),
-            abs(float(w @ np.cos(p.colatitudes))),
-            math.hypot(float(rx), float(ry)))
+    return tuple(map(float, bloch.completeness(*_terms(p.weights, p.colatitudes, p.longitudes))))
 
 
 def is_feasible(p: ParamPom, tol: Tolerances = TOL) -> bool:
@@ -97,55 +102,22 @@ def to_pom(p: ParamPom, tol: Tolerances = TOL) -> Pom:
             f"(residuals {constraint_residuals(p)})")
     if float(p.weights.min()) < -tol.psd:
         raise DomainError(f"negative weight {float(p.weights.min())!r}")
-    w = np.clip(p.weights, 0.0, None)
-    ct = np.cos(p.colatitudes)
-    st = np.sin(p.colatitudes)
-    off = st * np.exp(-1j * p.longitudes)
-    elements = tuple(
-        Hermitian2(w[k] * (1.0 + ct[k]), w[k] * (1.0 - ct[k]), w[k] * off[k])
-        for k in range(p.n))
+    elements = bloch.operators(*_terms(np.clip(p.weights, 0.0, None), p.colatitudes, p.longitudes))
     return Pom(elements=elements, labels=tuple(range(p.n)))
 
 
 def _frame_map(W: np.ndarray, TH: np.ndarray, PH: np.ndarray, tol: Tolerances = TOL):
-    """Square-root normalization of candidates, one per row.
+    """Square-root normalization of candidates, one per row (bloch.frame_normalize).
 
-    With weights clipped at zero, each row's elements E_k = w_k (I + n_k.sigma)
-    sum to the frame S = s0 I + s.sigma, and E_k -> S^(-1/2) E_k S^(-1/2)
-    makes them sum to the identity while staying rank one. Along the frame
-    axis u = s/|s|, with eigenvalues lam+- = s0 +- |s| = sum_k w_k (1 +- u.n_k),
-    element k becomes w'_k (I + n'_k.sigma) where
-        w'_k      = (w_k (1 + u.n_k) / lam+ + w_k (1 - u.n_k) / lam-) / 2,
-        w'_k n'_k = (w_k (1 + u.n_k) / lam+ - w_k (1 - u.n_k) / lam-) / 2 u
-                    + w_k (n_k - (u.n_k) u) / sqrt(lam+ lam-).
-    1 +- u.n_k is taken as |n_k +- u|^2 / 2 so that lam- keeps its relative
-    accuracy. Returns (W, TH, PH, residual) with colatitudes in [0, pi] and
-    longitudes in [0, 2 pi); rows whose frame is singular get an infinite
-    residual.
+    Weights are clipped at zero first. Returns (W, TH, PH, residual) with
+    colatitudes in [0, pi] and longitudes in [0, 2 pi); rows whose frame is
+    singular get an infinite residual.
     """
-    W = np.clip(W, 0.0, None)
-    st = np.sin(TH)
-    n = np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)])
-    s = (W * n).sum(axis=2)
-    norm = np.sqrt((s * s).sum(axis=0))
-    u = (s / np.where(norm > 0.0, norm, 1.0))[:, :, None]
-    plus = W * (0.5 * ((n + u) ** 2).sum(axis=0))
-    minus = W * (0.5 * ((n - u) ** 2).sum(axis=0))
-    lam_plus, lam_minus = plus.sum(axis=1), minus.sum(axis=1)
-    ok = lam_minus > tol.pseudo_inverse
-    plus = plus / np.where(ok, lam_plus, 1.0)[:, None]
-    minus = minus / np.where(ok, lam_minus, 1.0)[:, None]
-    cross = W / np.sqrt(np.where(ok, lam_plus * lam_minus, 1.0))[:, None]
-    d = 0.5 * (plus - minus) * u + cross * (n - (u * n).sum(axis=0) * u)
-    W = 0.5 * (plus + minus)
-    TH = np.arctan2(np.hypot(d[0], d[1]), d[2])
-    PH = np.mod(np.arctan2(d[1], d[0]), 2.0 * math.pi)
-    st = np.sin(TH)
-    resid = np.maximum.reduce([
-        np.abs(W.sum(axis=1) - 1.0),
-        np.abs((W * np.cos(TH)).sum(axis=1)),
-        np.hypot((W * (st * np.cos(PH))).sum(axis=1), (W * (st * np.sin(PH))).sum(axis=1))])
-    return W, TH, PH, np.where(ok, resid, np.inf)
+    W, d, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), _directions(TH, PH), tol)
+    TH = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
+    PH = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * math.pi)
+    resid = np.maximum.reduce(bloch.completeness(W, d))
+    return W, TH, PH, np.where(lam_minus > tol.pseudo_inverse, resid, np.inf)
 
 
 def repair(p: ParamPom, tol: Tolerances = TOL) -> ParamPom:
@@ -214,48 +186,16 @@ class SearchTrace:
     evaluations: int
 
 
-def _signal_arrays(e: SymmetricEnsemble):
-    amps = np.array([s.as_array() for s in e.states])
-    cp, cm = amps[:, 0], amps[:, 1]
-    cross = cp.conjugate() * cm
-    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag,
-                      np.abs(cp) ** 2 - np.abs(cm) ** 2], axis=1)
-    return bloch, np.abs(cp) ** 2, np.abs(cm) ** 2, cross.conjugate()
-
-
-def _fidelity_objective(e: SymmetricEnsemble) -> Callable:
+def _fidelity_objective(e: SymmetricEnsemble, W, TH, PH) -> np.ndarray:
     """Best fidelity reachable with each row's measurement, retransmission
     already optimized outcome by outcome (top eigenvalue of each score operator)."""
-    bloch, pa, pd, pb = _signal_arrays(e)
-    pbr, pbi = pb.real, pb.imag
-    inv_m = 1.0 / e.m
-
-    def objective(W, TH, PH):
-        st = np.sin(TH)
-        dirs = np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)], axis=1)
-        born = W[:, None, :] * (1.0 + bloch @ dirs)
-        a = pa @ born
-        d = pd @ born
-        br = pbr @ born
-        bi = pbi @ born
-        top = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) ** 2 + br * br + bi * bi)
-        return top.sum(axis=1) * inv_m
-
-    return objective
+    q = e.prior * bloch.born(*_terms(W, TH, PH), e.vectors)
+    return bloch.top(*bloch.score(q, e.vectors)).sum(axis=-1)
 
 
-def _correct_objective(e: SymmetricEnsemble) -> Callable:
+def _correct_objective(e: SymmetricEnsemble, W, TH, PH) -> np.ndarray:
     """Probability of a correct decision under the best outcome-to-signal map."""
-    bloch = _signal_arrays(e)[0]
-    inv_m = 1.0 / e.m
-
-    def objective(W, TH, PH):
-        st = np.sin(TH)
-        dirs = np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)], axis=1)
-        born = W[:, None, :] * (1.0 + bloch @ dirs)
-        return born.max(axis=1).sum(axis=1) * inv_m
-
-    return objective
+    return e.prior * bloch.born(*_terms(W, TH, PH), e.vectors).max(axis=-2).sum(axis=-1)
 
 
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
@@ -269,7 +209,7 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     alive = resid <= TOL.feasibility
     if not alive.any():
         raise OptimizationError(f"no feasible start in {restarts} restarts")
-    VAL = np.where(alive, objective(W, TH, PH), -np.inf)
+    VAL = np.where(alive, objective(e, W, TH, PH), -np.inf)
     start_vals = VAL.copy()
     CONC = (W * W).sum(axis=1)
     step = cfg.step_scale
@@ -306,7 +246,7 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         step *= STEP_DECAY
         W2, TH2, PH2, resid = _frame_map(W2, TH2, PH2)
         valid = alive & (resid <= TOL.feasibility)
-        VAL2 = objective(W2, TH2, PH2)
+        VAL2 = objective(e, W2, TH2, PH2)
         evaluations += int(valid.sum())
         CONC2 = (W2 * W2).sum(axis=1)
         accept = valid & ((VAL2 > VAL + cfg.tolerance)
@@ -355,7 +295,7 @@ def optimize_fidelity(e: SymmetricEnsemble,
     states), its fidelity recomputed through the exact double sum, and the
     search trace. Deterministic for a fixed (ensemble, config).
     """
-    params, trace = _run_search(e, cfg, _fidelity_objective(e), "fidelity")
+    params, trace = _run_search(e, cfg, _fidelity_objective, "fidelity")
     pom = to_pom(params)
     report: FidelityReport = optimal_retransmission(e, pom)
     strategy = Strategy(pom=pom, retransmit=report.states)
@@ -370,7 +310,7 @@ def optimize_error(e: SymmetricEnsemble,
     signal of largest joint probability), both inside the search and in the
     returned assignment. The returned error is recomputed exactly.
     """
-    params, trace = _run_search(e, cfg, _correct_objective(e), "error")
+    params, trace = _run_search(e, cfg, _correct_objective, "error")
     pom = to_pom(params)
     assignment = greedy_assignment(e, pom)
     return pom, assignment, error_probability(e, pom, assignment), trace

@@ -17,38 +17,40 @@ import numpy as np
 from .errors import DomainError
 from .tolerances import TOL, Tolerances
 
+NORM_ROUNDING = 8.0 * 2.0 ** -52  # 8 ulps of 1; rescaling lands a squared norm well inside it
+
 
 @dataclass(frozen=True)
 class PureQubit:
     """Normalized single-qubit state with a fixed global-phase convention.
 
-    The constructor rescales the amplitude pair to unit norm and rotates the
-    global phase so that the first component with magnitude above the
-    negligibility cutoff is real and strictly positive. Amplitude pairs whose
-    squared norm deviates from 1 by more than the norm tolerance are rejected
-    rather than silently rescaled.
+    The constructor rotates the global phase so that the first component with
+    magnitude above the negligibility cutoff is real and strictly positive,
+    then rescales to unit norm unless the squared norm is 1 to rounding, so a
+    state rebuilt from its own amplitudes comes back bit for bit. Pairs whose
+    squared norm is off 1 by more than the norm tolerance, or is not finite,
+    are rejected rather than silently rescaled.
     """
 
     amp_plus: complex
     amp_minus: complex
 
     def __post_init__(self) -> None:
-        cp = complex(self.amp_plus)
-        cm = complex(self.amp_minus)
-        nsq = cp.real * cp.real + cp.imag * cp.imag + cm.real * cm.real + cm.imag * cm.imag
-        if abs(nsq - 1.0) > TOL.norm:
+        cp, cm = complex(self.amp_plus), complex(self.amp_minus)
+        nsq = abs(cp) ** 2 + abs(cm) ** 2
+        if not abs(nsq - 1.0) <= TOL.norm:
             raise DomainError(f"amplitudes have squared norm {nsq!r}, expected 1")
-        norm = math.sqrt(nsq)
-        cp /= norm
-        cm /= norm
         if abs(cp) > TOL.negligible:
-            phase = cp / abs(cp)
-        elif abs(cm) > TOL.negligible:
-            phase = cm / abs(cm)
-        else:
-            phase = 1.0 + 0.0j
-        object.__setattr__(self, "amp_plus", cp / phase)
-        object.__setattr__(self, "amp_minus", cm / phase)
+            if cp.imag != 0.0 or cp.real < 0.0:
+                cp, cm = complex(abs(cp), 0.0), cm * abs(cp) / cp
+                nsq = abs(cp) ** 2 + abs(cm) ** 2
+        elif abs(cm) > TOL.negligible and (cm.imag != 0.0 or cm.real < 0.0):
+            cp, cm = cp * abs(cm) / cm, complex(abs(cm), 0.0)
+            nsq = abs(cp) ** 2 + abs(cm) ** 2
+        if abs(nsq - 1.0) > NORM_ROUNDING:
+            cp, cm = cp / math.sqrt(nsq), cm / math.sqrt(nsq)
+        object.__setattr__(self, "amp_plus", cp)
+        object.__setattr__(self, "amp_minus", cm)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.amp_plus, self.amp_minus], dtype=complex)
@@ -97,12 +99,12 @@ def overlap_prob(a: PureQubit, b: PureQubit) -> float:
 
 def bloch_vector(s: PureQubit) -> BlochVector:
     """Bloch coordinates: x+iy = 2 conj(amp_plus) amp_minus, z = |amp_plus|^2 - |amp_minus|^2."""
+    return BlochVector(*_bloch_xyz(s))
+
+
+def _bloch_xyz(s: PureQubit) -> tuple[float, float, float]:
     cross = s.amp_plus.conjugate() * s.amp_minus
-    return BlochVector(
-        x=2.0 * cross.real,
-        y=2.0 * cross.imag,
-        z=abs(s.amp_plus) ** 2 - abs(s.amp_minus) ** 2,
-    )
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(s.amp_plus) ** 2 - abs(s.amp_minus) ** 2
 
 
 @dataclass(frozen=True)
@@ -162,9 +164,6 @@ class Hermitian2:
         mean = 0.5 * (self.a + self.d)
         r = math.hypot(0.5 * (self.a - self.d), abs(self.b))
         return mean + r, mean - r
-
-    def is_psd(self, tol: Tolerances = TOL) -> bool:
-        return self.eigenvalues()[1] >= -tol.psd
 
     def expectation(self, s: PureQubit) -> float:
         """<s|H|s>, real by Hermiticity."""

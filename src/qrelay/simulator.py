@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
+from . import bloch
 from .ensembles import SymmetricEnsemble
 from .errors import DomainError
 from .fidelity import Strategy
-from .measurements import Assignment, Pom, outcome_probabilities
-from .qubit import overlap_prob
+from .measurements import Assignment, Pom, _probabilities, _signal_indices
 from .tolerances import TOL, Tolerances
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -64,9 +66,9 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
     return (bits >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
-def _outcome_table(e: SymmetricEnsemble, p: Pom, tol: Tolerances):
+def _outcome_table(e: SymmetricEnsemble, p: Pom, tol: Tolerances) -> np.ndarray:
     """Cumulative outcome distribution per signal, rows renormalized for sampling."""
-    born = np.stack([outcome_probabilities(s, p, tol) for s in e.states])
+    born = _probabilities(p, e.vectors, tol)
     born = born / born.sum(axis=1, keepdims=True)
     cum = np.cumsum(born, axis=1)
     cum[:, -1] = 1.0
@@ -74,12 +76,40 @@ def _outcome_table(e: SymmetricEnsemble, p: Pom, tol: Tolerances):
 
 
 def _draw(e: SymmetricEnsemble, cum: np.ndarray, seed: int, start: int, stop: int):
-    """Transmitted signal index and outcome position for trials start..stop-1."""
+    """Transmitted signal index and outcome position for trials start..stop-1.
+
+    The outcome counts the thresholds of the signal's cumulative row at or
+    below the uniform, one column at a time; the last, 1, never counts.
+    """
     u_signal = counter_uniforms(seed, 0, start, stop)
     u_outcome = counter_uniforms(seed, 1, start, stop)
     signal = np.minimum((u_signal * e.m).astype(np.int64), e.m - 1)
-    outcome = (u_outcome[:, None] >= cum[signal]).sum(axis=1)
+    outcome = np.zeros(stop - start, dtype=np.int64)
+    for column in cum[:, :-1].T:
+        outcome += u_outcome >= column[signal]
     return signal, outcome
+
+
+def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int, tol: Tolerances,
+              hits_in: Callable) -> SimResult:
+    """Frequency of hits over the trials; hits_in(start, stop, signal, outcome) counts one chunk's."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    cum = _outcome_table(e, p, tol)
+    hits = 0
+    tallies = np.zeros(len(p), dtype=np.int64)
+    for start in range(0, trials, CHUNK):
+        stop = min(start + CHUNK, trials)
+        signal, outcome = _draw(e, cum, seed, start, stop)
+        hits += hits_in(start, stop, signal, outcome)
+        tallies += np.bincount(outcome, minlength=len(p))
+    estimate = hits / trials
+    return SimResult(
+        trials=trials,
+        estimate=estimate,
+        std_error=math.sqrt(estimate * (1.0 - estimate) / trials),
+        counts={label: int(tallies[pos]) for pos, label in enumerate(p.labels)},
+    )
 
 
 def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
@@ -90,52 +120,15 @@ def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
     Born distribution, retransmits the outcome's state and accepts with
     probability |<signal|retransmitted>|^2.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    cum = _outcome_table(e, s.pom, tol)
-    accept = np.array([[overlap_prob(sig, out) for out in s.retransmit]
-                       for sig in e.states])
-    hits = 0
-    tallies = np.zeros(len(s.pom), dtype=np.int64)
-    for start in range(0, trials, CHUNK):
-        stop = min(start + CHUNK, trials)
-        signal, outcome = _draw(e, cum, seed, start, stop)
-        u_accept = counter_uniforms(seed, 2, start, stop)
-        hits += int((u_accept < accept[signal, outcome]).sum())
-        tallies += np.bincount(outcome, minlength=len(s.pom))
-    estimate = hits / trials
-    return SimResult(
-        trials=trials,
-        estimate=estimate,
-        std_error=math.sqrt(estimate * (1.0 - estimate) / trials),
-        counts={label: int(tallies[pos]) for pos, label in enumerate(s.pom.labels)},
-    )
+    half = np.full(len(s.retransmit), 0.5)
+    accept = np.clip(bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors), 0.0, 1.0)
+    return _estimate(e, s.pom, trials, seed, tol, lambda start, stop, signal, outcome: int(
+        (counter_uniforms(seed, 2, start, stop) < accept[signal, outcome]).sum()))
 
 
 def simulate_error(e: SymmetricEnsemble, p: Pom, a: Assignment, trials: int,
                    seed: int = 0, tol: Tolerances = TOL) -> SimResult:
     """Estimate the identification error of a measurement with an assignment."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    cum = _outcome_table(e, p, tol)
-    read_as = np.empty(len(p), dtype=np.int64)
-    for pos, label in enumerate(p.labels):
-        if label not in a.outcome_to_signal:
-            raise DomainError(f"outcome label {label} has no assigned signal")
-        read_as[pos] = a.outcome_to_signal[label]
-    if read_as.min() < 0 or read_as.max() >= e.m:
-        raise DomainError("assignment maps outside the signal range")
-    misses = 0
-    tallies = np.zeros(len(p), dtype=np.int64)
-    for start in range(0, trials, CHUNK):
-        stop = min(start + CHUNK, trials)
-        signal, outcome = _draw(e, cum, seed, start, stop)
-        misses += int((read_as[outcome] != signal).sum())
-        tallies += np.bincount(outcome, minlength=len(p))
-    estimate = misses / trials
-    return SimResult(
-        trials=trials,
-        estimate=estimate,
-        std_error=math.sqrt(estimate * (1.0 - estimate) / trials),
-        counts={label: int(tallies[pos]) for pos, label in enumerate(p.labels)},
-    )
+    read_as = np.array(_signal_indices(p, a, e.m), dtype=np.int64)
+    return _estimate(e, p, trials, seed, tol, lambda start, stop, signal, outcome: int(
+        (read_as[outcome] != signal).sum()))

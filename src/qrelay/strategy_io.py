@@ -3,9 +3,9 @@
 A document records the ensemble parameters, the measurement elements as real
 quadruples [a, re(b), im(b), d], the retransmission amplitudes as quadruples
 [re+, im+, re-, im-], and provenance (who generated it, with what
-parameters). Floats are rendered with 17 significant digits so every value
-survives the round trip exactly; loading re-validates everything before any
-simulation may consume the file.
+parameters). Floats are rendered by repr, which parses back to the same
+double and sign of zero, so saving a loaded document reproduces it byte for
+byte; loading re-validates everything before any simulation may consume it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _render(value: Any, indent: int) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DomainError(f"cannot serialize non-finite float {value!r}")
-        return format(value, ".17g")
+        return repr(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):

@@ -27,9 +27,14 @@ def random_hermitian(rng: np.random.Generator, scale: float = 1.0) -> Hermitian2
 
 
 def frame_normalized(seeds: list[np.ndarray]) -> list[np.ndarray]:
-    """S^(-1/2) E S^(-1/2) for every seed E, with S the sum of the seeds."""
+    """S^(-1/2) E S^(-1/2) for every seed E, with S the sum of the seeds.
+
+    The inverse square root is taken on the support of S: eigenvalues at or
+    below 1e-10 are dropped.
+    """
     vals, vecs = np.linalg.eigh(np.sum(seeds, axis=0))
-    inv_root = (vecs * vals ** -0.5) @ vecs.conj().T
+    kept = vals > 1e-10
+    inv_root = (vecs * (kept / np.sqrt(np.where(kept, vals, 1.0)))) @ vecs.conj().T
     return [inv_root @ s @ inv_root for s in seeds]
 
 

@@ -1,0 +1,77 @@
+"""The array kernel against the independent matrix oracles."""
+
+import math
+
+import numpy as np
+import pytest
+
+import helpers
+from qrelay import (Hermitian2, ParamPom, bloch, error_probability, greedy_assignment,
+                    optimal_retransmission, square_root_measurement, symmetric_ensemble,
+                    to_pom)
+from qrelay.optimizer import _correct_objective, _fidelity_objective, _frame_map
+
+
+@pytest.mark.parametrize("m,theta", [(2, 0.7), (3, math.pi / 4), (5, 0.0), (8, math.pi / 2)])
+def test_batched_born_rows_match_matrix_oracle(m, theta):
+    rng = np.random.default_rng(31 + m)
+    e = symmetric_ensemble(m, theta)
+    poms = [helpers.random_pom(rng, 4) for _ in range(6)]
+    t = np.stack([p.terms[0] for p in poms]).reshape(2, 3, 4)
+    r = np.stack([p.terms[1] for p in poms]).reshape(2, 3, 4, 3)
+    probs = bloch.born(t, r, e.vectors).reshape(6, m, 4)
+    for row, pom in zip(probs, poms):
+        assert np.abs(row - helpers.born_oracle(e, pom)).max() <= 1e-12
+
+
+def test_terms_and_operators_are_inverse():
+    rng = np.random.default_rng(5)
+    ops = tuple(helpers.random_hermitian(rng) for _ in range(7))
+    for ours, ref in zip(bloch.operators(*bloch.terms(ops)), ops):
+        assert helpers.entrywise_gap(ours, ref) <= 1e-15
+
+
+def test_non_finite_element_gets_nan_terms():
+    ops = (bloch.operators(np.array([0.5]), np.array([[0.0, 0.0, 0.5]]))[0],
+           Hermitian2(math.inf, -math.inf, 0j))
+    t, r = bloch.terms(ops)
+    assert t[0] == 0.5 and np.isnan(t[1]) and np.isnan(r[1]).all()
+
+
+def test_frame_normalize_with_zero_frame_axis():
+    # S = I exactly, so s = 0 and any axis is an eigenvector: the set is already complete
+    w = np.array([0.25, 0.25, 0.25, 0.25])
+    n = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, -0.6, -0.8]])
+    t, r, lam_minus = bloch.frame_normalize(w, n)
+    assert lam_minus == 1.0
+    assert np.array_equal(t, w) and np.abs(r - w[:, None] * n).max() <= 1e-16
+
+
+@pytest.mark.parametrize("m,theta", [(2, math.pi / 4), (3, 0.0), (4, 1.2), (8, math.pi / 2)])
+def test_objective_rows_match_exact_evaluation(m, theta):
+    rng = np.random.default_rng(70 + m)
+    e = symmetric_ensemble(m, theta)
+    W = rng.dirichlet(np.ones(4), size=12)
+    TH = np.arccos(rng.uniform(-1.0, 1.0, (12, 4)))
+    PH = rng.uniform(0.0, 2 * math.pi, (12, 4))
+    W, TH, PH, resid = _frame_map(W, TH, PH)
+    assert float(resid.max()) <= 1e-14
+    fidelity = _fidelity_objective(e, W, TH, PH)
+    correct = _correct_objective(e, W, TH, PH)
+    for r in range(12):
+        pom = to_pom(ParamPom(W[r], TH[r], PH[r]))
+        assert abs(fidelity[r] - optimal_retransmission(e, pom).fidelity) <= 1e-12
+        exact = 1.0 - error_probability(e, pom, greedy_assignment(e, pom))
+        assert abs(correct[r] - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("theta", [0.0, 1e-3, math.pi / 8, math.pi / 4, math.pi / 2])
+def test_square_root_measurement_matches_frame_oracle(m, theta):
+    e = symmetric_ensemble(m, theta)
+    pom = square_root_measurement(e)
+    psi = helpers.state_matrix(e)
+    expected = helpers.frame_normalized([np.outer(v, v.conj()) for v in psi])
+    for el, ref in zip(pom.elements, expected):
+        assert np.abs(el.to_matrix() - ref).max() <= 1e-12
+    assert pom.meta.get("rank_deficient", False) == (theta == 0.0)

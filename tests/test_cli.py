@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qrelay import load_strategy, min_error_analytic
+from qrelay import load_strategy, measurements, min_error_analytic
 from qrelay.cli import main
 
 
@@ -174,6 +174,26 @@ def test_simulate_analytic_strategy(capsys, tmp_path):
         if "z =" in line:
             z = float(line.rsplit("z =", 1)[1])
             assert abs(z) <= 4.0
+
+
+def test_simulate_validates_the_measurement_once_per_use(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "three.strategy.json"
+    run_cli(capsys, "analytic", "--m", "3", "--theta", "0.8", "--output_path", str(path))
+    original = measurements.validate_pom
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that imported the function holds its own reference
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("qrelay")]:
+        if getattr(module, "validate_pom", None) is original:
+            monkeypatch.setattr(module, "validate_pom", counted)
+    code, _, _ = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "1000")
+    assert code == 0
+    # once when loading, once for each of the two estimates
+    assert len(calls) == 3
 
 
 def test_simulate_orthogonal_pair_never_errs(capsys, tmp_path):

@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import helpers
 import property_suites
 from qrelay import (DomainError, apply_generator, bloch_vector, inner,
-                    overlap_prob, symmetric_ensemble)
+                    optimal_strategy_analytic, overlap_prob, symmetric_ensemble)
 from qrelay.qubit import PLUS
 
 
@@ -55,6 +56,20 @@ def test_domain_rejection():
         symmetric_ensemble(3, -0.01)
     with pytest.raises(DomainError):
         symmetric_ensemble(3, math.pi / 2 + 0.01)
+
+
+@pytest.mark.parametrize("m", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_numpy_integer_sizes_are_accepted(m):
+    e = symmetric_ensemble(m, 0.4)
+    assert type(e.m) is int and e.m == 3
+    assert e.states == symmetric_ensemble(3, 0.4).states
+    assert optimal_strategy_analytic(m, 0.4) == optimal_strategy_analytic(3, 0.4)
+
+
+@pytest.mark.parametrize("m", [True, np.True_, 3.0, np.float64(3.0), "3"])
+def test_non_integer_sizes_are_rejected(m):
+    with pytest.raises(DomainError):
+        symmetric_ensemble(m, 0.4)
 
 
 def test_generator_fixes_plus():

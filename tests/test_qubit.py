@@ -48,6 +48,28 @@ def test_constructor_snaps_tiny_norm_drift():
     assert abs(q.amp_plus) ** 2 + abs(q.amp_minus) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("amps", [(math.nan, 0.0), (0.0, complex(0.0, math.nan)),
+                                  (math.inf, 0.0), (complex(1.0, math.nan), 0.0)])
+def test_constructor_rejects_non_finite_amplitudes(amps):
+    with pytest.raises(DomainError):
+        PureQubit(*amps)
+
+
+def test_construction_is_idempotent():
+    rng = np.random.default_rng(11)
+    states = [helpers.random_qubit(rng) for _ in range(2000)]
+    states += [make_qubit(float(c), float(l)) for c, l in
+               zip(rng.uniform(0.0, math.pi, 2000), rng.uniform(-7.0, 7.0, 2000))]
+    # amplitudes off unit norm by far more than rounding take the rescaling path
+    states += [PureQubit(q.amp_plus * f, q.amp_minus * f)
+               for q, f in zip(states[:2000], 1.0 + rng.uniform(-1e-10, 1e-10, 2000))]
+    states += [PureQubit(0.6j, -0.8), PureQubit(0.0, -1j)]
+    for q in states:
+        again = PureQubit(q.amp_plus, q.amp_minus)
+        # repr tells the sign of every zero component apart as well
+        assert repr((again.amp_plus, again.amp_minus)) == repr((q.amp_plus, q.amp_minus))
+
+
 def test_phase_convention_leading_component_positive():
     q = PureQubit(1j / math.sqrt(2), (1 + 0j) / math.sqrt(2))
     assert q.amp_plus.imag == 0.0 and q.amp_plus.real > 0.0

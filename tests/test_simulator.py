@@ -8,11 +8,13 @@ import pytest
 
 import helpers
 import property_suites
+import qrelay
 import qrelay.simulator as simulator
-from qrelay import (DomainError, Hermitian2, Pom, Strategy, ValidationError, counter_uniforms,
-                    error_probability, fidelity_of_strategy, max_fidelity_analytic,
-                    optimal_strategy_analytic, simulate_error, simulate_fidelity,
-                    square_root_measurement, symmetric_ensemble)
+from qrelay import (DomainError, Hermitian2, Pom, SimResult, Strategy, ValidationError,
+                    counter_uniforms, error_probability, fidelity_of_strategy,
+                    greedy_assignment, max_fidelity_analytic, optimal_strategy_analytic,
+                    simulate_error, simulate_fidelity, square_root_measurement,
+                    symmetric_ensemble)
 from qrelay.qubit import MINUS, PLUS
 
 Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)),
@@ -126,6 +128,34 @@ def test_chunked_runs_match_single_pass(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 700)
     assert simulate_fidelity(e, s, 5000, seed=11) == whole_f
     assert simulate_error(e, pom, ident, 5000, seed=11) == whole_e
+
+
+# SimResults recorded with the earlier sampler, which compared each uniform
+# with every cumulative threshold of its signal's row at once
+RECORDED = {
+    2: (SimResult(2500, 0.9432, 0.004629201226993701, {0: 1306, 1: 1194}),
+        SimResult(2500, 0.082, 0.005487294415283364, {0: 1306, 1: 1194})),
+    5: (SimResult(2500, 0.842, 0.007294820080029391,
+                  {0: 328, 1: 347, 2: 349, 3: 305, 4: 316, 5: 287, 6: 278, 7: 290}),
+        SimResult(2500, 0.658, 0.00948759189678814,
+                  {0: 328, 1: 347, 2: 349, 3: 305, 4: 316, 5: 287, 6: 278, 7: 290})),
+}
+
+
+@pytest.mark.parametrize("m,theta,outputs,alpha", [(2, 1.0, None, 0.0), (5, 0.9, 8, 0.3)])
+@pytest.mark.parametrize("chunk", [1 << 20, 1000, 999])
+def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, outputs, alpha, chunk):
+    e = symmetric_ensemble(m, theta)
+    s = optimal_strategy_analytic(m, theta, outputs, alpha)
+    cum = simulator._outcome_table(e, s.pom, qrelay.TOL)
+    for start, stop in ((0, 3000), (1 << 20, (1 << 20) + 2000)):
+        signal, outcome = simulator._draw(e, cum, 17, start, stop)
+        u = counter_uniforms(17, 1, start, stop)
+        assert np.array_equal(outcome, (u[:, None] >= cum[signal]).sum(axis=1))
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    assignment = greedy_assignment(e, s.pom)
+    assert simulate_fidelity(e, s, 2500, seed=17) == RECORDED[m][0]
+    assert simulate_error(e, s.pom, assignment, 2500, seed=17) == RECORDED[m][1]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

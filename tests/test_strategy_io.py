@@ -45,6 +45,74 @@ def test_roundtrip_is_lossless(tmp_path, m, theta, n, alpha):
     assert fidelity_of_strategy(e2, s2) == pytest.approx(fidelity_of_strategy(e, s), abs=1e-15)
 
 
+ROUNDTRIP_THETAS = helpers.THETA_GRID + (1.3932036158560628,)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_save_load_save_is_byte_identical(tmp_path, m):
+    path = tmp_path / "grid.strategy.json"
+    for theta in ROUNDTRIP_THETAS:
+        e = symmetric_ensemble(m, theta)
+        for n in (m, m + 3):
+            for alpha in (0.0, 2.1):
+                s = optimal_strategy_analytic(m, theta, n_outputs=n, alpha=alpha)
+                save_strategy(path, e, s, generator="analytic",
+                              parameters={"m": m, "theta": theta, "n_outputs": n, "alpha": alpha})
+                text = path.read_text()
+                e2, s2, meta = load_strategy(path)
+                assert s2 == s
+                save_strategy(path, e2, s2, meta["generator"], meta["parameters"])
+                assert path.read_text() == text
+
+
+# written by an earlier release, which rendered floats with 17 significant
+# digits: -0.0 reads back as the integer 0 and 0.2 as 0.20000000000000001
+LEGACY_DOCUMENT = """{
+  "format": "strategy", "version": 1, "generator": "analytic",
+  "parameters": {"m": 5, "theta": 1.3932036158560628, "n_outputs": 5, "alpha": 0},
+  "ensemble": {"m": 5, "theta": 1.3932036158560628},
+  "pom": [
+    [0.20000000000000001, 0.20000000000000001, -0, 0.20000000000000001],
+    [0.20000000000000001, 0.061803398874989493, -0.19021130325903071, 0.20000000000000001],
+    [0.20000000000000001, -0.16180339887498946, -0.11755705045849466, 0.20000000000000001],
+    [0.20000000000000001, -0.16180339887498951, 0.1175570504584946, 0.20000000000000001],
+    [0.20000000000000001, 0.061803398874989444, 0.19021130325903074, 0.20000000000000001]
+  ],
+  "retransmit": [
+    [0.81933761069699373, 0, 0.57331132877114988, 0],
+    [0.81933761069699373, 0, 0.17716294365796806, 0.54525147509363525],
+    [0.81933761069699373, 0, -0.46381860804354297, 0.33698394402388343],
+    [0.81933761069699373, 0, -0.46381860804354308, -0.33698394402388326],
+    [0.81933761069699373, 0, 0.17716294365796795, -0.54525147509363525]
+  ]
+}
+"""
+
+
+def test_legacy_document_loads_the_stored_values(tmp_path):
+    path = tmp_path / "legacy.strategy.json"
+    path.write_text(LEGACY_DOCUMENT)
+    doc = json.loads(LEGACY_DOCUMENT)
+    e, s, meta = load_strategy(path)
+    assert e.theta == doc["ensemble"]["theta"]
+    assert [[el.a, el.b.real, el.b.imag, el.d] for el in s.pom.elements] == doc["pom"]
+    assert [[q.amp_plus.real, q.amp_plus.imag, q.amp_minus.real, q.amp_minus.imag]
+            for q in s.retransmit] == doc["retransmit"]
+    # saved again, it settles on the current rendering and stays there
+    save_strategy(path, e, s, meta["generator"], meta["parameters"])
+    text = path.read_text()
+    e2, s2, meta2 = load_strategy(path)
+    assert s2 == s
+    save_strategy(path, e2, s2, meta2["generator"], meta2["parameters"])
+    assert path.read_text() == text
+
+
+def test_negative_zero_survives_rendering():
+    assert json.loads(render_document({"x": -0.0, "y": [1.0, -0.0]})) == {"x": -0.0, "y": [1.0, -0.0]}
+    assert math.copysign(1.0, json.loads(render_document({"x": -0.0}))["x"]) == -1.0
+    assert isinstance(json.loads(render_document({"x": 2.0}))["x"], float)
+
+
 def test_document_is_plain_json(tmp_path):
     e = symmetric_ensemble(3, 1.2)
     s = optimal_strategy_analytic(3, 1.2)
