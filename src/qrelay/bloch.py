@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .qubit import Hermitian2, PureQubit, _bloch_xyz
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 
 def terms(elements: Sequence[Hermitian2]) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +65,13 @@ def completeness(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return np.abs(t.sum(axis=-1) - 1.0), np.abs(z), np.hypot(x, y)
 
 
-def frame_normalize(w: np.ndarray, n: np.ndarray,
-                    tol: Tolerances = TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def residual(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of the element sum from I: max(|T - 1| + |R_z|, |R_x + i R_y|)."""
+    total, polar, azimuthal = completeness(t, r)
+    return np.maximum(total + polar, azimuthal)
+
+
+def frame_normalize(w: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Square-root normalization of rank-one elements E_k = w_k (I + n_k.sigma), |n_k| = 1.
 
     With frame axis u = s/|s| (z when s = 0) of S = s0 I + s.sigma and its
@@ -88,8 +93,8 @@ def frame_normalize(w: np.ndarray, n: np.ndarray,
     plus = half * ((n + u) ** 2).sum(axis=0)
     minus = half * ((n - u) ** 2).sum(axis=0)
     lam_plus, lam_minus = plus.sum(axis=-1), minus.sum(axis=-1)
-    kept_plus = np.where(lam_plus > tol.pseudo_inverse, lam_plus, np.inf)[..., None]
-    kept_minus = np.where(lam_minus > tol.pseudo_inverse, lam_minus, np.inf)[..., None]
+    kept_plus = np.where(lam_plus > TOL.pseudo_inverse, lam_plus, np.inf)[..., None]
+    kept_minus = np.where(lam_minus > TOL.pseudo_inverse, lam_minus, np.inf)[..., None]
     plus, minus = plus / kept_plus, minus / kept_minus
     cross = w / np.sqrt(kept_plus * kept_minus)
     r = 0.5 * (plus - minus) * u + cross * (n - (u * n).sum(axis=0) * u)

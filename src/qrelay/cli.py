@@ -21,12 +21,12 @@ import numpy as np
 
 from . import bloch
 from .ensembles import symmetric_ensemble
-from .errors import DomainError, OptimizationError, RepairError, ValidationError
+from .errors import DomainError, OptimizationError, ValidationError
 from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
                        optimal_strategy_analytic, retransmission_colatitude)
 from .measurements import (error_probability, greedy_assignment, identity_sum_residual,
                            min_error_analytic)
-from .optimizer import OptimizerConfig, constraint_residuals, optimize_fidelity
+from .optimizer import STEP_SCALE, OptimizerConfig, constraint_residuals, optimize_fidelity
 from .simulator import simulate_error, simulate_fidelity
 from .strategy_io import load_strategy, save_strategy
 
@@ -39,9 +39,9 @@ def _print_strategy(s: Strategy) -> None:
     """One line per outcome: element weight t and unit direction r/t, retransmitted Bloch vector."""
     t, r = s.pom.terms
     direction = np.divide(r, t[:, None], out=np.zeros_like(r), where=t[:, None] > 0.0)
-    for label, w, n, b in zip(s.pom.labels, t.tolist(), direction.tolist(),
-                              bloch.vectors(s.retransmit).tolist()):
-        print(f"outcome {label}: weight = {_fmt(max(0.0, w))}  "
+    for k, (w, n, b) in enumerate(zip(t.tolist(), direction.tolist(),
+                                      bloch.vectors(s.retransmit).tolist())):
+        print(f"outcome {k}: weight = {_fmt(max(0.0, w))}  "
               f"direction = ({_fmt(n[0])}, {_fmt(n[1])}, {_fmt(n[2])})  "
               f"retransmit = ({_fmt(b[0])}, {_fmt(b[1])}, {_fmt(b[2])})")
 
@@ -115,7 +115,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         save_strategy(args.output_path, e, strategy, "optimizer",
                       {"m": args.m, "theta": theta, "n_elements": n_elements,
                        "restarts": cfg.restarts, "max_iterations": cfg.max_iterations,
-                       "step_scale": cfg.step_scale, "seed": cfg.seed,
+                       "step_scale": STEP_SCALE, "seed": cfg.seed,
                        "achieved_f": achieved, "analytic_f_max": bound})
         print(f"saved: {args.output_path}")
     return 0
@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 3
-    except (OptimizationError, RepairError) as exc:
+    except OptimizationError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -19,6 +19,7 @@ achieving it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError
 from .measurements import Pom
 from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
-from .tolerances import TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class Strategy:
 class FidelityReport:
     """Best achievable fidelity for a fixed measurement.
 
-    per_outcome holds, in label order, each outcome's fidelity contribution
+    per_outcome holds, in outcome order, each outcome's fidelity contribution
     (the top eigenvalue of its score operator) and the retransmission state
     attaining it.
     """
@@ -80,7 +80,7 @@ def outcome_fidelity_operator(e: SymmetricEnsemble, element: Hermitian2) -> Herm
     return bloch.operators(*bloch.score(q, e.vectors))[0]
 
 
-def optimal_retransmission(e: SymmetricEnsemble, p: Pom, tol: Tolerances = TOL) -> FidelityReport:
+def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
     """Exact best fidelity over retransmission states for a fixed measurement.
 
     Independent of how the measurement was obtained: each outcome's score
@@ -89,7 +89,7 @@ def optimal_retransmission(e: SymmetricEnsemble, p: Pom, tol: Tolerances = TOL) 
     """
     t, r = bloch.score(e.prior * bloch.born(*p.terms, e.vectors), e.vectors)
     values = bloch.top(t, r)
-    states = [hermitian_eig2(op, tol)[0][1] for op in bloch.operators(t, r)]
+    states = [hermitian_eig2(op)[0][1] for op in bloch.operators(t, r)]
     return FidelityReport(fidelity=float(values.sum()),
                           per_outcome=tuple(zip(values.tolist(), states)))
 
@@ -143,15 +143,15 @@ def optimal_strategy_analytic(m: int, theta: float,
     if m == 2:
         elements = (Hermitian2(0.5, 0.5, 0.5 + 0.0j), Hermitian2(0.5, 0.5, -0.5 + 0.0j))
         retransmit = (make_qubit(colat, 0.0), make_qubit(colat, math.pi))
-        return Strategy(pom=Pom(elements=elements, labels=(0, 1)), retransmit=retransmit)
-    n = int(m) if n_outputs is None else n_outputs
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        return Strategy(pom=Pom(elements=elements), retransmit=retransmit)
+    n = m if n_outputs is None else n_outputs
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise DomainError(f"n_outputs must be an integer >= 2, got {n!r}")
+    n = int(n)
     elements = []
     retransmit = []
     for l in range(n):
         phi = alpha + 2.0 * math.pi * l / n
         elements.append(Hermitian2(1.0 / n, 1.0 / n, complex(math.cos(phi), -math.sin(phi)) / n))
         retransmit.append(make_qubit(colat, phi))
-    return Strategy(pom=Pom(elements=tuple(elements), labels=tuple(range(n))),
-                    retransmit=tuple(retransmit))
+    return Strategy(pom=Pom(elements=tuple(elements)), retransmit=tuple(retransmit))

@@ -1,7 +1,7 @@
 """Probability operator measures over qubits and discrimination error rates.
 
 A measurement is a tuple of positive semidefinite 2x2 operators summing to
-the identity, one per outcome label. Alongside generic validation and Born
+the identity, element k for outcome k. Alongside generic validation and Born
 probabilities this module builds the square-root measurement of an ensemble
 and evaluates the minimum achievable identification error for symmetric
 ensembles, both numerically through a measurement and in closed form.
@@ -20,38 +20,35 @@ from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError, ValidationError
 from .qubit import Hermitian2, PureQubit
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 
 @dataclass(frozen=True)
 class Pom:
-    """Probability operator measure: one Hermitian element per outcome label.
+    """Probability operator measure: element k is the operator of outcome k.
 
-    Construction checks structure only (at least one element, labels unique
-    and of matching length). Positivity and completeness are diagnosed
-    separately by validate_pom so that candidate measurements can be built
-    and inspected before being declared sound. terms holds the elements as
-    Bloch terms (t[K], r[K, 3]), built once on first use.
+    Construction checks structure only (at least one element). Positivity and
+    completeness are diagnosed separately by validate_pom so that candidate
+    measurements can be built and inspected first. terms holds the elements
+    as Bloch terms (t[K], r[K, 3]), built once on first use.
     """
 
     elements: tuple[Hermitian2, ...]
-    labels: tuple[int, ...] = ()
     meta: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         elements = tuple(self.elements)
-        labels = tuple(self.labels) if self.labels else tuple(range(len(elements)))
         if not elements:
             raise DomainError("a measurement needs at least one element")
-        if len(labels) != len(elements):
-            raise DomainError(f"{len(labels)} labels for {len(elements)} elements")
-        if len(set(labels)) != len(labels):
-            raise DomainError("outcome labels must be unique")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        """Outcome labels 0..K-1, in element order."""
+        return tuple(range(len(self)))
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -60,34 +57,32 @@ class Pom:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Map from outcome label to the index of the signal state it is read as."""
+    """Map from outcome k to the index of the signal state it is read as."""
 
     outcome_to_signal: Mapping[int, int]
 
 
 def identity_sum_residual(p: Pom) -> float:
     """Largest entrywise deviation of the element sum from the identity; NaN if an entry is not finite."""
-    total, polar, azimuthal = bloch.completeness(*p.terms)
-    return float(max(total + polar, azimuthal))
+    return float(bloch.residual(*p.terms))
 
 
-def validate_pom(p: Pom, tol: Tolerances = TOL) -> list[str]:
+def validate_pom(p: Pom) -> list[str]:
     """Collect human-readable violations; an empty list means the measure is sound."""
-    t, r = p.terms
-    low = bloch.lowest(t, r)
+    low = bloch.lowest(*p.terms)
     violations = []
-    for pos, value in enumerate(low.tolist()):
-        if not value >= -tol.psd:
+    for k, value in enumerate(low.tolist()):
+        if not value >= -TOL.psd:
             what = ("has a non-finite entry" if math.isnan(value) else
                     f"is not positive semidefinite (minimum eigenvalue {value:.3e})")
-            violations.append(f"element {pos} (label {p.labels[pos]}) {what}")
+            violations.append(f"element {k} {what}")
     residual = identity_sum_residual(p)
-    if not residual <= tol.identity_sum:
+    if not residual <= TOL.identity_sum:
         violations.append(f"elements do not sum to the identity (residual {residual:.3e})")
     return violations
 
 
-def square_root_measurement(e: SymmetricEnsemble, tol: Tolerances = TOL) -> Pom:
+def square_root_measurement(e: SymmetricEnsemble) -> Pom:
     """Square-root measurement of the ensemble, one outcome per signal state.
 
     Each element is S^(-1/2) |psi_j><psi_j| S^(-1/2) where S is the sum of the
@@ -95,39 +90,39 @@ def square_root_measurement(e: SymmetricEnsemble, tol: Tolerances = TOL) -> Pom:
     the support only (an eigenvalue at or below the pseudo-inverse cutoff is
     dropped) and the result is flagged with meta["rank_deficient"] = True.
     """
-    t, r, lam_minus = bloch.frame_normalize(np.full(e.m, 0.5), e.vectors, tol)
+    t, r, lam_minus = bloch.frame_normalize(np.full(e.m, 0.5), e.vectors)
     meta: dict[str, Any] = {}
-    if lam_minus <= tol.pseudo_inverse:
+    if lam_minus <= TOL.pseudo_inverse:
         # S has trace m, so its larger eigenvalue is at least m/2 and stays
         meta["rank_deficient"] = True
         meta["support_dimension"] = 1
-    return Pom(elements=bloch.operators(t, r), labels=tuple(range(e.m)), meta=meta)
+    return Pom(elements=bloch.operators(t, r), meta=meta)
 
 
-def _probabilities(p: Pom, n: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _probabilities(p: Pom, n: np.ndarray) -> np.ndarray:
     """Born probabilities P[j, k] of a validated measurement on the states with vectors n."""
-    violations = validate_pom(p, tol)
+    violations = validate_pom(p)
     if violations:
         raise ValidationError("; ".join(violations))
     probs = bloch.born(*p.terms, n)
-    if probs.min() < -tol.probability:
+    if probs.min() < -TOL.probability:
         raise ValidationError(
             f"outcome probability {probs.min():.3e} below the clamping window")
     return np.clip(probs, 0.0, 1.0)
 
 
-def outcome_probabilities(s: PureQubit, p: Pom, tol: Tolerances = TOL) -> np.ndarray:
-    """Born probabilities of every outcome of a validated measurement, in label order."""
-    return _probabilities(p, bloch.vectors((s,)), tol)[0]
+def outcome_probabilities(s: PureQubit, p: Pom) -> np.ndarray:
+    """Born probabilities of every outcome of a validated measurement, in outcome order."""
+    return _probabilities(p, bloch.vectors((s,)))[0]
 
 
 def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
-    """Signal index each outcome is read as, in label order; every label must map into 0..m-1."""
+    """Signal index each outcome is read as; every outcome 0..K-1 must map into 0..m-1."""
     read_as = []
-    for label in p.labels:
-        if label not in a.outcome_to_signal:
-            raise DomainError(f"outcome label {label} has no assigned signal")
-        j = a.outcome_to_signal[label]
+    for k in range(len(p)):
+        if k not in a.outcome_to_signal:
+            raise DomainError(f"outcome {k} has no assigned signal")
+        j = a.outcome_to_signal[k]
         if not 0 <= j < m:
             raise DomainError(f"assigned signal index {j} outside 0..{m - 1}")
         read_as.append(j)
@@ -137,7 +132,7 @@ def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
 def error_probability(e: SymmetricEnsemble, p: Pom, a: Assignment) -> float:
     """Probability that the assigned signal differs from the transmitted one.
 
-    Every outcome label must be assigned to a signal index in range; the
+    Every outcome must be assigned to a signal index in range; the
     measurement itself is taken on trust here.
     """
     probs = bloch.born(*p.terms, e.vectors).tolist()
@@ -148,10 +143,12 @@ def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:
     """Assign each outcome to the signal of largest joint probability.
 
     With equal priors that is the signal maximizing the element's expectation;
-    ties go to the lowest signal index.
+    ties, signals within the degeneracy tolerance of the best, go to the
+    lowest signal index.
     """
-    best = bloch.born(*p.terms, e.vectors).argmax(axis=0).tolist()
-    return Assignment(outcome_to_signal=dict(zip(p.labels, best)))
+    probs = bloch.born(*p.terms, e.vectors)
+    tied = probs >= probs.max(axis=0) - TOL.degenerate
+    return Assignment(outcome_to_signal=dict(enumerate(tied.argmax(axis=0).tolist())))
 
 
 def min_error_analytic(m: int, theta: float) -> float:

@@ -11,8 +11,8 @@ Every random start and every proposal is made feasible in one closed-form
 step, the square-root (frame) normalization E_k -> S^(-1/2) E_k S^(-1/2)
 with S the sum of the elements, which keeps each element rank one and makes
 the set exactly complete. Only normalized candidates are scored; a candidate
-whose frame is singular, or whose residual exceeds the feasibility tolerance,
-is discarded.
+whose frame is singular, or whose completeness residual exceeds the one
+validate_pom allows, is discarded.
 
 The local search is a multi-start random walk with a decaying step; all
 restarts advance in lockstep as rows of one batch so the inner loop stays in
@@ -35,9 +35,11 @@ from .ensembles import SymmetricEnsemble
 from .errors import DomainError, OptimizationError, RepairError
 from .fidelity import FidelityReport, Strategy, fidelity_of_strategy, optimal_retransmission
 from .measurements import Assignment, Pom, error_probability, greedy_assignment
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
+STEP_SCALE = 0.3
 STEP_DECAY = 0.995
+ACCEPT_TIE = 1e-10  # objective moves within this count as ties, won by concentration
 SPOT_EVERY = 100
 STALL_LIMIT = 400
 STALL_FLOOR = 600
@@ -90,42 +92,42 @@ def constraint_residuals(p: ParamPom) -> tuple[float, float, float]:
     return tuple(map(float, bloch.completeness(*_terms(p.weights, p.colatitudes, p.longitudes))))
 
 
-def is_feasible(p: ParamPom, tol: Tolerances = TOL) -> bool:
-    return max(constraint_residuals(p)) <= tol.feasibility
+def is_feasible(p: ParamPom) -> bool:
+    """Whether the elements sum to the identity within the slack validate_pom allows."""
+    return bool(bloch.residual(*_terms(p.weights, p.colatitudes, p.longitudes)) <= TOL.identity_sum)
 
 
-def to_pom(p: ParamPom, tol: Tolerances = TOL) -> Pom:
-    """Realize a feasible candidate as a measurement, labels 0..n-1."""
-    if not is_feasible(p, tol):
+def to_pom(p: ParamPom) -> Pom:
+    """Realize a feasible candidate as a measurement, element k for outcome k."""
+    if not is_feasible(p):
         raise DomainError(
             "candidate violates the completeness constraints "
             f"(residuals {constraint_residuals(p)})")
-    if float(p.weights.min()) < -tol.psd:
+    if float(p.weights.min()) < -TOL.psd:
         raise DomainError(f"negative weight {float(p.weights.min())!r}")
-    elements = bloch.operators(*_terms(np.clip(p.weights, 0.0, None), p.colatitudes, p.longitudes))
-    return Pom(elements=elements, labels=tuple(range(p.n)))
+    return Pom(elements=bloch.operators(
+        *_terms(np.clip(p.weights, 0.0, None), p.colatitudes, p.longitudes)))
 
 
-def _frame_map(W: np.ndarray, TH: np.ndarray, PH: np.ndarray, tol: Tolerances = TOL):
+def _frame_map(W: np.ndarray, TH: np.ndarray, PH: np.ndarray):
     """Square-root normalization of candidates, one per row (bloch.frame_normalize).
 
     Weights are clipped at zero first. Returns (W, TH, PH, residual) with
-    colatitudes in [0, pi] and longitudes in [0, 2 pi); rows whose frame is
-    singular get an infinite residual.
+    colatitudes in [0, pi] and longitudes in [0, 2 pi); the residual is
+    bloch.residual, infinite for rows whose frame is singular.
     """
-    W, d, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), _directions(TH, PH), tol)
+    W, d, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), _directions(TH, PH))
     TH = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
     PH = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * math.pi)
-    resid = np.maximum.reduce(bloch.completeness(W, d))
-    return W, TH, PH, np.where(lam_minus > tol.pseudo_inverse, resid, np.inf)
+    return W, TH, PH, np.where(lam_minus > TOL.pseudo_inverse, bloch.residual(W, d), np.inf)
 
 
-def repair(p: ParamPom, tol: Tolerances = TOL) -> ParamPom:
+def repair(p: ParamPom) -> ParamPom:
     """Frame-normalized candidate; a feasible input comes back unchanged."""
-    if is_feasible(p, tol):
+    if is_feasible(p):
         return p
-    W, TH, PH, resid = _frame_map(p.weights[None], p.colatitudes[None], p.longitudes[None], tol)
-    if not resid[0] <= tol.feasibility:
+    W, TH, PH, resid = _frame_map(p.weights[None], p.colatitudes[None], p.longitudes[None])
+    if not resid[0] <= TOL.identity_sum:
         raise RepairError("the frame is singular; discard the candidate")
     return ParamPom(W[0], TH[0], PH[0])
 
@@ -135,17 +137,13 @@ class OptimizerConfig:
     n_elements: int = 4
     restarts: int = 16
     max_iterations: int = 2000
-    step_scale: float = 0.3
     seed: int = 0
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.n_elements < 2:
             raise DomainError(f"need at least 2 elements, got {self.n_elements}")
         if self.restarts < 1 or self.max_iterations < 1:
             raise DomainError("restarts and max_iterations must be >= 1")
-        if self.step_scale <= 0.0 or self.tolerance <= 0.0:
-            raise DomainError("step_scale and tolerance must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit an unsigned 64-bit integer")
 
@@ -206,13 +204,13 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     TH = np.arccos(rng.uniform(-1.0, 1.0, (restarts, n)))
     PH = rng.uniform(0.0, 2.0 * math.pi, (restarts, n))
     W, TH, PH, resid = _frame_map(W, TH, PH)
-    alive = resid <= TOL.feasibility
+    alive = resid <= TOL.identity_sum
     if not alive.any():
         raise OptimizationError(f"no feasible start in {restarts} restarts")
     VAL = np.where(alive, objective(e, W, TH, PH), -np.inf)
     start_vals = VAL.copy()
     CONC = (W * W).sum(axis=1)
-    step = cfg.step_scale
+    step = STEP_SCALE
     accepted = np.zeros(restarts, dtype=np.int64)
     stall = np.zeros(restarts, dtype=np.int64)
     spots: list[SpotCheck] = []
@@ -245,12 +243,12 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         W2[rows, takers[rows]] += amount[rows]
         step *= STEP_DECAY
         W2, TH2, PH2, resid = _frame_map(W2, TH2, PH2)
-        valid = alive & (resid <= TOL.feasibility)
+        valid = alive & (resid <= TOL.identity_sum)
         VAL2 = objective(e, W2, TH2, PH2)
         evaluations += int(valid.sum())
         CONC2 = (W2 * W2).sum(axis=1)
-        accept = valid & ((VAL2 > VAL + cfg.tolerance)
-                          | ((VAL2 >= VAL - cfg.tolerance) & (CONC2 > CONC + 1e-12)))
+        accept = valid & ((VAL2 > VAL + ACCEPT_TIE)
+                          | ((VAL2 >= VAL - ACCEPT_TIE) & (CONC2 > CONC + 1e-12)))
         W[accept] = W2[accept]
         TH[accept] = TH2[accept]
         PH[accept] = PH2[accept]

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 NORM_ROUNDING = 8.0 * 2.0 ** -52  # 8 ulps of 1; rescaling lands a squared norm well inside it
+HERMITICITY = 1e-9  # largest skew from_matrix forgives in a nominally Hermitian matrix
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,11 @@ class PureQubit:
     amp_minus: complex
 
     def __post_init__(self) -> None:
-        cp, cm = complex(self.amp_plus), complex(self.amp_minus)
-        nsq = abs(cp) ** 2 + abs(cm) ** 2
+        try:
+            cp, cm = complex(self.amp_plus), complex(self.amp_minus)
+            nsq = abs(cp) ** 2 + abs(cm) ** 2
+        except OverflowError as exc:  # an amplitude too large for a double, or its square
+            raise DomainError(f"amplitudes out of range: {exc}") from exc
         if not abs(nsq - 1.0) <= TOL.norm:
             raise DomainError(f"amplitudes have squared norm {nsq!r}, expected 1")
         if abs(cp) > TOL.negligible:
@@ -138,13 +142,13 @@ class Hermitian2:
         return cls.outer(s.amp_plus, s.amp_minus)
 
     @classmethod
-    def from_matrix(cls, mat: np.ndarray, hermiticity_tol: float = 1e-9) -> "Hermitian2":
+    def from_matrix(cls, mat: np.ndarray) -> "Hermitian2":
         m = np.asarray(mat, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
         skew = max(abs(m[0, 1] - m[1, 0].conjugate()),
                    abs(m[0, 0].imag), abs(m[1, 1].imag))
-        if skew > hermiticity_tol:
+        if skew > HERMITICITY:
             raise DomainError(f"matrix is not Hermitian (residual {skew:.3e})")
         return cls(m[0, 0].real, m[1, 1].real, 0.5 * (m[0, 1] + m[1, 0].conjugate()))
 
@@ -184,7 +188,7 @@ class Hermitian2:
     __rmul__ = __mul__
 
 
-def hermitian_eig2(h: Hermitian2, tol: Tolerances = TOL) -> tuple[tuple[float, PureQubit], tuple[float, PureQubit]]:
+def hermitian_eig2(h: Hermitian2) -> tuple[tuple[float, PureQubit], tuple[float, PureQubit]]:
     """Eigendecomposition of a 2x2 Hermitian operator, eigenvalues descending.
 
     Returns ((lam1, v1), (lam2, v2)) with lam1 >= lam2 and orthonormal
@@ -202,7 +206,7 @@ def hermitian_eig2(h: Hermitian2, tol: Tolerances = TOL) -> tuple[tuple[float, P
     half = 0.5 * (h.a - h.d)
     r = math.hypot(half, abs(h.b))
     lam1, lam2 = mean + r, mean - r
-    if 2.0 * r <= tol.degenerate:
+    if 2.0 * r <= TOL.degenerate:
         return ((lam1, PLUS), (lam2, MINUS))
     if half >= 0.0:
         vp, vm = lam1 - h.d, h.b.conjugate()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -91,8 +92,8 @@ def _quadruples(doc: dict[str, Any], key: str) -> list[list[float]]:
         if (not isinstance(row, list) or len(row) != 4
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
             raise _fail(f'"{key}"[{pos}] must be a list of 4 numbers')
-        if not all(math.isfinite(float(x)) for x in row):
-            raise _fail(f'"{key}"[{pos}] contains a non-finite number')
+        if not all(abs(x) <= sys.float_info.max for x in row):  # exact for integers; NaN fails
+            raise _fail(f'"{key}"[{pos}] contains a number that is not a finite double')
         out.append([float(x) for x in row])
     return out
 
@@ -121,7 +122,7 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
         raise _fail('"ensemble.theta" must be a number')
     try:
         ensemble = symmetric_ensemble(m, float(theta))
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         raise _fail(f"ensemble: {exc}") from exc
     pom_rows = _quadruples(doc, "pom")
     state_rows = _quadruples(doc, "retransmit")
@@ -129,7 +130,7 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
         raise _fail(f"{len(state_rows)} retransmission states for {len(pom_rows)} elements")
     elements = tuple(Hermitian2(a=row[0], d=row[3], b=complex(row[1], row[2]))
                      for row in pom_rows)
-    pom = Pom(elements=elements, labels=tuple(range(len(elements))))
+    pom = Pom(elements=elements)
     violations = validate_pom(pom)
     if violations:
         raise _fail(f"pom: {violations[0]}")

@@ -34,8 +34,5 @@ class Tolerances:
     probability: float = 1e-12
     """Born probabilities may undershoot zero by this much before clamping."""
 
-    feasibility: float = 1e-8
-    """Largest constraint residual a parameterized measurement may carry."""
-
 
 TOL = Tolerances()

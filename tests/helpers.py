@@ -45,7 +45,7 @@ def random_pom(rng: np.random.Generator, size: int) -> Pom:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         seeds.append(np.outer(v, v.conj()))
     elements = tuple(Hermitian2.from_matrix(el) for el in frame_normalized(seeds))
-    return Pom(elements=elements, labels=tuple(range(size)))
+    return Pom(elements=elements)
 
 
 def bloch_element(weight: float, colatitude: float, longitude: float) -> np.ndarray:

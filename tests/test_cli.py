@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from qrelay import load_strategy, measurements, min_error_analytic
+import qrelay.cli
+from qrelay import OptimizationError, load_strategy, measurements, min_error_analytic
 from qrelay.cli import main
 
 
@@ -227,6 +228,44 @@ def test_validate_rejects_tampered_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", "--strategy_file", str(path))
     assert code == 3
     assert "invalid:" in out and "positive" in out
+
+
+def test_simulate_rejects_tampered_file(capsys, tmp_path):
+    path = tmp_path / "bad.strategy.json"
+    run_cli(capsys, "analytic", "--m", "3", "--theta", "0.7", "--output_path", str(path))
+    doc = json.loads(path.read_text())
+    doc["pom"][0][0] += 0.25
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "100")
+    assert code == 3
+    assert "invalid:" in err and "identity" in err and out == ""
+
+
+def test_simulate_rejects_non_positive_trials(capsys, tmp_path):
+    path = tmp_path / "pair.strategy.json"
+    run_cli(capsys, "analytic", "--m", "2", "--theta", "1.0", "--output_path", str(path))
+    code, _, err = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "0")
+    assert code == 2 and "trials" in err
+
+
+def test_optimize_search_failure_exits_4(capsys, monkeypatch):
+    def failing(e, cfg):
+        raise OptimizationError("no feasible start in 16 restarts")
+
+    monkeypatch.setattr(qrelay.cli, "optimize_fidelity", failing)
+    code, out, err = run_cli(capsys, "optimize", "--m", "3", "--theta", "0.5")
+    assert code == 4
+    assert "optimization failed: no feasible start" in err and out == ""
+
+
+def test_validate_rejects_theta_beyond_double_range(capsys, tmp_path):
+    path = tmp_path / "huge.strategy.json"
+    run_cli(capsys, "analytic", "--m", "3", "--theta", "0.7", "--output_path", str(path))
+    doc = json.loads(path.read_text())
+    doc["ensemble"]["theta"] = 10 ** 400
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", "--strategy_file", str(path))
+    assert code == 3 and out.startswith("invalid:")
 
 
 def test_validate_rejects_malformed_json(capsys, tmp_path):

@@ -14,8 +14,7 @@ from qrelay import (DomainError, Hermitian2, Pom, Strategy, fidelity_of_strategy
                     symmetric_ensemble, validate_pom)
 from qrelay.qubit import MINUS, PLUS
 
-Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)),
-              labels=(0, 1))
+Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)))
 
 
 def test_strategy_requires_matching_lengths():
@@ -106,8 +105,7 @@ def test_optimal_retransmission_square_root_floor():
 
 def test_optimal_retransmission_two_signal_projective():
     e = symmetric_ensemble(2, math.pi / 3)
-    pom = Pom(elements=(Hermitian2(0.5, 0.5, 0.5 + 0.0j), Hermitian2(0.5, 0.5, -0.5 + 0.0j)),
-              labels=(0, 1))
+    pom = Pom(elements=(Hermitian2(0.5, 0.5, 0.5 + 0.0j), Hermitian2(0.5, 0.5, -0.5 + 0.0j)))
     report = optimal_retransmission(e, pom)
     expected = 0.5 * (1 + math.sqrt(0.25 + 9 / 16))
     assert report.fidelity == pytest.approx(expected, abs=1e-12)
@@ -188,6 +186,15 @@ def test_analytic_strategy_rejects_single_output():
         optimal_strategy_analytic(3, 0.5, n_outputs=1)
     with pytest.raises(DomainError):
         optimal_strategy_analytic(3, 0.5, n_outputs=2.0)
+
+
+def test_analytic_strategy_accepts_numpy_integer_outputs():
+    s = optimal_strategy_analytic(3, 0.5, n_outputs=np.int64(5))
+    assert s == optimal_strategy_analytic(3, 0.5, n_outputs=5)
+    assert optimal_strategy_analytic(np.int32(4), 0.5) == optimal_strategy_analytic(4, 0.5)
+    for wrong in (True, 5.0, np.float64(5.0)):
+        with pytest.raises(DomainError):
+            optimal_strategy_analytic(3, 0.5, n_outputs=wrong)
 
 
 def test_bound_property_random_measurements():

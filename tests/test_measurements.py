@@ -10,12 +10,11 @@ import helpers
 import property_suites
 from qrelay import (Assignment, DomainError, Hermitian2, Pom, ValidationError,
                     error_probability, greedy_assignment, identity_sum_residual,
-                    min_error_analytic, outcome_probabilities,
+                    min_error_analytic, optimal_strategy_analytic, outcome_probabilities,
                     square_root_measurement, symmetric_ensemble, validate_pom)
 from qrelay.qubit import MINUS, PLUS
 
-Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)),
-              labels=(0, 1))
+Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)))
 
 
 def test_projective_pair_is_valid():
@@ -24,7 +23,7 @@ def test_projective_pair_is_valid():
 
 
 def test_half_identity_alone_reports_sum_violation():
-    lonely = Pom(elements=(0.5 * Hermitian2.identity(),), labels=(0,))
+    lonely = Pom(elements=(0.5 * Hermitian2.identity(),))
     violations = validate_pom(lonely)
     assert len(violations) == 1
     assert "identity" in violations[0]
@@ -32,8 +31,7 @@ def test_half_identity_alone_reports_sum_violation():
 
 
 def test_non_psd_element_reported_with_eigenvalue():
-    bad = Pom(elements=(Hermitian2(1.5, 1.5, 0.0j), Hermitian2(-0.5, -0.5, 0.0j)),
-              labels=(0, 1))
+    bad = Pom(elements=(Hermitian2(1.5, 1.5, 0.0j), Hermitian2(-0.5, -0.5, 0.0j)))
     violations = validate_pom(bad)
     assert any("positive" in v for v in violations)
 
@@ -42,7 +40,7 @@ def test_non_psd_element_reported_with_eigenvalue():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_element_is_a_violation(entry, value):
     bad = dataclasses.replace(Z_BASIS.elements[0], **{entry: value})
-    pom = Pom(elements=(bad, Z_BASIS.elements[1]), labels=(0, 1))
+    pom = Pom(elements=(bad, Z_BASIS.elements[1]))
     assert validate_pom(pom) != []
     assert not identity_sum_residual(pom) <= 1e-9
 
@@ -107,7 +105,7 @@ def test_outcome_probabilities_match_direct_overlaps():
 
 
 def test_outcome_probabilities_reject_invalid_pom():
-    lonely = Pom(elements=(0.5 * Hermitian2.identity(),), labels=(0,))
+    lonely = Pom(elements=(0.5 * Hermitian2.identity(),))
     with pytest.raises(ValidationError):
         outcome_probabilities(PLUS, lonely)
 
@@ -152,8 +150,25 @@ def test_greedy_assignment_recovers_natural_labels():
 def test_greedy_assignment_tracks_permuted_elements():
     e = symmetric_ensemble(3, math.pi / 4)
     pom = square_root_measurement(e)
-    shuffled = Pom(elements=pom.elements[::-1], labels=(0, 1, 2))
+    shuffled = Pom(elements=pom.elements[::-1])
     assert greedy_assignment(e, shuffled).outcome_to_signal == {0: 2, 1: 1, 2: 0}
+
+
+def test_greedy_assignment_breaks_ties_toward_the_lowest_signal():
+    # outcome 3 of six lies exactly between signals 1 and 2 of three
+    e = symmetric_ensemble(3, 0.7)
+    pom = optimal_strategy_analytic(3, 0.7, 6).pom
+    assert greedy_assignment(e, pom).outcome_to_signal[3] == 1
+    for m in (2, 3, 4, 5, 8):
+        for n in (m, m + 1, m + 3, 2 * m):
+            for theta in (0.3, 0.7, 1.2, math.pi / 2):
+                e = symmetric_ensemble(m, theta)
+                pom = optimal_strategy_analytic(m, theta, n).pom
+                probs = helpers.born_oracle(e, pom)
+                # first signal within the tie tolerance of each column's best
+                expected = (probs >= probs.max(axis=0) - 1e-12).argmax(axis=0)
+                assert greedy_assignment(e, pom).outcome_to_signal == dict(
+                    enumerate(expected.tolist())), (m, n, theta)
 
 
 def test_min_error_analytic_endpoints_and_interior():

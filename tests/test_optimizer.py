@@ -107,6 +107,17 @@ def test_repair_random_infeasible_candidate():
     assert validate_pom(to_pom(fixed)) == []
 
 
+def test_feasibility_is_the_completeness_test_of_validate_pom():
+    # entrywise residual 1e-8: within the earlier 1e-8 feasibility slack, not within validate_pom's
+    near = ParamPom(weights=(0.5, 0.5 + 5e-9), colatitudes=(0.0, math.pi), longitudes=(0.0, 0.0))
+    assert not is_feasible(near)
+    with pytest.raises(DomainError, match="residuals"):
+        to_pom(near)
+    fixed = repair(near)
+    assert is_feasible(fixed)
+    assert validate_pom(to_pom(fixed)) == []
+
+
 def test_repair_rejects_singular_frame():
     aligned = ParamPom(weights=(0.3, 0.5, 0.2), colatitudes=(0.4, 0.4, 0.4),
                        longitudes=(1.1, 1.1, 1.1))
@@ -141,16 +152,11 @@ def test_config_validation():
     with pytest.raises(DomainError):
         OptimizerConfig(max_iterations=0)
     with pytest.raises(DomainError):
-        OptimizerConfig(step_scale=0.0)
-    with pytest.raises(DomainError):
-        OptimizerConfig(tolerance=-1e-9)
-    with pytest.raises(DomainError):
         OptimizerConfig(seed=-1)
     with pytest.raises(DomainError):
         OptimizerConfig(seed=2 ** 64)
     cfg = OptimizerConfig()
     assert cfg.restarts == 16 and cfg.max_iterations == 2000
-    assert cfg.step_scale == pytest.approx(0.3)
 
 
 def test_optimize_fidelity_degenerate_ensemble():

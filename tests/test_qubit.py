@@ -55,6 +55,13 @@ def test_constructor_rejects_non_finite_amplitudes(amps):
         PureQubit(*amps)
 
 
+@pytest.mark.parametrize("amps", [(1e200, 0.0), (0.0, complex(1e155, 0.0)),
+                                  (10 ** 400, 0.0), (complex(1e308, 1e308), 0.0)])
+def test_constructor_rejects_amplitudes_beyond_double_range(amps):
+    with pytest.raises(DomainError):
+        PureQubit(*amps)
+
+
 def test_construction_is_idempotent():
     rng = np.random.default_rng(11)
     states = [helpers.random_qubit(rng) for _ in range(2000)]

@@ -17,8 +17,7 @@ from qrelay import (DomainError, Hermitian2, Pom, SimResult, Strategy, Validatio
                     symmetric_ensemble)
 from qrelay.qubit import MINUS, PLUS
 
-Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)),
-              labels=(0, 1))
+Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)))
 
 
 def test_counter_uniforms_are_deterministic_and_bounded():
@@ -147,7 +146,7 @@ RECORDED = {
 def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, outputs, alpha, chunk):
     e = symmetric_ensemble(m, theta)
     s = optimal_strategy_analytic(m, theta, outputs, alpha)
-    cum = simulator._outcome_table(e, s.pom, qrelay.TOL)
+    cum = simulator._outcome_table(e, s.pom)
     for start, stop in ((0, 3000), (1 << 20, (1 << 20) + 2000)):
         signal, outcome = simulator._draw(e, cum, 17, start, stop)
         u = counter_uniforms(17, 1, start, stop)

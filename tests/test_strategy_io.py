@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qrelay import (ValidationError, fidelity_of_strategy, load_strategy,
@@ -186,6 +188,74 @@ def test_parse_rejects_bad_payloads():
     sick[1] = [0.5, 0.0, 0.0, 0.0]
     with pytest.raises(ValidationError, match=r"retransmit.*1"):
         parse_strategy_document({**good, "retransmit": sick})
+
+
+@pytest.mark.parametrize("where", ["theta", "pom", "retransmit"])
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 1e200],
+                         ids=["int_1e400", "int_minus_1e400", "float_1e200"])
+def test_parse_rejects_numbers_beyond_double_range(where, value):
+    good = json.loads(render_document(strategy_document(
+        symmetric_ensemble(3, 0.7), optimal_strategy_analytic(3, 0.7), generator="analytic")))
+    if where == "theta":
+        doc = {**good, "ensemble": {"m": 3, "theta": value}}
+    else:
+        doc = {**good, where: [[value, 0.0, 0.0, 0.0]] + good[where][1:]}
+    with pytest.raises(ValidationError):
+        parse_strategy_document(doc)
+
+
+# JSON as json.loads gives it. Integers stay small wherever "m" could land: building
+# an ensemble costs time linear in m, and nothing bounds m. NUMBERS, with integers and
+# floats beyond the double range, fill theta and the quadruples only.
+SMALL_INTS = st.integers(-3, 12)
+NUMBERS = SMALL_INTS | st.floats() | st.sampled_from(
+    [10 ** 400, -10 ** 400, 2 ** 64, 1e200, -1e155, 1e-320, 0.5, -0.0])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+GOOD = json.loads(render_document(strategy_document(
+    symmetric_ensemble(3, 0.7), optimal_strategy_analytic(3, 0.7, n_outputs=4),
+    generator="analytic")))
+
+
+@st.composite
+def rows(draw, key):
+    """A valid row list with some entries replaced, or arbitrary rows."""
+    good = [list(row) for row in GOOD[key]]
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(NUMBERS, min_size=3, max_size=5), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(good) - 1))
+        good[row][draw(st.integers(0, 3))] = draw(NUMBERS)
+    return good
+
+
+@st.composite
+def documents(draw):
+    """The valid document with up to two keys dropped or replaced, the payload keys most often."""
+    doc = dict(GOOD)
+    fields = {"ensemble": st.fixed_dictionaries({"m": SMALL_INTS | JSON_VALUES,
+                                                 "theta": NUMBERS | JSON_VALUES}),
+              "pom": rows("pom"), "retransmit": rows("retransmit")}
+    for key in draw(st.lists(st.sampled_from(tuple(GOOD) + tuple(fields) * 2), max_size=2)):
+        if draw(st.integers(0, 4)) == 0:
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(fields.get(key, JSON_VALUES))
+    return doc
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(doc=documents() | JSON_VALUES)
+def test_any_json_value_parses_to_a_sound_strategy_or_fails_validation(doc):
+    try:
+        _, strategy, _ = parse_strategy_document(json.loads(json.dumps(doc)))
+    except ValidationError:
+        return
+    assert validate_pom(strategy.pom) == []
+    assert len(strategy.retransmit) == len(strategy.pom)
 
 
 def test_load_rejects_malformed_text(tmp_path):
