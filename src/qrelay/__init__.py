@@ -10,19 +10,17 @@ with derivative-free numerical searches and a Monte Carlo simulator that
 check them independently.
 """
 
-from .ensembles import SymmetricEnsemble, apply_generator, symmetric_ensemble
-from .errors import DomainError, OptimizationError, RepairError, ValidationError
+from .ensembles import SymmetricEnsemble, symmetric_ensemble
+from .errors import DomainError, OptimizationError, ValidationError
 from .fidelity import (FidelityReport, Strategy, fidelity_of_strategy,
                        max_fidelity_analytic, optimal_retransmission,
-                       optimal_strategy_analytic, outcome_fidelity_operator,
-                       retransmission_colatitude)
+                       optimal_strategy_analytic, retransmission_colatitude)
 from .measurements import (Assignment, Pom, error_probability, greedy_assignment,
                            identity_sum_residual, min_error_analytic,
-                           outcome_probabilities, square_root_measurement, validate_pom)
+                           square_root_measurement, validate_pom)
 from .optimizer import (OptimizerConfig, ParamPom, SearchTrace, constraint_residuals,
-                        is_feasible, optimize_error, optimize_fidelity, repair, to_pom)
-from .qubit import (BlochVector, Hermitian2, PureQubit, bloch_vector, hermitian_eig2,
-                    inner, make_qubit, overlap_prob)
+                        optimize_error, optimize_fidelity, to_pom)
+from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 from .simulator import SimResult, counter_uniforms, simulate_error, simulate_fidelity
 from .strategy_io import load_strategy, parse_strategy_document, save_strategy
 from .tolerances import TOL, Tolerances
@@ -30,17 +28,14 @@ from .tolerances import TOL, Tolerances
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "BlochVector", "DomainError", "FidelityReport", "Hermitian2",
-    "OptimizationError", "OptimizerConfig", "ParamPom", "Pom", "PureQubit",
-    "RepairError", "SearchTrace", "SimResult", "Strategy", "SymmetricEnsemble",
-    "TOL", "Tolerances", "ValidationError", "apply_generator", "bloch_vector",
+    "Assignment", "DomainError", "FidelityReport", "Hermitian2", "OptimizationError",
+    "OptimizerConfig", "ParamPom", "Pom", "PureQubit", "SearchTrace", "SimResult",
+    "Strategy", "SymmetricEnsemble", "TOL", "Tolerances", "ValidationError",
     "constraint_residuals", "counter_uniforms", "error_probability",
     "fidelity_of_strategy", "greedy_assignment", "hermitian_eig2",
-    "identity_sum_residual", "inner", "is_feasible", "load_strategy", "make_qubit",
-    "max_fidelity_analytic", "min_error_analytic", "optimal_retransmission",
-    "optimal_strategy_analytic", "optimize_error", "optimize_fidelity",
-    "outcome_fidelity_operator", "outcome_probabilities", "overlap_prob",
-    "parse_strategy_document", "repair", "retransmission_colatitude",
-    "save_strategy", "simulate_error", "simulate_fidelity", "square_root_measurement",
-    "symmetric_ensemble", "to_pom", "validate_pom",
+    "identity_sum_residual", "load_strategy", "make_qubit", "max_fidelity_analytic",
+    "min_error_analytic", "optimal_retransmission", "optimal_strategy_analytic",
+    "optimize_error", "optimize_fidelity", "parse_strategy_document",
+    "retransmission_colatitude", "save_strategy", "simulate_error", "simulate_fidelity",
+    "square_root_measurement", "symmetric_ensemble", "to_pom", "validate_pom",
 ]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qubit import Hermitian2, PureQubit, _bloch_xyz
+from .qubit import Hermitian2, PureQubit
 from .tolerances import TOL
 
 
@@ -35,8 +35,12 @@ def operators(t: np.ndarray, r: np.ndarray) -> tuple[Hermitian2, ...]:
 
 
 def vectors(states: Sequence[PureQubit]) -> np.ndarray:
-    """Bloch vectors n[J, 3] of pure states."""
-    return np.array([_bloch_xyz(s) for s in states])
+    """Bloch vectors n[J, 3] of pure states: x + iy = 2 conj(amp_plus) amp_minus, z = |amp_plus|^2 - |amp_minus|^2."""
+    rows = []
+    for s in states:
+        cross = s.amp_plus.conjugate() * s.amp_minus
+        rows.append((2.0 * cross.real, 2.0 * cross.imag, abs(s.amp_plus) ** 2 - abs(s.amp_minus) ** 2))
+    return np.array(rows)
 
 
 def born(t: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -151,9 +151,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         bound = max_fidelity_analytic(e.m, e.theta)
         print(f"analytic_f_max = {_fmt(bound)}  "
               f"z = {z_score(sim_f.estimate, bound, sim_f.std_error):.3f}")
-        params = meta.get("parameters", {})
+        params = meta["parameters"]
         srm_like = e.m == 2 or (params.get("n_outputs") == e.m
-                                and float(params.get("alpha", 0.0)) == 0.0)
+                                and params.get("alpha", 0.0) == 0.0)
         if srm_like:
             floor = min_error_analytic(e.m, e.theta)
             print(f"analytic_p_e_min = {_fmt(floor)}  "

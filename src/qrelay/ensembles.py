@@ -8,27 +8,39 @@ coincide with |+>.
 
 from __future__ import annotations
 
-import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import bloch
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .qubit import PureQubit, make_qubit
 
 
 @dataclass(frozen=True)
 class SymmetricEnsemble:
-    """Equiprobable signal states; vectors holds their Bloch vectors n[m, 3]."""
+    """The ensemble of m equiprobable states at colatitude theta.
+
+    prior, states and their Bloch vectors n[m, 3] are derived from (m, theta)
+    on first use, so an ensemble that is only described costs nothing per state.
+    """
 
     m: int
     theta: float
-    states: tuple[PureQubit, ...]
-    prior: float
+
+    def __post_init__(self) -> None:
+        check_domain(self.m, self.theta)
+        object.__setattr__(self, "m", int(self.m))
+
+    @cached_property
+    def prior(self) -> float:
+        return 1.0 / self.m
+
+    @cached_property
+    def states(self) -> tuple[PureQubit, ...]:
+        return tuple(make_qubit(self.theta, 2.0 * math.pi * j / self.m) for j in range(self.m))
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -36,26 +48,11 @@ class SymmetricEnsemble:
 
 
 def check_domain(m: int, theta: float) -> None:
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
-        raise DomainError(f"ensemble size must be an integer >= 2, got {m!r}")
+    check_integer(m, "ensemble size", 2)
     if not 0.0 <= theta <= math.pi / 2:
         raise DomainError(f"theta {theta!r} outside [0, pi/2]")
 
 
 def symmetric_ensemble(m: int, theta: float) -> SymmetricEnsemble:
     """Ensemble of m equiprobable states at colatitude theta, longitudes 2*pi*j/m."""
-    check_domain(m, theta)
-    m = int(m)
-    states = tuple(make_qubit(theta, 2.0 * math.pi * j / m) for j in range(m))
-    return SymmetricEnsemble(m=m, theta=theta, states=states, prior=1.0 / m)
-
-
-def apply_generator(s: PureQubit, m: int) -> PureQubit:
-    """Advance the |-> amplitude's phase by 2*pi/m, the ensemble's generating rotation.
-
-    Applying it m times returns to the start; on |+> and |-> it acts as the
-    identity once the phase convention is restored.
-    """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
-        raise DomainError(f"generator order must be an integer >= 2, got {m!r}")
-    return PureQubit(s.amp_plus, s.amp_minus * cmath.exp(2j * math.pi / m))
+    return SymmetricEnsemble(m=m, theta=theta)

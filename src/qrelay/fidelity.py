@@ -19,14 +19,13 @@ achieving it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .measurements import Pom
 from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 
@@ -72,12 +71,6 @@ def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
     half = np.full(len(s.retransmit), 0.5)
     overlap = bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors)
     return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * overlap).sum())
-
-
-def outcome_fidelity_operator(e: SymmetricEnsemble, element: Hermitian2) -> Hermitian2:
-    """Score operator of one outcome: sum_j p_j <psi_j|pi|psi_j> |psi_j><psi_j|."""
-    q = e.prior * bloch.born(*bloch.terms((element,)), e.vectors)
-    return bloch.operators(*bloch.score(q, e.vectors))[0]
 
 
 def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
@@ -144,10 +137,7 @@ def optimal_strategy_analytic(m: int, theta: float,
         elements = (Hermitian2(0.5, 0.5, 0.5 + 0.0j), Hermitian2(0.5, 0.5, -0.5 + 0.0j))
         retransmit = (make_qubit(colat, 0.0), make_qubit(colat, math.pi))
         return Strategy(pom=Pom(elements=elements), retransmit=retransmit)
-    n = m if n_outputs is None else n_outputs
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-        raise DomainError(f"n_outputs must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = check_integer(m if n_outputs is None else n_outputs, "n_outputs", 2)
     elements = []
     retransmit = []
     for l in range(n):

@@ -1,10 +1,10 @@
 """Probability operator measures over qubits and discrimination error rates.
 
 A measurement is a tuple of positive semidefinite 2x2 operators summing to
-the identity, element k for outcome k. Alongside generic validation and Born
-probabilities this module builds the square-root measurement of an ensemble
-and evaluates the minimum achievable identification error for symmetric
-ensembles, both numerically through a measurement and in closed form.
+the identity, element k for outcome k. Alongside generic validation this
+module builds the square-root measurement of an ensemble and evaluates the
+minimum achievable identification error for symmetric ensembles, both
+numerically through a measurement and in closed form.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
-from .errors import DomainError, ValidationError
-from .qubit import Hermitian2, PureQubit
+from .errors import DomainError
+from .qubit import Hermitian2
 from .tolerances import TOL
 
 
@@ -97,23 +97,6 @@ def square_root_measurement(e: SymmetricEnsemble) -> Pom:
         meta["rank_deficient"] = True
         meta["support_dimension"] = 1
     return Pom(elements=bloch.operators(t, r), meta=meta)
-
-
-def _probabilities(p: Pom, n: np.ndarray) -> np.ndarray:
-    """Born probabilities P[j, k] of a validated measurement on the states with vectors n."""
-    violations = validate_pom(p)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    probs = bloch.born(*p.terms, n)
-    if probs.min() < -TOL.probability:
-        raise ValidationError(
-            f"outcome probability {probs.min():.3e} below the clamping window")
-    return np.clip(probs, 0.0, 1.0)
-
-
-def outcome_probabilities(s: PureQubit, p: Pom) -> np.ndarray:
-    """Born probabilities of every outcome of a validated measurement, in outcome order."""
-    return _probabilities(p, bloch.vectors((s,)))[0]
 
 
 def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble
-from .errors import DomainError, OptimizationError, RepairError
+from .errors import DomainError, OptimizationError, check_integer
 from .fidelity import FidelityReport, Strategy, fidelity_of_strategy, optimal_retransmission
 from .measurements import Assignment, Pom, error_probability, greedy_assignment
 from .tolerances import TOL
@@ -92,14 +92,12 @@ def constraint_residuals(p: ParamPom) -> tuple[float, float, float]:
     return tuple(map(float, bloch.completeness(*_terms(p.weights, p.colatitudes, p.longitudes))))
 
 
-def is_feasible(p: ParamPom) -> bool:
-    """Whether the elements sum to the identity within the slack validate_pom allows."""
-    return bool(bloch.residual(*_terms(p.weights, p.colatitudes, p.longitudes)) <= TOL.identity_sum)
-
-
 def to_pom(p: ParamPom) -> Pom:
-    """Realize a feasible candidate as a measurement, element k for outcome k."""
-    if not is_feasible(p):
+    """Realize a candidate as a measurement, element k for outcome k.
+
+    The elements must sum to the identity within the slack validate_pom allows.
+    """
+    if not bloch.residual(*_terms(p.weights, p.colatitudes, p.longitudes)) <= TOL.identity_sum:
         raise DomainError(
             "candidate violates the completeness constraints "
             f"(residuals {constraint_residuals(p)})")
@@ -122,16 +120,6 @@ def _frame_map(W: np.ndarray, TH: np.ndarray, PH: np.ndarray):
     return W, TH, PH, np.where(lam_minus > TOL.pseudo_inverse, bloch.residual(W, d), np.inf)
 
 
-def repair(p: ParamPom) -> ParamPom:
-    """Frame-normalized candidate; a feasible input comes back unchanged."""
-    if is_feasible(p):
-        return p
-    W, TH, PH, resid = _frame_map(p.weights[None], p.colatitudes[None], p.longitudes[None])
-    if not resid[0] <= TOL.identity_sum:
-        raise RepairError("the frame is singular; discard the candidate")
-    return ParamPom(W[0], TH[0], PH[0])
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     n_elements: int = 4
@@ -140,12 +128,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_elements < 2:
-            raise DomainError(f"need at least 2 elements, got {self.n_elements}")
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise DomainError("restarts and max_iterations must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise DomainError("seed must fit an unsigned 64-bit integer")
+        for name, low, high in (("n_elements", 2, None), ("restarts", 1, None),
+                                ("max_iterations", 1, None), ("seed", 0, 2 ** 64)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, low, high))
 
 
 @dataclass(frozen=True)

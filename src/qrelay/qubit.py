@@ -1,9 +1,9 @@
-"""Single-qubit states, 2x2 Hermitian operators, and a closed-form eigensolver.
+"""Single-qubit states, the 2x2 Hermitian element record, and a closed-form eigensolver.
 
-States are kept in the fixed orthonormal basis (|+>, |->). Everything in the
-package reduces to 2x2 Hermitian algebra, so operators store just the two real
-diagonals and the complex upper off-diagonal entry, and the eigensolver is the
-explicit two-dimensional formula rather than a general routine.
+States are kept in the fixed orthonormal basis (|+>, |->). An operator stores
+just its two real diagonals and the complex upper off-diagonal entry; the
+algebra on operators runs in the array kernel (bloch.py), and the eigensolver
+is the explicit two-dimensional formula rather than a general routine.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .tolerances import TOL
 
 NORM_ROUNDING = 8.0 * 2.0 ** -52  # 8 ulps of 1; rescaling lands a squared norm well inside it
-HERMITICITY = 1e-9  # largest skew from_matrix forgives in a nominally Hermitian matrix
 
 
 @dataclass(frozen=True)
@@ -56,21 +53,9 @@ class PureQubit:
         object.__setattr__(self, "amp_plus", cp)
         object.__setattr__(self, "amp_minus", cm)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.amp_plus, self.amp_minus], dtype=complex)
-
 
 PLUS = PureQubit(1.0 + 0.0j, 0.0 + 0.0j)
 MINUS = PureQubit(0.0 + 0.0j, 1.0 + 0.0j)
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Cartesian Bloch-sphere coordinates of a state; unit length for pure states."""
-
-    x: float
-    y: float
-    z: float
 
 
 def make_qubit(colatitude: float, longitude: float) -> PureQubit:
@@ -89,28 +74,6 @@ def make_qubit(colatitude: float, longitude: float) -> PureQubit:
     return PureQubit(math.cos(half), cmath.exp(1j * longitude) * math.sin(half))
 
 
-def inner(a: PureQubit, b: PureQubit) -> complex:
-    """Inner product <a|b>."""
-    return (a.amp_plus.conjugate() * b.amp_plus
-            + a.amp_minus.conjugate() * b.amp_minus)
-
-
-def overlap_prob(a: PureQubit, b: PureQubit) -> float:
-    """|<a|b>|^2, clamped into [0, 1] against roundoff."""
-    v = abs(inner(a, b)) ** 2
-    return min(max(v, 0.0), 1.0)
-
-
-def bloch_vector(s: PureQubit) -> BlochVector:
-    """Bloch coordinates: x+iy = 2 conj(amp_plus) amp_minus, z = |amp_plus|^2 - |amp_minus|^2."""
-    return BlochVector(*_bloch_xyz(s))
-
-
-def _bloch_xyz(s: PureQubit) -> tuple[float, float, float]:
-    cross = s.amp_plus.conjugate() * s.amp_minus
-    return 2.0 * cross.real, 2.0 * cross.imag, abs(s.amp_plus) ** 2 - abs(s.amp_minus) ** 2
-
-
 @dataclass(frozen=True)
 class Hermitian2:
     """2x2 Hermitian operator [[a, b], [conj(b), d]] with a, d real."""
@@ -123,69 +86,6 @@ class Hermitian2:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "d", float(self.d))
         object.__setattr__(self, "b", complex(self.b))
-
-    @classmethod
-    def identity(cls) -> "Hermitian2":
-        return cls(1.0, 1.0, 0.0j)
-
-    @classmethod
-    def zero(cls) -> "Hermitian2":
-        return cls(0.0, 0.0, 0.0j)
-
-    @classmethod
-    def outer(cls, cp: complex, cm: complex) -> "Hermitian2":
-        """Rank-one operator |v><v| for the (not necessarily normalized) pair (cp, cm)."""
-        return cls(abs(cp) ** 2, abs(cm) ** 2, cp * complex(cm).conjugate())
-
-    @classmethod
-    def projector(cls, s: PureQubit) -> "Hermitian2":
-        return cls.outer(s.amp_plus, s.amp_minus)
-
-    @classmethod
-    def from_matrix(cls, mat: np.ndarray) -> "Hermitian2":
-        m = np.asarray(mat, dtype=complex)
-        if m.shape != (2, 2):
-            raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        skew = max(abs(m[0, 1] - m[1, 0].conjugate()),
-                   abs(m[0, 0].imag), abs(m[1, 1].imag))
-        if skew > HERMITICITY:
-            raise DomainError(f"matrix is not Hermitian (residual {skew:.3e})")
-        return cls(m[0, 0].real, m[1, 1].real, 0.5 * (m[0, 1] + m[1, 0].conjugate()))
-
-    def to_matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.b.conjugate(), self.d]], dtype=complex)
-
-    @property
-    def trace(self) -> float:
-        return self.a + self.d
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - abs(self.b) ** 2
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Both eigenvalues, descending, without eigenvectors."""
-        mean = 0.5 * (self.a + self.d)
-        r = math.hypot(0.5 * (self.a - self.d), abs(self.b))
-        return mean + r, mean - r
-
-    def expectation(self, s: PureQubit) -> float:
-        """<s|H|s>, real by Hermiticity."""
-        return (self.a * abs(s.amp_plus) ** 2
-                + self.d * abs(s.amp_minus) ** 2
-                + 2.0 * (s.amp_plus.conjugate() * self.b * s.amp_minus).real)
-
-    def __add__(self, other: "Hermitian2") -> "Hermitian2":
-        if not isinstance(other, Hermitian2):
-            return NotImplemented
-        return Hermitian2(self.a + other.a, self.d + other.d, self.b + other.b)
-
-    def __mul__(self, scalar: float) -> "Hermitian2":
-        if isinstance(scalar, complex):
-            return NotImplemented
-        return Hermitian2(self.a * scalar, self.d * scalar, self.b * scalar)
-
-    __rmul__ = __mul__
 
 
 def hermitian_eig2(h: Hermitian2) -> tuple[tuple[float, PureQubit], tuple[float, PureQubit]]:

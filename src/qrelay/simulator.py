@@ -21,9 +21,10 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble
-from .errors import DomainError
+from .errors import ValidationError, check_integer
 from .fidelity import Strategy
-from .measurements import Assignment, Pom, _probabilities, _signal_indices
+from .measurements import Assignment, Pom, _signal_indices, validate_pom
+from .tolerances import TOL
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 N_SLOTS = 4
@@ -53,12 +54,10 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
     The value at (trial, slot) depends only on the seed, never on how the
     range is split across calls.
     """
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError("seed must fit an unsigned 64-bit integer")
-    if not 0 <= slot < N_SLOTS:
-        raise DomainError(f"slot {slot} outside 0..{N_SLOTS - 1}")
-    if start < 0 or stop < start:
-        raise DomainError(f"trial range {start}..{stop} must satisfy 0 <= start <= stop")
+    seed = check_integer(seed, "seed", 0, 2 ** 64)
+    slot = check_integer(slot, "slot", 0, N_SLOTS)
+    start = check_integer(start, "start", 0)
+    stop = check_integer(stop, "stop", start)
     idx = np.arange(start, stop, dtype=np.uint64)
     counter = idx * np.uint64(N_SLOTS) + np.uint64(slot + 1)
     bits = _mix(np.uint64(seed) + counter * GOLDEN)
@@ -66,8 +65,15 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
 
 
 def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
-    """Cumulative outcome distribution per signal, rows renormalized for sampling."""
-    born = _probabilities(p, e.vectors)
+    """Cumulative outcome distribution per signal of a validated measurement, rows
+    clipped into [0, 1] and renormalized for sampling."""
+    violations = validate_pom(p)
+    if violations:
+        raise ValidationError("; ".join(violations))
+    born = bloch.born(*p.terms, e.vectors)
+    if born.min() < -TOL.probability:
+        raise ValidationError(f"outcome probability {born.min():.3e} below the clamping window")
+    born = np.clip(born, 0.0, 1.0)
     born = born / born.sum(axis=1, keepdims=True)
     cum = np.cumsum(born, axis=1)
     cum[:, -1] = 1.0
@@ -92,8 +98,7 @@ def _draw(e: SymmetricEnsemble, cum: np.ndarray, seed: int, start: int, stop: in
 def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
               hits_in: Callable) -> SimResult:
     """Frequency of hits over the trials; hits_in(start, stop, signal, outcome) counts one chunk's."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    trials = check_integer(trials, "trials", 1)
     cum = _outcome_table(e, p)
     hits = 0
     tallies = np.zeros(len(p), dtype=np.int64)

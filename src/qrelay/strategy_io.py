@@ -79,21 +79,17 @@ def save_strategy(path: str | Path, e: SymmetricEnsemble, s: Strategy,
     Path(path).write_text(render_document(strategy_document(e, s, generator, parameters)))
 
 
-def _fail(msg: str) -> ValidationError:
-    return ValidationError(msg)
-
-
 def _quadruples(doc: dict[str, Any], key: str) -> list[list[float]]:
     rows = doc.get(key)
     if not isinstance(rows, list) or not rows:
-        raise _fail(f'"{key}" must be a non-empty list')
+        raise ValidationError(f'"{key}" must be a non-empty list')
     out = []
     for pos, row in enumerate(rows):
         if (not isinstance(row, list) or len(row) != 4
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
-            raise _fail(f'"{key}"[{pos}] must be a list of 4 numbers')
+            raise ValidationError(f'"{key}"[{pos}] must be a list of 4 numbers')
         if not all(abs(x) <= sys.float_info.max for x in row):  # exact for integers; NaN fails
-            raise _fail(f'"{key}"[{pos}] contains a number that is not a finite double')
+            raise ValidationError(f'"{key}"[{pos}] contains a number that is not a finite double')
         out.append([float(x) for x in row])
     return out
 
@@ -104,42 +100,44 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
     Raises ValidationError naming the first violation found.
     """
     if not isinstance(doc, dict):
-        raise _fail("document root must be an object")
+        raise ValidationError("document root must be an object")
     for key in ("format", "version", "generator", "parameters", "ensemble", "pom", "retransmit"):
         if key not in doc:
-            raise _fail(f'missing required key "{key}"')
+            raise ValidationError(f'missing required key "{key}"')
     if doc["format"] != "strategy":
-        raise _fail(f'unknown format {doc["format"]!r}')
+        raise ValidationError(f'unknown format {doc["format"]!r}')
     if doc["version"] != FORMAT_VERSION:
-        raise _fail(f'unsupported version {doc["version"]!r}')
+        raise ValidationError(f'unsupported version {doc["version"]!r}')
+    if not isinstance(doc["parameters"], dict):
+        raise ValidationError('"parameters" must be an object')
     ens = doc["ensemble"]
     if not isinstance(ens, dict) or "m" not in ens or "theta" not in ens:
-        raise _fail('"ensemble" must be an object with "m" and "theta"')
+        raise ValidationError('"ensemble" must be an object with "m" and "theta"')
     m, theta = ens["m"], ens["theta"]
     if not isinstance(m, int) or isinstance(m, bool):
-        raise _fail('"ensemble.m" must be an integer')
+        raise ValidationError('"ensemble.m" must be an integer')
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise _fail('"ensemble.theta" must be a number')
+        raise ValidationError('"ensemble.theta" must be a number')
     try:
         ensemble = symmetric_ensemble(m, float(theta))
     except (DomainError, OverflowError) as exc:
-        raise _fail(f"ensemble: {exc}") from exc
+        raise ValidationError(f"ensemble: {exc}") from exc
     pom_rows = _quadruples(doc, "pom")
     state_rows = _quadruples(doc, "retransmit")
     if len(state_rows) != len(pom_rows):
-        raise _fail(f"{len(state_rows)} retransmission states for {len(pom_rows)} elements")
+        raise ValidationError(f"{len(state_rows)} retransmission states for {len(pom_rows)} elements")
     elements = tuple(Hermitian2(a=row[0], d=row[3], b=complex(row[1], row[2]))
                      for row in pom_rows)
     pom = Pom(elements=elements)
     violations = validate_pom(pom)
     if violations:
-        raise _fail(f"pom: {violations[0]}")
+        raise ValidationError(f"pom: {violations[0]}")
     states = []
     for pos, row in enumerate(state_rows):
         try:
             states.append(PureQubit(complex(row[0], row[1]), complex(row[2], row[3])))
         except DomainError as exc:
-            raise _fail(f'"retransmit"[{pos}]: {exc}') from exc
+            raise ValidationError(f'"retransmit"[{pos}]: {exc}') from exc
     strategy = Strategy(pom=pom, retransmit=tuple(states))
     meta = {"generator": doc["generator"], "parameters": doc["parameters"],
             "version": doc["version"]}
@@ -152,5 +150,5 @@ def load_strategy(path: str | Path) -> tuple[SymmetricEnsemble, Strategy, dict[s
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"not valid JSON: {exc}") from exc
+        raise ValidationError(f"not valid JSON: {exc}") from exc
     return parse_strategy_document(doc)

@@ -15,6 +15,16 @@ M_GRID = (3, 4, 5, 8)
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
 
+def matrix(h: Hermitian2) -> np.ndarray:
+    """The 2x2 complex matrix [[a, b], [conj(b), d]] of an operator."""
+    return np.array([[h.a, h.b], [h.b.conjugate(), h.d]], dtype=complex)
+
+
+def ket(s: PureQubit) -> np.ndarray:
+    """The amplitudes (amp_plus, amp_minus) of a state as a complex vector."""
+    return np.array([s.amp_plus, s.amp_minus], dtype=complex)
+
+
 def random_qubit(rng: np.random.Generator) -> PureQubit:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
@@ -44,8 +54,9 @@ def random_pom(rng: np.random.Generator, size: int) -> Pom:
     for _ in range(size):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         seeds.append(np.outer(v, v.conj()))
-    elements = tuple(Hermitian2.from_matrix(el) for el in frame_normalized(seeds))
-    return Pom(elements=elements)
+    return Pom(elements=tuple(Hermitian2(el[0, 0].real, el[1, 1].real,
+                                         0.5 * (el[0, 1] + el[1, 0].conjugate()))
+                              for el in frame_normalized(seeds)))
 
 
 def bloch_element(weight: float, colatitude: float, longitude: float) -> np.ndarray:
@@ -58,13 +69,13 @@ def bloch_element(weight: float, colatitude: float, longitude: float) -> np.ndar
 
 def state_matrix(e: SymmetricEnsemble) -> np.ndarray:
     """Signal amplitudes, one state per row."""
-    return np.array([s.as_array() for s in e.states])
+    return np.array([ket(s) for s in e.states])
 
 
 def born_oracle(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     """P(outcome k | signal j) by direct matrix sandwiches; rows j, columns k."""
     psi = state_matrix(e)
-    return np.array([[(psi[j].conj() @ el.to_matrix() @ psi[j]).real
+    return np.array([[(psi[j].conj() @ matrix(el) @ psi[j]).real
                       for el in p.elements] for j in range(e.m)])
 
 
@@ -74,8 +85,8 @@ def fidelity_oracle(e: SymmetricEnsemble, s: Strategy) -> float:
     total = 0.0
     for j in range(e.m):
         for el, out in zip(s.pom.elements, s.retransmit):
-            prob = (psi[j].conj() @ el.to_matrix() @ psi[j]).real
-            amp = psi[j].conj() @ out.as_array()
+            prob = (psi[j].conj() @ matrix(el) @ psi[j]).real
+            amp = psi[j].conj() @ ket(out)
             total += e.prior * prob * abs(amp) ** 2
     return total
 

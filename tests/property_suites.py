@@ -12,13 +12,12 @@ import math
 import numpy as np
 
 import helpers
-from qrelay import (Hermitian2, OptimizerConfig, apply_generator, bloch_vector,
-                    error_probability, fidelity_of_strategy, hermitian_eig2, inner,
-                    max_fidelity_analytic, min_error_analytic, optimal_retransmission,
-                    optimal_strategy_analytic, optimize_error, optimize_fidelity,
-                    outcome_probabilities, overlap_prob, retransmission_colatitude,
+from qrelay import (OptimizerConfig, Strategy, bloch, error_probability,
+                    fidelity_of_strategy, hermitian_eig2, max_fidelity_analytic,
+                    min_error_analytic, optimal_retransmission, optimal_strategy_analytic,
+                    optimize_error, optimize_fidelity, retransmission_colatitude,
                     simulate_error, simulate_fidelity, square_root_measurement,
-                    symmetric_ensemble, to_pom, validate_pom, Strategy)
+                    symmetric_ensemble, to_pom, validate_pom)
 
 
 def qubit_spectral_suite(cases: int = 10_000) -> int:
@@ -27,38 +26,40 @@ def qubit_spectral_suite(cases: int = 10_000) -> int:
     for _ in range(cases):
         h = helpers.random_hermitian(rng, scale=2.0)
         (lam1, v1), (lam2, v2) = hermitian_eig2(h)
-        rebuilt = lam1 * Hermitian2.projector(v1) + lam2 * Hermitian2.projector(v2)
-        assert helpers.entrywise_gap(rebuilt, h) <= 1e-9
-        assert abs(h.trace - (lam1 + lam2)) <= 1e-9
-        assert abs(h.det - lam1 * lam2) <= 1e-9
-        assert abs(inner(v1, v2)) <= 1e-12
-        ref = np.linalg.eigvalsh(h.to_matrix())
+        k1, k2 = helpers.ket(v1), helpers.ket(v2)
+        rebuilt = lam1 * np.outer(k1, k1.conj()) + lam2 * np.outer(k2, k2.conj())
+        mat = helpers.matrix(h)
+        assert np.abs(rebuilt - mat).max() <= 1e-9
+        assert abs(h.a + h.d - (lam1 + lam2)) <= 1e-9
+        assert abs(h.a * h.d - abs(h.b) ** 2 - lam1 * lam2) <= 1e-9
+        assert abs(np.vdot(k1, k2)) <= 1e-12
+        ref = np.linalg.eigvalsh(mat)
         assert abs(lam1 - ref[1]) <= 1e-9 and abs(lam2 - ref[0]) <= 1e-9
     return cases
 
 
 def qubit_overlap_suite(cases: int = 10_000) -> int:
-    """|<a|b>|^2 equals (1 + Bloch dot product)/2."""
+    """|<a|b>|^2 equals (1 + n_a.n_b)/2 for the Bloch vectors the kernel gives."""
     rng = np.random.default_rng(902)
     for _ in range(cases):
         a, b = helpers.random_qubit(rng), helpers.random_qubit(rng)
-        ba, bb = bloch_vector(a), bloch_vector(b)
-        dot = ba.x * bb.x + ba.y * bb.y + ba.z * bb.z
-        assert abs(overlap_prob(a, b) - 0.5 * (1.0 + dot)) <= 1e-10
+        n = bloch.vectors((a, b))
+        overlap = abs(np.vdot(helpers.ket(a), helpers.ket(b))) ** 2
+        assert abs(overlap - 0.5 * (1.0 + n[0] @ n[1])) <= 1e-10
     return cases
 
 
 def ensemble_generator_suite() -> int:
-    """Iterating the generator m times is the identity on every ensemble state."""
+    """Advancing the |-> phase of each state by 2 pi/m gives the next one, the last wrapping to the first."""
     checked = 0
     for m in range(2, 9):
+        step = np.exp(2j * math.pi / m)
         for theta in np.linspace(0.0, math.pi / 2, 10):
-            for s in symmetric_ensemble(m, float(theta)).states:
-                out = s
-                for _ in range(m):
-                    out = apply_generator(out, m)
-                assert abs(out.amp_plus - s.amp_plus) <= 1e-12
-                assert abs(out.amp_minus - s.amp_minus) <= 1e-12
+            states = symmetric_ensemble(m, float(theta)).states
+            for j, s in enumerate(states):
+                after = states[(j + 1) % m]
+                assert abs(after.amp_plus - s.amp_plus) <= 1e-12
+                assert abs(after.amp_minus - s.amp_minus * step) <= 1e-12
                 checked += 1
     return checked
 
@@ -68,8 +69,8 @@ def ensemble_gram_suite() -> int:
     checked = 0
     for m in range(2, 9):
         for theta in np.linspace(0.0, math.pi / 2, 10):
-            states = symmetric_ensemble(m, float(theta)).states
-            gram = np.array([[abs(inner(a, b)) for b in states] for a in states])
+            psi = helpers.state_matrix(symmetric_ensemble(m, float(theta)))
+            gram = np.abs(psi.conj() @ psi.T)
             for off in range(m):
                 ring = [gram[j, (j + off) % m] for j in range(m)]
                 assert max(ring) - min(ring) <= 1e-12
@@ -91,13 +92,13 @@ def measurement_optimality_suite() -> int:
 
 
 def measurement_born_suite(cases: int = 10_000) -> int:
-    """Outcome probabilities of random valid measurements are a distribution."""
+    """Born probabilities of random valid measurements are a distribution."""
     rng = np.random.default_rng(903)
     checked = 0
     while checked < cases:
         pom = helpers.random_pom(rng, int(rng.integers(2, 7)))
         for _ in range(10):
-            probs = outcome_probabilities(helpers.random_qubit(rng), pom)
+            probs = bloch.born(*pom.terms, bloch.vectors((helpers.random_qubit(rng),)))[0]
             assert abs(float(probs.sum()) - 1.0) <= 1e-9
             assert float(probs.min()) >= 0.0
             checked += 1
@@ -111,7 +112,7 @@ def measurement_trace_suite() -> int:
         for theta in np.linspace(0.05, math.pi / 2, 8):
             pom = square_root_measurement(symmetric_ensemble(m, float(theta)))
             for el in pom.elements:
-                assert abs(el.trace - 2.0 / m) <= 1e-12
+                assert abs(el.a + el.d - 2.0 / m) <= 1e-12
                 checked += 1
     return checked
 
@@ -157,7 +158,7 @@ def fidelity_dominance_suite(cases: int = 500) -> int:
         report = optimal_retransmission(e, pom)
         states = list(report.states)
         k = int(rng.integers(0, len(states)))
-        bumped = states[k].as_array() + 0.05 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        bumped = helpers.ket(states[k]) + 0.05 * (rng.normal(size=2) + 1j * rng.normal(size=2))
         bumped /= np.linalg.norm(bumped)
         states[k] = helpers.PureQubit(complex(bumped[0]), complex(bumped[1]))
         worse = fidelity_of_strategy(e, Strategy(pom=pom, retransmit=tuple(states)))

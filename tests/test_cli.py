@@ -241,6 +241,24 @@ def test_simulate_rejects_tampered_file(capsys, tmp_path):
     assert "invalid:" in err and "identity" in err and out == ""
 
 
+@pytest.mark.parametrize("parameters,code", [
+    ([], 3), ("p", 3),
+    ({"m": 3, "n_outputs": 3, "alpha": None}, 0), ({"m": 3, "n_outputs": 3, "alpha": "x"}, 0)])
+def test_simulate_reads_any_parameters_value(capsys, tmp_path, parameters, code):
+    path = tmp_path / "three.strategy.json"
+    run_cli(capsys, "analytic", "--m", "3", "--theta", "0.7", "--output_path", str(path))
+    doc = json.loads(path.read_text())
+    doc["parameters"] = parameters
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "1000")
+    assert got == code
+    if code == 3:
+        assert '"parameters" must be an object' in err and out == ""
+    else:
+        # a value that is not a number only means "not the square-root family"
+        assert "analytic_f_max" in out and "analytic_p_e_min" not in out
+
+
 def test_simulate_rejects_non_positive_trials(capsys, tmp_path):
     path = tmp_path / "pair.strategy.json"
     run_cli(capsys, "analytic", "--m", "2", "--theta", "1.0", "--output_path", str(path))

@@ -1,4 +1,4 @@
-"""Symmetric signal ensembles and the phase generator."""
+"""Symmetric signal ensembles and the phase rotation that generates them."""
 
 import math
 
@@ -7,9 +7,12 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (DomainError, apply_generator, bloch_vector, inner,
-                    optimal_strategy_analytic, overlap_prob, symmetric_ensemble)
+from qrelay import DomainError, SymmetricEnsemble, optimal_strategy_analytic, symmetric_ensemble
 from qrelay.qubit import PLUS
+
+
+def overlap(a, b) -> float:
+    return abs(np.vdot(helpers.ket(a), helpers.ket(b))) ** 2
 
 
 def test_theta_zero_collapses_to_plus():
@@ -26,16 +29,16 @@ def test_orthogonal_pair_at_right_angle():
     assert e.states[0].amp_minus == pytest.approx(r)
     assert e.states[1].amp_plus == pytest.approx(r)
     assert e.states[1].amp_minus == pytest.approx(-r)
-    assert overlap_prob(e.states[0], e.states[1]) == pytest.approx(0.0, abs=1e-15)
+    assert overlap(e.states[0], e.states[1]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_four_states_share_colatitude_and_step_longitudes():
     e = symmetric_ensemble(4, math.pi / 3)
     for j, s in enumerate(e.states):
-        assert bloch_vector(s).z == pytest.approx(0.5, abs=1e-12)
+        assert e.vectors[j, 2] == pytest.approx(0.5, abs=1e-12)
         assert helpers.longitude_of(s) == pytest.approx(j * math.pi / 2, abs=1e-12)
     # neighbour overlaps agree, the defining symmetry of the family
-    ring = [overlap_prob(e.states[j], e.states[(j + 1) % 4]) for j in range(4)]
+    ring = [overlap(e.states[j], e.states[(j + 1) % 4]) for j in range(4)]
     assert max(ring) - min(ring) <= 1e-12
 
 
@@ -52,6 +55,8 @@ def test_defining_amplitudes():
 def test_domain_rejection():
     with pytest.raises(DomainError):
         symmetric_ensemble(1, 0.3)
+    with pytest.raises(DomainError):
+        SymmetricEnsemble(1, 0.3)
     with pytest.raises(DomainError):
         symmetric_ensemble(3, -0.01)
     with pytest.raises(DomainError):
@@ -72,23 +77,13 @@ def test_non_integer_sizes_are_rejected(m):
         symmetric_ensemble(m, 0.4)
 
 
-def test_generator_fixes_plus():
-    for m in (2, 3, 7):
-        assert apply_generator(PLUS, m) == PLUS
-
-
-def test_generator_fixes_minus_up_to_phase_convention():
-    from qrelay.qubit import MINUS
-    out = apply_generator(MINUS, 4)
-    assert out == MINUS
-
-
 def test_generator_steps_to_the_next_state():
     e = symmetric_ensemble(3, math.pi / 2)
-    stepped = apply_generator(e.states[0], 3)
-    assert abs(inner(stepped, e.states[1])) == pytest.approx(1.0, abs=1e-12)
-    assert stepped.amp_plus == pytest.approx(e.states[1].amp_plus, abs=1e-12)
-    assert stepped.amp_minus == pytest.approx(e.states[1].amp_minus, abs=1e-12)
+    first, second = e.states[:2]
+    step = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
+    assert second.amp_plus == pytest.approx(first.amp_plus, abs=1e-12)
+    assert second.amp_minus == pytest.approx(first.amp_minus * step, abs=1e-12)
+    assert overlap(first, second) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_generator_period_property():

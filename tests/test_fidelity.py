@@ -7,14 +7,19 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (DomainError, Hermitian2, Pom, Strategy, fidelity_of_strategy,
+from qrelay import (DomainError, Hermitian2, Pom, Strategy, bloch, fidelity_of_strategy,
                     max_fidelity_analytic, optimal_retransmission,
-                    optimal_strategy_analytic, outcome_fidelity_operator,
-                    retransmission_colatitude, square_root_measurement,
-                    symmetric_ensemble, validate_pom)
-from qrelay.qubit import MINUS, PLUS
+                    optimal_strategy_analytic, retransmission_colatitude,
+                    square_root_measurement, symmetric_ensemble, validate_pom)
+from qrelay.qubit import PLUS
 
-Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)))
+Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
+
+
+def score_operator(e, element: Hermitian2) -> Hermitian2:
+    """sum_j p_j <psi_j|pi|psi_j> |psi_j><psi_j| through the kernel, as optimal_retransmission forms it."""
+    q = e.prior * bloch.born(*bloch.terms((element,)), e.vectors)
+    return bloch.operators(*bloch.score(q, e.vectors))[0]
 
 
 def test_strategy_requires_matching_lengths():
@@ -59,31 +64,31 @@ def test_equatorial_retransmission_saturates_at_right_angle():
 
 def test_score_operator_of_zero_element_vanishes():
     e = symmetric_ensemble(3, 1.0)
-    op = outcome_fidelity_operator(e, Hermitian2.zero())
+    op = score_operator(e, Hermitian2(0.0, 0.0, 0j))
     assert op.a == op.d == 0.0 and op.b == 0.0
 
 
 def test_score_operator_top_eigenvalue_equatorial_element():
     e = symmetric_ensemble(3, math.pi / 2)
-    element = (2.0 / 3.0) * Hermitian2.projector(helpers.equatorial_state(0.0))
-    op = outcome_fidelity_operator(e, element)
+    element = Hermitian2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)  # (2/3)|mu_0><mu_0| on the equator
+    op = score_operator(e, element)
     # weight 1/3 element: top eigenvalue w (1 - sin^2/4) = 1/4
-    assert op.eigenvalues()[0] == pytest.approx(0.25, abs=1e-12)
-    assert np.linalg.eigvalsh(op.to_matrix())[1] == pytest.approx(0.25, abs=1e-12)
+    assert bloch.top(*bloch.terms((op,)))[0] == pytest.approx(0.25, abs=1e-12)
+    assert np.linalg.eigvalsh(helpers.matrix(op))[1] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_score_operator_matches_numpy_summation():
     e = symmetric_ensemble(2, 0.9)
     element = Hermitian2(0.5, 0.5, 0.5 + 0.0j)
-    op = outcome_fidelity_operator(e, element)
+    op = score_operator(e, element)
     psi = helpers.state_matrix(e)
     ref = np.zeros((2, 2), dtype=complex)
     for j in range(2):
-        prob = (psi[j].conj() @ element.to_matrix() @ psi[j]).real
+        prob = (psi[j].conj() @ helpers.matrix(element) @ psi[j]).real
         ref += 0.5 * prob * np.outer(psi[j], psi[j].conj())
-    assert np.max(np.abs(op.to_matrix() - ref)) <= 1e-12
-    assert op.trace == pytest.approx(sum(
-        0.5 * (psi[j].conj() @ element.to_matrix() @ psi[j]).real for j in range(2)))
+    assert np.max(np.abs(helpers.matrix(op) - ref)) <= 1e-12
+    assert op.a + op.d == pytest.approx(sum(
+        0.5 * (psi[j].conj() @ helpers.matrix(element) @ psi[j]).real for j in range(2)))
 
 
 def test_optimal_retransmission_degenerate_ensemble():
@@ -155,7 +160,7 @@ def test_analytic_strategy_two_output_projective_case():
     s = optimal_strategy_analytic(4, math.pi / 3, n_outputs=2, alpha=0.0)
     assert len(s.pom) == 2
     for el in s.pom.elements:
-        lam1, lam2 = el.eigenvalues()
+        lam2, lam1 = np.linalg.eigvalsh(helpers.matrix(el))
         assert lam1 == pytest.approx(1.0, abs=1e-12)
         assert lam2 == pytest.approx(0.0, abs=1e-12)
     for state, lon in zip(s.retransmit, (0.0, math.pi)):

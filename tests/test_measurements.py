@@ -8,13 +8,23 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (Assignment, DomainError, Hermitian2, Pom, ValidationError,
+from qrelay import (Assignment, DomainError, Hermitian2, Pom, ValidationError, bloch,
                     error_probability, greedy_assignment, identity_sum_residual,
-                    min_error_analytic, optimal_strategy_analytic, outcome_probabilities,
+                    min_error_analytic, optimal_strategy_analytic, simulate_error,
                     square_root_measurement, symmetric_ensemble, validate_pom)
-from qrelay.qubit import MINUS, PLUS
+from qrelay.qubit import PLUS
 
-Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)))
+Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
+HALF_IDENTITY = Hermitian2(0.5, 0.5, 0j)
+
+
+def projector(s) -> np.ndarray:
+    return np.outer(helpers.ket(s), helpers.ket(s).conj())
+
+
+def born(states, pom: Pom) -> np.ndarray:
+    """Born probabilities P[j, k] of the states in the measurement, by the array kernel."""
+    return bloch.born(*pom.terms, bloch.vectors(states))
 
 
 def test_projective_pair_is_valid():
@@ -23,7 +33,7 @@ def test_projective_pair_is_valid():
 
 
 def test_half_identity_alone_reports_sum_violation():
-    lonely = Pom(elements=(0.5 * Hermitian2.identity(),))
+    lonely = Pom(elements=(HALF_IDENTITY,))
     violations = validate_pom(lonely)
     assert len(violations) == 1
     assert "identity" in violations[0]
@@ -51,9 +61,9 @@ def test_square_root_measurement_orthogonal_pair():
     assert pom.meta == {}
     for j, el in enumerate(pom.elements):
         mu = helpers.equatorial_state(math.pi * j)
-        assert helpers.entrywise_gap(el, Hermitian2.projector(mu)) <= 1e-12
+        assert np.abs(helpers.matrix(el) - projector(mu)).max() <= 1e-12
         # full projector: eigenvalues 1 and 0
-        lam1, lam2 = el.eigenvalues()
+        lam2, lam1 = np.linalg.eigvalsh(helpers.matrix(el))
         assert lam1 == pytest.approx(1.0, abs=1e-12)
         assert lam2 == pytest.approx(0.0, abs=1e-12)
 
@@ -63,9 +73,9 @@ def test_square_root_measurement_matches_direct_formula():
     pom = square_root_measurement(symmetric_ensemble(m, math.pi / 4))
     assert validate_pom(pom) == []
     for j, el in enumerate(pom.elements):
-        assert el.trace == pytest.approx(2.0 / m, abs=1e-12)
+        assert el.a + el.d == pytest.approx(2.0 / m, abs=1e-12)
         mu = helpers.equatorial_state(2 * math.pi * j / m)
-        assert helpers.entrywise_gap(el, (2.0 / m) * Hermitian2.projector(mu)) <= 1e-12
+        assert np.abs(helpers.matrix(el) - (2.0 / m) * projector(mu)).max() <= 1e-12
 
 
 def test_square_root_measurement_degenerate_ensemble():
@@ -73,20 +83,19 @@ def test_square_root_measurement_degenerate_ensemble():
     assert pom.meta.get("rank_deficient") is True
     assert pom.meta.get("support_dimension") == 1
     for el in pom.elements:
-        assert helpers.entrywise_gap(el, 0.25 * Hermitian2.projector(PLUS)) <= 1e-12
+        assert np.abs(helpers.matrix(el) - 0.25 * projector(PLUS)).max() <= 1e-12
     # the sum only covers the support, so this one genuinely fails validation
     assert any("identity" in v for v in validate_pom(pom))
 
 
 def test_outcome_probabilities_plus_in_z_basis():
-    probs = outcome_probabilities(PLUS, Z_BASIS)
-    assert probs.tolist() == [1.0, 0.0]
+    assert born((PLUS,), Z_BASIS).tolist() == [[1.0, 0.0]]
 
 
 def test_orthogonal_signals_identified_with_certainty():
     e = symmetric_ensemble(2, math.pi / 2)
     pom = square_root_measurement(e)
-    probs = outcome_probabilities(e.states[0], pom)
+    probs = born(e.states, pom)[0]
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     assert probs[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -94,10 +103,10 @@ def test_orthogonal_signals_identified_with_certainty():
 def test_outcome_probabilities_match_direct_overlaps():
     e = symmetric_ensemble(3, math.pi / 2)
     pom = square_root_measurement(e)
-    probs = outcome_probabilities(e.states[0], pom)
-    psi = e.states[0].as_array()
+    probs = born(e.states[:1], pom)[0]
+    psi = helpers.ket(e.states[0])
     for k in range(3):
-        mu = helpers.equatorial_state(2 * math.pi * k / 3).as_array()
+        mu = helpers.ket(helpers.equatorial_state(2 * math.pi * k / 3))
         assert probs[k] == pytest.approx((2 / 3) * abs(np.vdot(mu, psi)) ** 2, abs=1e-12)
     assert probs.argmax() == 0
     # and through the generic matrix oracle
@@ -105,9 +114,10 @@ def test_outcome_probabilities_match_direct_overlaps():
 
 
 def test_outcome_probabilities_reject_invalid_pom():
-    lonely = Pom(elements=(0.5 * Hermitian2.identity(),))
-    with pytest.raises(ValidationError):
-        outcome_probabilities(PLUS, lonely)
+    # the simulator is the one place that samples outcome probabilities
+    lonely = Pom(elements=(HALF_IDENTITY,))
+    with pytest.raises(ValidationError, match="identity"):
+        simulate_error(symmetric_ensemble(2, 1.0), lonely, Assignment({0: 0}), 100)
 
 
 def test_error_probability_certain_discrimination():

@@ -1,4 +1,4 @@
-"""Parameterized measurements, constraint repair and the numerical searches."""
+"""Parameterized measurements, the frame map that makes them complete, and the numerical searches."""
 
 import math
 
@@ -7,14 +7,13 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (DomainError, Hermitian2, OptimizerConfig, ParamPom, RepairError,
+from qrelay import (DomainError, Hermitian2, OptimizerConfig, ParamPom,
                     constraint_residuals, error_probability, fidelity_of_strategy,
-                    is_feasible, max_fidelity_analytic, min_error_analytic,
-                    optimize_error, optimize_fidelity, repair,
+                    max_fidelity_analytic, min_error_analytic,
+                    optimize_error, optimize_fidelity,
                     square_root_measurement, symmetric_ensemble, to_pom,
                     validate_pom)
 from qrelay.optimizer import _frame_map
-from qrelay.qubit import MINUS, PLUS
 
 
 def x_basis_params() -> ParamPom:
@@ -39,8 +38,6 @@ def test_constraint_residuals_on_known_candidate():
     assert r_sum == pytest.approx(0.0, abs=1e-15)
     assert r_polar == pytest.approx(0.0, abs=1e-15)
     assert r_azimuthal == pytest.approx(0.2, abs=1e-12)
-    assert not is_feasible(lopsided)
-    assert is_feasible(x_basis_params())
 
 
 def test_to_pom_x_basis():
@@ -53,8 +50,8 @@ def test_to_pom_x_basis():
 def test_to_pom_poles():
     p = ParamPom(weights=(0.5, 0.5), colatitudes=(0.0, math.pi), longitudes=(1.7, 0.3))
     pom = to_pom(p)
-    assert helpers.entrywise_gap(pom.elements[0], Hermitian2.projector(PLUS)) <= 1e-12
-    assert helpers.entrywise_gap(pom.elements[1], Hermitian2.projector(MINUS)) <= 1e-12
+    assert helpers.entrywise_gap(pom.elements[0], Hermitian2(1.0, 0.0, 0j)) <= 1e-12
+    assert helpers.entrywise_gap(pom.elements[1], Hermitian2(0.0, 1.0, 0j)) <= 1e-12
 
 
 def test_to_pom_reproduces_square_root_measurement():
@@ -75,18 +72,25 @@ def test_to_pom_rejects_infeasible_candidate():
         to_pom(lopsided)
 
 
+def frame_map(p: ParamPom) -> tuple[ParamPom, float]:
+    """The search's frame map applied to one candidate: (normalized candidate, residual)."""
+    W, TH, PH, resid = _frame_map(p.weights[None], p.colatitudes[None], p.longitudes[None])
+    return ParamPom(W[0], TH[0], PH[0]), float(resid[0])
+
+
 def test_repair_is_identity_on_feasible_input():
     p = x_basis_params()
-    fixed = repair(p)
-    assert np.array_equal(fixed.weights, p.weights)
-    assert np.array_equal(fixed.colatitudes, p.colatitudes)
-    assert np.array_equal(fixed.longitudes, p.longitudes)
+    fixed, resid = frame_map(p)
+    assert resid <= 1e-15
+    # the same elements; a longitude may come back as its full-turn equivalent
+    for ours, ref in zip(to_pom(fixed).elements, to_pom(p).elements):
+        assert helpers.entrywise_gap(ours, ref) <= 1e-15
 
 
 def test_repair_rebalances_forced_weights():
     lopsided = ParamPom(weights=(0.6, 0.4), colatitudes=(math.pi / 2, math.pi / 2),
                         longitudes=(0.0, math.pi))
-    fixed = repair(lopsided)
+    fixed, _ = frame_map(lopsided)
     assert fixed.weights[0] == pytest.approx(0.5, abs=1e-9)
     assert fixed.weights[1] == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(fixed.colatitudes, lopsided.colatitudes, atol=1e-9)
@@ -101,7 +105,8 @@ def test_repair_random_infeasible_candidate():
     p = ParamPom(weights=rng.uniform(0.05, 1.0, size=4),
                  colatitudes=rng.uniform(0.0, math.pi, size=4),
                  longitudes=rng.uniform(0.0, 2 * math.pi, size=4))
-    fixed = repair(p)
+    fixed, resid = frame_map(p)
+    assert resid <= 1e-9
     assert max(constraint_residuals(fixed)) <= 1e-8
     assert float(fixed.weights.min()) >= 0.0
     assert validate_pom(to_pom(fixed)) == []
@@ -110,19 +115,18 @@ def test_repair_random_infeasible_candidate():
 def test_feasibility_is_the_completeness_test_of_validate_pom():
     # entrywise residual 1e-8: within the earlier 1e-8 feasibility slack, not within validate_pom's
     near = ParamPom(weights=(0.5, 0.5 + 5e-9), colatitudes=(0.0, math.pi), longitudes=(0.0, 0.0))
-    assert not is_feasible(near)
     with pytest.raises(DomainError, match="residuals"):
         to_pom(near)
-    fixed = repair(near)
-    assert is_feasible(fixed)
+    fixed, resid = frame_map(near)
+    assert resid <= 1e-9
     assert validate_pom(to_pom(fixed)) == []
 
 
 def test_repair_rejects_singular_frame():
+    # every element along one axis: the frame has rank one and the row is discarded
     aligned = ParamPom(weights=(0.3, 0.5, 0.2), colatitudes=(0.4, 0.4, 0.4),
                        longitudes=(1.1, 1.1, 1.1))
-    with pytest.raises(RepairError):
-        repair(aligned)
+    assert frame_map(aligned)[1] == math.inf
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -159,6 +163,24 @@ def test_config_validation():
     assert cfg.restarts == 16 and cfg.max_iterations == 2000
 
 
+@pytest.mark.parametrize("field,value", [("n_elements", 2.5), ("restarts", 2.5),
+                                         ("max_iterations", 10.5), ("seed", 1.5),
+                                         ("restarts", True), ("seed", np.float64(3.0))])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(DomainError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    e = symmetric_ensemble(3, 0.6)
+    cfg = OptimizerConfig(n_elements=np.int64(3), restarts=np.int32(4),
+                          max_iterations=np.int64(50), seed=np.uint64(11))
+    plain = OptimizerConfig(n_elements=3, restarts=4, max_iterations=50, seed=11)
+    assert all(type(getattr(cfg, name)) is int
+               for name in ("n_elements", "restarts", "max_iterations", "seed"))
+    assert optimize_fidelity(e, cfg)[1] == optimize_fidelity(e, plain)[1]
+
+
 def test_optimize_fidelity_degenerate_ensemble():
     e = symmetric_ensemble(4, 0.0)
     cfg = OptimizerConfig(n_elements=2, restarts=4, max_iterations=300, seed=1)
@@ -189,7 +211,7 @@ def test_optimize_fidelity_trace_contract(m2_concentration):
     assert trace.evaluations > 0
     assert len(trace.records) + len(trace.failed_restarts) <= 16
     assert all(rec.final_value >= rec.start_value - 1e-12 for rec in trace.records)
-    assert is_feasible(trace.best_params)
+    assert validate_pom(to_pom(trace.best_params)) == []
 
 
 def test_optimize_error_degenerate_ensemble():

@@ -1,4 +1,4 @@
-"""States, Bloch geometry and the closed-form 2x2 Hermitian eigensolver."""
+"""States, their Bloch vectors and the closed-form 2x2 Hermitian eigensolver."""
 
 import cmath
 import math
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 import property_suites
-from qrelay import (DomainError, Hermitian2, PureQubit, bloch_vector,
-                    hermitian_eig2, inner, make_qubit, overlap_prob)
+from qrelay import DomainError, Hermitian2, PureQubit, bloch, hermitian_eig2, make_qubit
 from qrelay.qubit import MINUS, PLUS
 
 ANGLES = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
@@ -86,53 +85,31 @@ def test_phase_convention_leading_component_positive():
     assert r.amp_minus == 1.0 + 0j
 
 
+def overlap(a: PureQubit, b: PureQubit) -> float:
+    """|<a|b>|^2 the way the package takes it: the Born probability of b's projector in state a."""
+    return float(bloch.born(np.array([0.5]), 0.5 * bloch.vectors((b,)), bloch.vectors((a,)))[0, 0])
+
+
 def test_overlap_prob_reference_points():
-    assert overlap_prob(PLUS, PLUS) == 1.0
-    assert overlap_prob(PLUS, MINUS) == 0.0
-    assert overlap_prob(PLUS, make_qubit(math.pi / 2, 0.0)) == pytest.approx(0.5)
-
-
-def test_inner_is_conjugate_symmetric():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b = helpers.random_qubit(rng), helpers.random_qubit(rng)
-        assert inner(a, b) == pytest.approx(inner(b, a).conjugate())
+    assert overlap(PLUS, PLUS) == 1.0
+    assert overlap(PLUS, MINUS) == 0.0
+    assert overlap(PLUS, make_qubit(math.pi / 2, 0.0)) == pytest.approx(0.5)
 
 
 def test_bloch_vectors_of_named_states():
-    up = bloch_vector(PLUS)
-    assert (up.x, up.y, up.z) == pytest.approx((0.0, 0.0, 1.0))
-    down = bloch_vector(MINUS)
-    assert (down.x, down.y, down.z) == pytest.approx((0.0, 0.0, -1.0))
-    side = bloch_vector(make_qubit(math.pi / 2, math.pi / 2))
-    assert (side.x, side.y, side.z) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+    up, down, side = bloch.vectors((PLUS, MINUS, make_qubit(math.pi / 2, math.pi / 2)))
+    assert tuple(up) == pytest.approx((0.0, 0.0, 1.0))
+    assert tuple(down) == pytest.approx((0.0, 0.0, -1.0))
+    assert tuple(side) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
 
 
 @settings(max_examples=300, deadline=None)
 @given(colat=ANGLES, lon=LONGITUDES)
 def test_bloch_roundtrip_matches_spherical_coordinates(colat, lon):
-    b = bloch_vector(make_qubit(colat, lon))
-    assert b.x == pytest.approx(math.sin(colat) * math.cos(lon), abs=1e-12)
-    assert b.y == pytest.approx(math.sin(colat) * math.sin(lon), abs=1e-12)
-    assert b.z == pytest.approx(math.cos(colat), abs=1e-12)
-
-
-def test_hermitian_roundtrip_and_rejection():
-    h = Hermitian2(0.3, -1.2, 0.4 - 0.7j)
-    again = Hermitian2.from_matrix(h.to_matrix())
-    assert helpers.entrywise_gap(h, again) == 0.0
-    with pytest.raises(DomainError):
-        Hermitian2.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DomainError):
-        Hermitian2.from_matrix(np.eye(3))
-
-
-def test_hermitian_scalar_product_rejects_complex():
-    h = Hermitian2.identity()
-    doubled = 2 * h
-    assert doubled.a == 2.0 and doubled.d == 2.0
-    with pytest.raises(TypeError):
-        1j * h
+    x, y, z = bloch.vectors((make_qubit(colat, lon),))[0]
+    assert x == pytest.approx(math.sin(colat) * math.cos(lon), abs=1e-12)
+    assert y == pytest.approx(math.sin(colat) * math.sin(lon), abs=1e-12)
+    assert z == pytest.approx(math.cos(colat), abs=1e-12)
 
 
 def test_expectation_matches_matrix_sandwich():
@@ -140,12 +117,13 @@ def test_expectation_matches_matrix_sandwich():
     for _ in range(200):
         h = helpers.random_hermitian(rng)
         s = helpers.random_qubit(rng)
-        direct = (s.as_array().conj() @ h.to_matrix() @ s.as_array()).real
-        assert h.expectation(s) == pytest.approx(direct, abs=1e-12)
+        direct = (helpers.ket(s).conj() @ helpers.matrix(h) @ helpers.ket(s)).real
+        got = bloch.born(*bloch.terms((h,)), bloch.vectors((s,)))[0, 0]
+        assert got == pytest.approx(direct, abs=1e-12)
 
 
 def test_eig_identity_resolves_tie_toward_plus():
-    (lam1, v1), (lam2, v2) = hermitian_eig2(Hermitian2.identity())
+    (lam1, v1), (lam2, v2) = hermitian_eig2(Hermitian2(1.0, 1.0, 0j))
     assert lam1 == lam2 == 1.0
     assert v1 == PLUS and v2 == MINUS
 
@@ -155,7 +133,7 @@ def test_eig_pauli_x():
     assert (lam1, lam2) == (1.0, -1.0)
     assert v1.amp_plus == pytest.approx(1 / math.sqrt(2))
     assert v1.amp_minus == pytest.approx(1 / math.sqrt(2))
-    assert abs(inner(v1, v2)) <= 1e-15
+    assert abs(np.vdot(helpers.ket(v1), helpers.ket(v2))) <= 1e-15
 
 
 def test_eig_matches_numpy_on_random_operators():
@@ -163,28 +141,29 @@ def test_eig_matches_numpy_on_random_operators():
     for _ in range(500):
         h = helpers.random_hermitian(rng, scale=3.0)
         (lam1, v1), (lam2, v2) = hermitian_eig2(h)
-        vals, vecs = np.linalg.eigh(h.to_matrix())
+        vals, vecs = np.linalg.eigh(helpers.matrix(h))
         assert lam1 == pytest.approx(vals[1], abs=1e-12)
         assert lam2 == pytest.approx(vals[0], abs=1e-12)
         # eigenvectors agree up to the global phase convention
-        assert abs(np.vdot(vecs[:, 1], v1.as_array())) == pytest.approx(1.0, abs=1e-9)
-        assert abs(np.vdot(vecs[:, 0], v2.as_array())) == pytest.approx(1.0, abs=1e-9)
+        assert abs(np.vdot(vecs[:, 1], helpers.ket(v1))) == pytest.approx(1.0, abs=1e-9)
+        assert abs(np.vdot(vecs[:, 0], helpers.ket(v2))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_eigenvalue_pair_orders_descending():
     h = Hermitian2(-2.0, 5.0, 0.25j)
-    lam1, lam2 = h.eigenvalues()
+    (lam1, _), (lam2, _) = hermitian_eig2(h)
     assert lam1 >= lam2
-    assert lam1 + lam2 == pytest.approx(h.trace)
-    assert lam1 * lam2 == pytest.approx(h.det)
+    assert lam1 + lam2 == pytest.approx(h.a + h.d)
+    assert lam1 * lam2 == pytest.approx(h.a * h.d - abs(h.b) ** 2)
 
 
 def test_projector_is_idempotent_rank_one():
+    # a state's projector in Bloch terms, (I + n.sigma)/2, is |q><q|
     q = make_qubit(1.1, 2.3)
-    p = Hermitian2.projector(q)
-    assert p.trace == pytest.approx(1.0)
-    assert p.det == pytest.approx(0.0, abs=1e-15)
-    assert p.expectation(q) == pytest.approx(1.0)
+    p = helpers.matrix(bloch.operators(np.array([0.5]), 0.5 * bloch.vectors((q,)))[0])
+    assert np.abs(p - np.outer(helpers.ket(q), helpers.ket(q).conj())).max() <= 1e-15
+    assert np.abs(p @ p - p).max() <= 1e-15
+    assert overlap(q, q) == pytest.approx(1.0)
 
 
 def test_spectral_invariants_random_population():

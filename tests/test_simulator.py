@@ -15,9 +15,9 @@ from qrelay import (DomainError, Hermitian2, Pom, SimResult, Strategy, Validatio
                     greedy_assignment, max_fidelity_analytic, optimal_strategy_analytic,
                     simulate_error, simulate_fidelity, square_root_measurement,
                     symmetric_ensemble)
-from qrelay.qubit import MINUS, PLUS
+from qrelay.qubit import PLUS
 
-Z_BASIS = Pom(elements=(Hermitian2.projector(PLUS), Hermitian2.projector(MINUS)))
+Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
 
 
 def test_counter_uniforms_are_deterministic_and_bounded():
@@ -56,7 +56,12 @@ def test_counter_uniforms_domain_checks():
         counter_uniforms(0, 0, -1, 10)
     with pytest.raises(DomainError):
         counter_uniforms(0, 0, 10, 9)
+    for args in ((1.5, 0, 0, 10), (True, 0, 0, 10), (0, 0, 0.5, 10), (0, 0, 0, 10.0)):
+        with pytest.raises(DomainError):
+            counter_uniforms(*args)
     assert counter_uniforms(0, 0, 10, 10).size == 0
+    assert np.array_equal(counter_uniforms(np.uint64(5), 1, np.int64(2), np.int32(9)),
+                          counter_uniforms(5, 1, 2, 9))
 
 
 def test_degenerate_ensemble_fidelity_is_exactly_one():
@@ -173,6 +178,26 @@ def test_trials_must_be_positive():
     s = optimal_strategy_analytic(2, 1.0)
     with pytest.raises(DomainError):
         simulate_fidelity(e, s, 0, seed=0)
+
+
+@pytest.mark.parametrize("wrong", [{"trials": 2.5}, {"trials": True}, {"seed": 1.5},
+                                   {"seed": True}, {"trials": np.float64(100.0)}])
+def test_trials_and_seed_must_be_integers(wrong):
+    e = symmetric_ensemble(3, 0.9)
+    s = optimal_strategy_analytic(3, 0.9)
+    args = {"trials": 1000, "seed": 1, **wrong}
+    with pytest.raises(DomainError):
+        simulate_fidelity(e, s, **args)
+    with pytest.raises(DomainError):
+        simulate_error(e, s.pom, greedy_assignment(e, s.pom), **args)
+
+
+def test_numpy_integer_trials_and_seed_are_accepted():
+    e = symmetric_ensemble(3, 0.9)
+    s = optimal_strategy_analytic(3, 0.9)
+    result = simulate_fidelity(e, s, np.int64(1000), seed=np.uint64(4))
+    assert result == simulate_fidelity(e, s, 1000, seed=4)
+    assert type(result.trials) is int
 
 
 def test_consistency_property():

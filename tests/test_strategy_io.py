@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qrelay import (ValidationError, fidelity_of_strategy, load_strategy,
+import qrelay.ensembles
+from qrelay import (ValidationError, fidelity_of_strategy, load_strategy, make_qubit,
                     optimal_strategy_analytic, parse_strategy_document,
                     save_strategy, symmetric_ensemble, validate_pom)
 from qrelay.strategy_io import FORMAT_VERSION, render_document, strategy_document
@@ -153,6 +154,9 @@ def test_parse_rejects_structural_problems():
         parse_strategy_document({**good, "format": "something"})
     with pytest.raises(ValidationError, match="version"):
         parse_strategy_document({**good, "version": 99})
+    for parameters in ([], "p", None, 3):
+        with pytest.raises(ValidationError, match="parameters"):
+            parse_strategy_document({**good, "parameters": parameters})
     with pytest.raises(ValidationError, match="ensemble"):
         parse_strategy_document({**good, "ensemble": {"m": 2}})
     with pytest.raises(ValidationError, match="integer"):
@@ -204,10 +208,11 @@ def test_parse_rejects_numbers_beyond_double_range(where, value):
         parse_strategy_document(doc)
 
 
-# JSON as json.loads gives it. Integers stay small wherever "m" could land: building
-# an ensemble costs time linear in m, and nothing bounds m. NUMBERS, with integers and
-# floats beyond the double range, fill theta and the quadruples only.
+# JSON as json.loads gives it. "m" also takes sizes up to 10^12: parsing never builds
+# the signal states, so it costs the same for any m. NUMBERS, with integers and floats
+# beyond the double range, fill theta and the quadruples only.
 SMALL_INTS = st.integers(-3, 12)
+SIZES = SMALL_INTS | st.integers(13, 10 ** 12)
 NUMBERS = SMALL_INTS | st.floats() | st.sampled_from(
     [10 ** 400, -10 ** 400, 2 ** 64, 1e200, -1e155, 1e-320, 0.5, -0.0])
 JSON_VALUES = st.recursive(
@@ -236,7 +241,7 @@ def rows(draw, key):
 def documents(draw):
     """The valid document with up to two keys dropped or replaced, the payload keys most often."""
     doc = dict(GOOD)
-    fields = {"ensemble": st.fixed_dictionaries({"m": SMALL_INTS | JSON_VALUES,
+    fields = {"ensemble": st.fixed_dictionaries({"m": SIZES | JSON_VALUES,
                                                  "theta": NUMBERS | JSON_VALUES}),
               "pom": rows("pom"), "retransmit": rows("retransmit")}
     for key in draw(st.lists(st.sampled_from(tuple(GOOD) + tuple(fields) * 2), max_size=2)):
@@ -256,6 +261,25 @@ def test_any_json_value_parses_to_a_sound_strategy_or_fails_validation(doc):
         return
     assert validate_pom(strategy.pom) == []
     assert len(strategy.retransmit) == len(strategy.pom)
+
+
+def test_parsing_builds_no_signal_states(monkeypatch):
+    doc = json.loads(render_document(strategy_document(
+        symmetric_ensemble(1000, 0.7), optimal_strategy_analytic(1000, 0.7, n_outputs=3),
+        generator="analytic")))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_qubit(*args)
+
+    monkeypatch.setattr(qrelay.ensembles, "make_qubit", counted)
+    e, strategy, _ = parse_strategy_document(doc)
+    assert (e.m, len(strategy.pom)) == (1000, 3)
+    assert calls == []
+    # the states are still there, built on first use from (m, theta)
+    assert e.states == tuple(make_qubit(0.7, 2 * math.pi * j / 1000) for j in range(1000))
+    assert len(calls) == 1000
 
 
 def test_load_rejects_malformed_text(tmp_path):
