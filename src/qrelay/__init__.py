@@ -21,7 +21,8 @@ from .measurements import (Assignment, Pom, error_probability, greedy_assignment
 from .optimizer import (OptimizerConfig, ParamPom, SearchTrace, constraint_residuals,
                         optimize_error, optimize_fidelity, to_pom)
 from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
-from .simulator import SimResult, counter_uniforms, simulate_error, simulate_fidelity
+from .simulator import (SimResult, counter_uniforms, simulate_error, simulate_fidelity,
+                        simulate_strategy)
 from .strategy_io import load_strategy, parse_strategy_document, save_strategy
 from .tolerances import TOL, Tolerances
 
@@ -37,5 +38,6 @@ __all__ = [
     "min_error_analytic", "optimal_retransmission", "optimal_strategy_analytic",
     "optimize_error", "optimize_fidelity", "parse_strategy_document",
     "retransmission_colatitude", "save_strategy", "simulate_error", "simulate_fidelity",
-    "square_root_measurement", "symmetric_ensemble", "to_pom", "validate_pom",
+    "simulate_strategy", "square_root_measurement", "symmetric_ensemble", "to_pom",
+    "validate_pom",
 ]

@@ -27,7 +27,7 @@ from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
 from .measurements import (error_probability, greedy_assignment, identity_sum_residual,
                            min_error_analytic)
 from .optimizer import STEP_SCALE, OptimizerConfig, constraint_residuals, optimize_fidelity
-from .simulator import simulate_error, simulate_fidelity
+from .simulator import simulate_strategy
 from .strategy_io import load_strategy, save_strategy
 
 
@@ -128,8 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     assignment = greedy_assignment(e, strategy.pom)
     exact_f = fidelity_of_strategy(e, strategy)
     exact_err = error_probability(e, strategy.pom, assignment)
-    sim_f = simulate_fidelity(e, strategy, args.trials, args.seed)
-    sim_err = simulate_error(e, strategy.pom, assignment, args.trials, args.seed)
+    sim_f, sim_err = simulate_strategy(e, strategy, assignment, args.trials, args.seed)
 
     def z_score(estimate: float, exact: float, se: float) -> float:
         diff = estimate - exact

@@ -4,8 +4,11 @@ Randomness comes from a counter-based generator: the draw for (trial, slot)
 is a pure function of the seed, so any partition of the trial range into
 chunks reproduces bit-identical results and no generator state is carried
 between calls. Each trial spends one slot on the transmitted signal, one on
-the measurement outcome and, for fidelity runs, one on the accept/reject
-test of the retransmitted state against the original.
+the measurement outcome and, for fidelity estimates, one on the accept/reject
+test of the retransmitted state against the original. When both estimates
+come from one run (simulate_strategy), the signal and outcome slots are drawn
+once per trial and shared, so a trial spends three slots, not five, and each
+estimate is bit for bit the one its own run would give.
 
 Estimates are plain frequencies with the binomial standard error
 sqrt(est (1 - est) / trials).
@@ -39,13 +42,14 @@ class SimResult:
     counts: dict[int, int]
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 output stage; uint64 arithmetic wraps modulo 2**64 on purpose."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _mix(x: np.ndarray) -> None:
+    """splitmix64 output stage, in place on a uint64 buffer; the arithmetic wraps
+    modulo 2**64 on purpose."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
 
 
 def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
@@ -58,10 +62,16 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
     slot = check_integer(slot, "slot", 0, N_SLOTS)
     start = check_integer(start, "start", 0)
     stop = check_integer(stop, "stop", start)
-    idx = np.arange(start, stop, dtype=np.uint64)
-    counter = idx * np.uint64(N_SLOTS) + np.uint64(slot + 1)
-    bits = _mix(np.uint64(seed) + counter * GOLDEN)
-    return (bits >> np.uint64(11)) * (1.0 / (1 << 53))
+    x = np.arange(start, stop, dtype=np.uint64)
+    x *= np.uint64(N_SLOTS)
+    x += np.uint64(slot + 1)
+    x *= GOLDEN
+    x += np.uint64(seed)
+    _mix(x)
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u *= 1.0 / (1 << 53)
+    return u
 
 
 def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
@@ -96,24 +106,46 @@ def _draw(e: SymmetricEnsemble, cum: np.ndarray, seed: int, start: int, stop: in
 
 
 def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
-              hits_in: Callable) -> SimResult:
-    """Frequency of hits over the trials; hits_in(start, stop, signal, outcome) counts one chunk's."""
+              *hits_in: Callable) -> tuple[SimResult, ...]:
+    """Frequency of hits over the trials for each counter, all from one draw per chunk.
+
+    Each hits_in(start, stop, signal, outcome) counts one chunk's hits; the
+    outcome tallies are shared by every result.
+    """
     trials = check_integer(trials, "trials", 1)
     cum = _outcome_table(e, p)
-    hits = 0
+    hits = [0] * len(hits_in)
     tallies = np.zeros(len(p), dtype=np.int64)
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
         signal, outcome = _draw(e, cum, seed, start, stop)
-        hits += hits_in(start, stop, signal, outcome)
+        for k, count in enumerate(hits_in):
+            hits[k] += count(start, stop, signal, outcome)
         tallies += np.bincount(outcome, minlength=len(p))
-    estimate = hits / trials
-    return SimResult(
-        trials=trials,
-        estimate=estimate,
-        std_error=math.sqrt(estimate * (1.0 - estimate) / trials),
-        counts=dict(enumerate(tallies.tolist())),
-    )
+    results = []
+    for h in hits:
+        estimate = h / trials
+        results.append(SimResult(
+            trials=trials,
+            estimate=estimate,
+            std_error=math.sqrt(estimate * (1.0 - estimate) / trials),
+            counts=dict(enumerate(tallies.tolist())),
+        ))
+    return tuple(results)
+
+
+def _fidelity_hits(e: SymmetricEnsemble, s: Strategy, seed: int) -> Callable:
+    """Counter of trials whose retransmitted state passes the accept test on slot 2."""
+    half = np.full(len(s.retransmit), 0.5)
+    accept = np.clip(bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors), 0.0, 1.0)
+    return lambda start, stop, signal, outcome: int(
+        (counter_uniforms(seed, 2, start, stop) < accept[signal, outcome]).sum())
+
+
+def _error_hits(e: SymmetricEnsemble, p: Pom, a: Assignment) -> Callable:
+    """Counter of trials whose outcome is read as a signal other than the one sent."""
+    read_as = np.array(_signal_indices(p, a, e.m), dtype=np.int64)
+    return lambda start, stop, signal, outcome: int((read_as[outcome] != signal).sum())
 
 
 def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
@@ -124,15 +156,22 @@ def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
     Born distribution, retransmits the outcome's state and accepts with
     probability |<signal|retransmitted>|^2.
     """
-    half = np.full(len(s.retransmit), 0.5)
-    accept = np.clip(bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors), 0.0, 1.0)
-    return _estimate(e, s.pom, trials, seed, lambda start, stop, signal, outcome: int(
-        (counter_uniforms(seed, 2, start, stop) < accept[signal, outcome]).sum()))
+    return _estimate(e, s.pom, trials, seed, _fidelity_hits(e, s, seed))[0]
 
 
 def simulate_error(e: SymmetricEnsemble, p: Pom, a: Assignment, trials: int,
                    seed: int = 0) -> SimResult:
     """Estimate the identification error of a measurement with an assignment."""
-    read_as = np.array(_signal_indices(p, a, e.m), dtype=np.int64)
-    return _estimate(e, p, trials, seed, lambda start, stop, signal, outcome: int(
-        (read_as[outcome] != signal).sum()))
+    return _estimate(e, p, trials, seed, _error_hits(e, p, a))[0]
+
+
+def simulate_strategy(e: SymmetricEnsemble, s: Strategy, a: Assignment, trials: int,
+                      seed: int = 0) -> tuple[SimResult, SimResult]:
+    """Fidelity and identification error of a strategy, from one shared draw.
+
+    Returns the same two results, bit for bit, as simulate_fidelity(e, s,
+    trials, seed) and simulate_error(e, s.pom, a, trials, seed), but draws
+    each trial's signal and outcome once.
+    """
+    return _estimate(e, s.pom, trials, seed, _fidelity_hits(e, s, seed),
+                     _error_hits(e, s.pom, a))

@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (error_probability, fidelity_of_strategy, identity_sum_residual,
+from qrelay import (fidelity_of_strategy, identity_sum_residual,
                     max_fidelity_analytic, min_error_analytic, optimal_retransmission,
                     optimal_strategy_analytic, retransmission_colatitude,
                     simulate_error, simulate_fidelity, square_root_measurement,

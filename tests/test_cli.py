@@ -193,8 +193,8 @@ def test_simulate_validates_the_measurement_once_per_use(capsys, tmp_path, monke
             monkeypatch.setattr(module, "validate_pom", counted)
     code, _, _ = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "1000")
     assert code == 0
-    # once when loading, once for each of the two estimates
-    assert len(calls) == 3
+    # once when loading, once for the outcome table both estimates share
+    assert len(calls) == 2
 
 
 def test_simulate_orthogonal_pair_never_errs(capsys, tmp_path):

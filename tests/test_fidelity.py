@@ -10,7 +10,7 @@ import property_suites
 from qrelay import (DomainError, Hermitian2, Pom, Strategy, bloch, fidelity_of_strategy,
                     max_fidelity_analytic, optimal_retransmission,
                     optimal_strategy_analytic, retransmission_colatitude,
-                    square_root_measurement, symmetric_ensemble, validate_pom)
+                    square_root_measurement, symmetric_ensemble)
 from qrelay.qubit import PLUS
 
 Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))

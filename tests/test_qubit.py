@@ -1,6 +1,5 @@
 """States, their Bloch vectors and the closed-form 2x2 Hermitian eigensolver."""
 
-import cmath
 import math
 
 import numpy as np

@@ -8,13 +8,11 @@ import pytest
 
 import helpers
 import property_suites
-import qrelay
 import qrelay.simulator as simulator
 from qrelay import (DomainError, Hermitian2, Pom, SimResult, Strategy, ValidationError,
-                    counter_uniforms, error_probability, fidelity_of_strategy,
-                    greedy_assignment, max_fidelity_analytic, optimal_strategy_analytic,
-                    simulate_error, simulate_fidelity, square_root_measurement,
-                    symmetric_ensemble)
+                    counter_uniforms, error_probability, greedy_assignment,
+                    optimal_strategy_analytic, simulate_error, simulate_fidelity,
+                    simulate_strategy, square_root_measurement, symmetric_ensemble)
 from qrelay.qubit import PLUS
 
 Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
@@ -62,6 +60,24 @@ def test_counter_uniforms_domain_checks():
     assert counter_uniforms(0, 0, 10, 10).size == 0
     assert np.array_equal(counter_uniforms(np.uint64(5), 1, np.int64(2), np.int32(9)),
                           counter_uniforms(5, 1, 2, 9))
+
+
+def _splitmix64_uniform(seed: int, slot: int, trial: int) -> float:
+    """The stream's value at (trial, slot), in plain Python integers mod 2**64."""
+    mask = (1 << 64) - 1
+    z = (seed + (trial * 4 + slot + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return (z >> 11) / (1 << 53)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("start", [0, 2 ** 32 - 3])
+def test_counter_uniforms_match_reference_splitmix64(seed, start):
+    for slot in range(4):
+        expected = [_splitmix64_uniform(seed, slot, t) for t in range(start, start + 6)]
+        assert counter_uniforms(seed, slot, start, start + 6).tolist() == expected
 
 
 def test_degenerate_ensemble_fidelity_is_exactly_one():
@@ -132,6 +148,28 @@ def test_chunked_runs_match_single_pass(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 700)
     assert simulate_fidelity(e, s, 5000, seed=11) == whole_f
     assert simulate_error(e, pom, ident, 5000, seed=11) == whole_e
+
+
+@pytest.mark.parametrize("trials,chunk", [(999, 1 << 20), (1000, 1 << 20), (2345, 500)])
+def test_shared_pass_matches_separate_estimates(monkeypatch, trials, chunk):
+    e = symmetric_ensemble(5, 0.9)
+    s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
+    assignment = greedy_assignment(e, s.pom)
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    separate = (simulate_fidelity(e, s, trials, seed=21),
+                simulate_error(e, s.pom, assignment, trials, seed=21))
+    drawn = []
+
+    def counted(*args):
+        u = counter_uniforms(*args)
+        drawn.append(len(u))
+        return u
+
+    monkeypatch.setattr(simulator, "counter_uniforms", counted)
+    assert simulate_strategy(e, s, assignment, trials, seed=21) == separate
+    # signal, outcome and accept slots, each drawn once per trial
+    assert sum(drawn) == 3 * trials
+    assert len(drawn) == 3 * -(-trials // chunk)
 
 
 # SimResults recorded with the earlier sampler, which compared each uniform
