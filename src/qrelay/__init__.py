@@ -18,8 +18,7 @@ from .fidelity import (FidelityReport, Strategy, fidelity_of_strategy,
 from .measurements import (Assignment, Pom, error_probability, greedy_assignment,
                            identity_sum_residual, min_error_analytic,
                            square_root_measurement, validate_pom)
-from .optimizer import (OptimizerConfig, ParamPom, SearchTrace, constraint_residuals,
-                        optimize_error, optimize_fidelity, to_pom)
+from .optimizer import OptimizerConfig, SearchTrace, optimize_error, optimize_fidelity
 from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 from .simulator import (SimResult, counter_uniforms, simulate_error, simulate_fidelity,
                         simulate_strategy)
@@ -30,14 +29,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "DomainError", "FidelityReport", "Hermitian2", "OptimizationError",
-    "OptimizerConfig", "ParamPom", "Pom", "PureQubit", "SearchTrace", "SimResult",
-    "Strategy", "SymmetricEnsemble", "TOL", "Tolerances", "ValidationError",
-    "constraint_residuals", "counter_uniforms", "error_probability",
-    "fidelity_of_strategy", "greedy_assignment", "hermitian_eig2",
+    "OptimizerConfig", "Pom", "PureQubit", "SearchTrace", "SimResult", "Strategy",
+    "SymmetricEnsemble", "TOL", "Tolerances", "ValidationError", "counter_uniforms",
+    "error_probability", "fidelity_of_strategy", "greedy_assignment", "hermitian_eig2",
     "identity_sum_residual", "load_strategy", "make_qubit", "max_fidelity_analytic",
     "min_error_analytic", "optimal_retransmission", "optimal_strategy_analytic",
     "optimize_error", "optimize_fidelity", "parse_strategy_document",
     "retransmission_colatitude", "save_strategy", "simulate_error", "simulate_fidelity",
-    "simulate_strategy", "square_root_measurement", "symmetric_ensemble", "to_pom",
+    "simulate_strategy", "square_root_measurement", "symmetric_ensemble",
     "validate_pom",
 ]

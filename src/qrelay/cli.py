@@ -26,7 +26,7 @@ from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
                        optimal_strategy_analytic, retransmission_colatitude)
 from .measurements import (error_probability, greedy_assignment, identity_sum_residual,
                            min_error_analytic)
-from .optimizer import STEP_SCALE, OptimizerConfig, constraint_residuals, optimize_fidelity
+from .optimizer import STEP_SCALE, OptimizerConfig, optimize_fidelity
 from .simulator import simulate_strategy
 from .strategy_io import load_strategy, save_strategy
 
@@ -97,7 +97,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = OptimizerConfig(n_elements=n_elements, restarts=args.restarts, seed=args.seed)
     strategy, achieved, trace = optimize_fidelity(e, cfg)
     bound = max_fidelity_analytic(args.m, theta)
-    residuals = constraint_residuals(trace.best_params)
+    residuals = bloch.completeness(*strategy.pom.terms)
     print(f"m = {args.m}")
     print(f"theta = {_fmt(theta)}")
     print(f"n_elements = {n_elements}")
@@ -107,7 +107,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"analytic_f_max = {_fmt(bound)}")
     print(f"gap = {_fmt(bound - achieved)}")
     print(f"residuals = ({_fmt(residuals[0])}, {_fmt(residuals[1])}, {_fmt(residuals[2])})")
-    print("weights = " + " ".join(_fmt(w) for w in trace.best_params.weights))
     print(f"best_restart = {trace.best_restart}")
     print(f"evaluations = {trace.evaluations}")
     _print_strategy(strategy)

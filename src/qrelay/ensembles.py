@@ -9,6 +9,7 @@ coincide with |+>.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,6 +50,8 @@ class SymmetricEnsemble:
 
 def check_domain(m: int, theta: float) -> None:
     check_integer(m, "ensemble size", 2)
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+        raise DomainError(f"theta must be a real number, got {theta!r}")
     if not 0.0 <= theta <= math.pi / 2:
         raise DomainError(f"theta {theta!r} outside [0, pi/2]")
 

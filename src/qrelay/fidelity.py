@@ -138,6 +138,8 @@ def optimal_strategy_analytic(m: int, theta: float,
         retransmit = (make_qubit(colat, 0.0), make_qubit(colat, math.pi))
         return Strategy(pom=Pom(elements=elements), retransmit=retransmit)
     n = check_integer(m if n_outputs is None else n_outputs, "n_outputs", 2)
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     elements = []
     retransmit = []
     for l in range(n):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .qubit import Hermitian2
 from .tolerances import TOL
 
@@ -105,10 +105,7 @@ def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
     for k in range(len(p)):
         if k not in a.outcome_to_signal:
             raise DomainError(f"outcome {k} has no assigned signal")
-        j = a.outcome_to_signal[k]
-        if not 0 <= j < m:
-            raise DomainError(f"assigned signal index {j} outside 0..{m - 1}")
-        read_as.append(j)
+        read_as.append(check_integer(a.outcome_to_signal[k], "assigned signal index", 0, m))
     return read_as
 
 

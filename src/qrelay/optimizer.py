@@ -6,6 +6,8 @@ element k is w_k [[1 + cos th_k, exp(-i ph_k) sin th_k],
                   [exp(i ph_k) sin th_k, 1 - cos th_k]],
 positive semidefinite by construction. Completeness reduces to three real
 constraints: the weights sum to 1 and the weighted direction vectors cancel.
+These arrays are the search's private state: it hands out only measurements
+(Pom), the best row realized once at the end and sampled rows as element terms.
 
 Every random start and every proposal is made feasible in one closed-form
 step, the square-root (frame) normalization E_k -> S^(-1/2) E_k S^(-1/2)
@@ -32,9 +34,9 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble
-from .errors import DomainError, OptimizationError, check_integer
+from .errors import OptimizationError, check_integer
 from .fidelity import FidelityReport, Strategy, fidelity_of_strategy, optimal_retransmission
-from .measurements import Assignment, Pom, error_probability, greedy_assignment
+from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
 from .tolerances import TOL
 
 STEP_SCALE = 0.3
@@ -44,36 +46,6 @@ SPOT_EVERY = 100
 STALL_LIMIT = 400
 STALL_FLOOR = 600
 RESTART_TIE = 1e-7
-
-
-@dataclass(frozen=True, eq=False)
-class ParamPom:
-    """Rank-one measurement candidate: one (weight, colatitude, longitude) per element.
-
-    Arrays are copied in and frozen. Feasible candidates satisfy
-    sum(w) = 1, sum(w cos th) = 0 and sum(w exp(i ph) sin th) = 0, which is
-    exactly completeness of the elements this parameterization generates.
-    """
-
-    weights: np.ndarray
-    colatitudes: np.ndarray
-    longitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("weights", "colatitudes", "longitudes"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise DomainError(f"{name} must be one-dimensional")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (self.weights.size == self.colatitudes.size == self.longitudes.size):
-            raise DomainError("weights, colatitudes and longitudes must have equal length")
-        if self.weights.size == 0:
-            raise DomainError("a candidate needs at least one element")
-
-    @property
-    def n(self) -> int:
-        return self.weights.size
 
 
 def _directions(TH: np.ndarray, PH: np.ndarray) -> np.ndarray:
@@ -87,24 +59,9 @@ def _terms(W: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> tuple[np.ndarray, n
     return W, W[..., None] * _directions(TH, PH)
 
 
-def constraint_residuals(p: ParamPom) -> tuple[float, float, float]:
-    """Residuals of (weight normalization, polar balance, azimuthal balance)."""
-    return tuple(map(float, bloch.completeness(*_terms(p.weights, p.colatitudes, p.longitudes))))
-
-
-def to_pom(p: ParamPom) -> Pom:
-    """Realize a candidate as a measurement, element k for outcome k.
-
-    The elements must sum to the identity within the slack validate_pom allows.
-    """
-    if not bloch.residual(*_terms(p.weights, p.colatitudes, p.longitudes)) <= TOL.identity_sum:
-        raise DomainError(
-            "candidate violates the completeness constraints "
-            f"(residuals {constraint_residuals(p)})")
-    if float(p.weights.min()) < -TOL.psd:
-        raise DomainError(f"negative weight {float(p.weights.min())!r}")
-    return Pom(elements=bloch.operators(
-        *_terms(np.clip(p.weights, 0.0, None), p.colatitudes, p.longitudes)))
+def _pom(W: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> Pom:
+    """One row of the search as a measurement, element k for outcome k; weights are clipped at zero."""
+    return Pom(elements=bloch.operators(*_terms(np.clip(W, 0.0, None), TH, PH)))
 
 
 def _frame_map(W: np.ndarray, TH: np.ndarray, PH: np.ndarray):
@@ -133,14 +90,20 @@ class OptimizerConfig:
             object.__setattr__(self, name, check_integer(getattr(self, name), name, low, high))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpotCheck:
-    """Current candidate sampled mid-search so audits can replay the objective."""
+    """Current candidate sampled mid-search, as element terms (t[K], r[K, 3]),
+    so audits can replay the objective on its measurement."""
 
     restart: int
     iteration: int
-    params: ParamPom
+    t: np.ndarray
+    r: np.ndarray
     value: float
+
+    @property
+    def pom(self) -> Pom:
+        return Pom(elements=bloch.operators(self.t, self.r))
 
 
 @dataclass(frozen=True)
@@ -165,7 +128,6 @@ class SearchTrace:
     spot_checks: tuple[SpotCheck, ...]
     failed_restarts: tuple[int, ...]
     best_restart: int
-    best_params: ParamPom
     evaluations: int
 
 
@@ -182,7 +144,7 @@ def _correct_objective(e: SymmetricEnsemble, W, TH, PH) -> np.ndarray:
 
 
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
-                name: str) -> tuple[ParamPom, SearchTrace]:
+                name: str) -> tuple[Pom, SearchTrace]:
     n, restarts = cfg.n_elements, cfg.restarts
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
     W = rng.dirichlet(np.ones(n), size=restarts)
@@ -242,10 +204,11 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         accepted += accept
         stall = np.where(accept, 0, stall + 1)
         if iterations % SPOT_EVERY == 0:
-            for r in np.where(alive)[0]:
-                spots.append(SpotCheck(restart=int(r), iteration=iterations,
-                                       params=ParamPom(W[r], TH[r], PH[r]),
-                                       value=float(VAL[r])))
+            for row in np.where(alive)[0]:
+                # W[row] is a view of the live state, which later accepts overwrite
+                t, r = _terms(W[row].copy(), TH[row], PH[row])
+                spots.append(SpotCheck(restart=int(row), iteration=iterations,
+                                       t=t, r=r, value=float(VAL[row])))
         if iterations >= STALL_FLOOR and (stall[alive] >= STALL_LIMIT).all():
             break
     best = -1
@@ -257,7 +220,10 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         if best < 0 or VAL[r] > VAL[best] + RESTART_TIE or (
                 VAL[r] >= VAL[best] - RESTART_TIE and CONC[r] > CONC[best] + 1e-12):
             best = r
-    params = ParamPom(W[best], TH[best], PH[best])
+    pom = _pom(W[best], TH[best], PH[best])
+    violations = validate_pom(pom)
+    if violations:
+        raise OptimizationError(f"best candidate is not a valid measurement: {violations[0]}")
     records = tuple(
         RestartRecord(restart=r, start_value=float(start_vals[r]),
                       final_value=float(VAL[r]), iterations=iterations,
@@ -266,8 +232,8 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     failed = tuple(int(r) for r in range(restarts) if not alive[r])
     trace = SearchTrace(objective=name, records=records, spot_checks=tuple(spots),
                         failed_restarts=failed, best_restart=best,
-                        best_params=params, evaluations=evaluations)
-    return params, trace
+                        evaluations=evaluations)
+    return pom, trace
 
 
 def optimize_fidelity(e: SymmetricEnsemble,
@@ -278,8 +244,7 @@ def optimize_fidelity(e: SymmetricEnsemble,
     states), its fidelity recomputed through the exact double sum, and the
     search trace. Deterministic for a fixed (ensemble, config).
     """
-    params, trace = _run_search(e, cfg, _fidelity_objective, "fidelity")
-    pom = to_pom(params)
+    pom, trace = _run_search(e, cfg, _fidelity_objective, "fidelity")
     report: FidelityReport = optimal_retransmission(e, pom)
     strategy = Strategy(pom=pom, retransmit=report.states)
     return strategy, fidelity_of_strategy(e, strategy), trace
@@ -293,7 +258,6 @@ def optimize_error(e: SymmetricEnsemble,
     signal of largest joint probability), both inside the search and in the
     returned assignment. The returned error is recomputed exactly.
     """
-    params, trace = _run_search(e, cfg, _correct_objective, "error")
-    pom = to_pom(params)
+    pom, trace = _run_search(e, cfg, _correct_objective, "error")
     assignment = greedy_assignment(e, pom)
     return pom, assignment, error_probability(e, pom, assignment), trace

@@ -106,8 +106,11 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
             raise ValidationError(f'missing required key "{key}"')
     if doc["format"] != "strategy":
         raise ValidationError(f'unknown format {doc["format"]!r}')
-    if doc["version"] != FORMAT_VERSION:
-        raise ValidationError(f'unsupported version {doc["version"]!r}')
+    version = doc["version"]
+    if not isinstance(version, int) or isinstance(version, bool) or version != FORMAT_VERSION:
+        raise ValidationError(f'unsupported version {version!r}')
+    if not isinstance(doc["generator"], str):
+        raise ValidationError('"generator" must be a string')
     if not isinstance(doc["parameters"], dict):
         raise ValidationError('"parameters" must be an object')
     ens = doc["ensemble"]

@@ -17,7 +17,7 @@ from qrelay import (OptimizerConfig, Strategy, bloch, error_probability,
                     min_error_analytic, optimal_retransmission, optimal_strategy_analytic,
                     optimize_error, optimize_fidelity, retransmission_colatitude,
                     simulate_error, simulate_fidelity, square_root_measurement,
-                    symmetric_ensemble, to_pom, validate_pom)
+                    symmetric_ensemble, validate_pom)
 
 
 def qubit_spectral_suite(cases: int = 10_000) -> int:
@@ -201,7 +201,7 @@ def optimizer_soundness_suite(traces) -> int:
     checked = 0
     for trace in traces:
         for spot in trace.spot_checks:
-            assert validate_pom(to_pom(spot.params)) == []
+            assert validate_pom(spot.pom) == []
             checked += 1
     assert checked > 0
     return checked

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import helpers
-from qrelay import (Hermitian2, ParamPom, bloch, error_probability, greedy_assignment,
-                    optimal_retransmission, square_root_measurement, symmetric_ensemble,
-                    to_pom)
-from qrelay.optimizer import _correct_objective, _fidelity_objective, _frame_map
+from qrelay import (Hermitian2, bloch, error_probability, greedy_assignment,
+                    optimal_retransmission, square_root_measurement, symmetric_ensemble)
+from qrelay.optimizer import _correct_objective, _fidelity_objective, _frame_map, _pom
 
 
 @pytest.mark.parametrize("m,theta", [(2, 0.7), (3, math.pi / 4), (5, 0.0), (8, math.pi / 2)])
@@ -59,7 +58,7 @@ def test_objective_rows_match_exact_evaluation(m, theta):
     fidelity = _fidelity_objective(e, W, TH, PH)
     correct = _correct_objective(e, W, TH, PH)
     for r in range(12):
-        pom = to_pom(ParamPom(W[r], TH[r], PH[r]))
+        pom = _pom(W[r], TH[r], PH[r])
         assert abs(fidelity[r] - optimal_retransmission(e, pom).fidelity) <= 1e-12
         exact = 1.0 - error_probability(e, pom, greedy_assignment(e, pom))
         assert abs(correct[r] - exact) <= 1e-12

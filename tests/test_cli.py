@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qrelay.cli
-from qrelay import OptimizationError, load_strategy, measurements, min_error_analytic
+from qrelay import OptimizationError, bloch, load_strategy, measurements, min_error_analytic
 from qrelay.cli import main
 
 
@@ -88,6 +88,10 @@ def test_analytic_rejects_domain_violations(capsys):
     code, _, err = run_cli(capsys, "analytic", "--m", "3", "--theta", "0.3",
                            "--n_outputs", "1")
     assert code == 2
+    for alpha in ("inf", "nan"):
+        code, _, err = run_cli(capsys, "analytic", "--m", "3", "--theta", "0.5",
+                               "--alpha", alpha)
+        assert code == 2 and "alpha" in err
 
 
 def test_sweep_three_point_grid(capsys, tmp_path):
@@ -153,6 +157,19 @@ def test_optimize_reports_small_gap_and_saves(capsys, tmp_path):
     assert meta["generator"] == "optimizer"
     code, out, _ = run_cli(capsys, "validate", "--strategy_file", str(path))
     assert code == 0
+
+
+def test_optimize_residuals_are_those_of_the_saved_measurement(capsys, tmp_path):
+    path = tmp_path / "opt.strategy.json"
+    code, out, _ = run_cli(capsys, "optimize", "--m", "3", "--theta", "0.7",
+                           "--n_elements", "3", "--restarts", "4", "--seed", "2",
+                           "--output_path", str(path))
+    assert code == 0
+    assert not any(line.startswith("weights =") for line in out.splitlines())
+    printed = re.search(r"^residuals = \(([^)]*)\)$", out, re.M).group(1)
+    _, strategy, _ = load_strategy(path)
+    expected = bloch.completeness(*strategy.pom.terms)
+    assert [float(x) for x in printed.split(",")] == [float(x) for x in expected]
 
 
 def test_optimize_degenerate_ensemble_is_perfect(capsys):

@@ -61,6 +61,11 @@ def test_domain_rejection():
         symmetric_ensemble(3, -0.01)
     with pytest.raises(DomainError):
         symmetric_ensemble(3, math.pi / 2 + 0.01)
+    for theta in ("0.5", True, np.True_, None, 0.5 + 0j, math.nan):
+        with pytest.raises(DomainError, match="theta"):
+            symmetric_ensemble(3, theta)
+    for theta in (1, np.float32(0.5), np.float64(0.5), np.int64(1)):
+        assert symmetric_ensemble(3, theta).theta == theta
 
 
 @pytest.mark.parametrize("m", [np.int64(3), np.int32(3), np.uint8(3)])

@@ -193,6 +193,12 @@ def test_analytic_strategy_rejects_single_output():
         optimal_strategy_analytic(3, 0.5, n_outputs=2.0)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_analytic_strategy_rejects_non_finite_phase(alpha):
+    with pytest.raises(DomainError, match="alpha"):
+        optimal_strategy_analytic(3, 0.5, alpha=alpha)
+
+
 def test_analytic_strategy_accepts_numpy_integer_outputs():
     s = optimal_strategy_analytic(3, 0.5, n_outputs=np.int64(5))
     assert s == optimal_strategy_analytic(3, 0.5, n_outputs=5)

@@ -149,6 +149,11 @@ def test_error_probability_requires_full_assignment():
         error_probability(e, pom, Assignment({0: 0, 1: 1}))
     with pytest.raises(DomainError):
         error_probability(e, pom, Assignment({0: 0, 1: 1, 2: 5}))
+    for wrong in (1.5, 1.0, True, "1", -1, 3):
+        with pytest.raises(DomainError, match="assigned signal index"):
+            error_probability(e, pom, Assignment({0: 0, 1: wrong, 2: 2}))
+    exact = error_probability(e, pom, Assignment({0: 0, 1: 1, 2: 2}))
+    assert error_probability(e, pom, Assignment({0: 0, 1: np.int64(1), 2: 2})) == exact
 
 
 def test_greedy_assignment_recovers_natural_labels():

@@ -1,4 +1,4 @@
-"""Parameterized measurements, the frame map that makes them complete, and the numerical searches."""
+"""Search rows as measurements, the frame map that makes them complete, and the numerical searches."""
 
 import math
 
@@ -7,126 +7,100 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (DomainError, Hermitian2, OptimizerConfig, ParamPom,
-                    constraint_residuals, error_probability, fidelity_of_strategy,
-                    max_fidelity_analytic, min_error_analytic,
-                    optimize_error, optimize_fidelity,
-                    square_root_measurement, symmetric_ensemble, to_pom,
-                    validate_pom)
-from qrelay.optimizer import _frame_map
+from qrelay import (DomainError, Hermitian2, OptimizationError, OptimizerConfig, Pom, bloch,
+                    error_probability, fidelity_of_strategy, greedy_assignment,
+                    max_fidelity_analytic, min_error_analytic, optimal_retransmission,
+                    optimize_error, optimize_fidelity, optimizer,
+                    square_root_measurement, symmetric_ensemble, validate_pom)
+from qrelay.optimizer import _frame_map, _pom, _terms
 
 
-def x_basis_params() -> ParamPom:
-    return ParamPom(weights=(0.5, 0.5), colatitudes=(math.pi / 2, math.pi / 2),
-                    longitudes=(0.0, math.pi))
+def row(weights, colatitudes, longitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One search row (W, TH, PH) as float arrays."""
+    return tuple(np.array(v, dtype=float) for v in (weights, colatitudes, longitudes))
 
 
-def test_parampom_structural_checks():
-    with pytest.raises(DomainError):
-        ParamPom(weights=(0.5,), colatitudes=(0.1, 0.2), longitudes=(0.0, 0.0))
-    with pytest.raises(DomainError):
-        ParamPom(weights=(), colatitudes=(), longitudes=())
-    p = x_basis_params()
-    assert p.n == 2
-    assert not p.weights.flags.writeable
+X_BASIS = row((0.5, 0.5), (math.pi / 2, math.pi / 2), (0.0, math.pi))
+LOPSIDED = row((0.6, 0.4), (math.pi / 2, math.pi / 2), (0.0, math.pi))
 
 
-def test_constraint_residuals_on_known_candidate():
-    lopsided = ParamPom(weights=(0.6, 0.4), colatitudes=(math.pi / 2, math.pi / 2),
-                        longitudes=(0.0, math.pi))
-    r_sum, r_polar, r_azimuthal = constraint_residuals(lopsided)
+def test_completeness_on_known_candidate():
+    r_sum, r_polar, r_azimuthal = bloch.completeness(*_terms(*LOPSIDED))
     assert r_sum == pytest.approx(0.0, abs=1e-15)
     assert r_polar == pytest.approx(0.0, abs=1e-15)
     assert r_azimuthal == pytest.approx(0.2, abs=1e-12)
 
 
-def test_to_pom_x_basis():
-    pom = to_pom(x_basis_params())
+def test_row_pom_x_basis():
+    pom = _pom(*X_BASIS)
     assert validate_pom(pom) == []
     assert helpers.entrywise_gap(pom.elements[0], Hermitian2(0.5, 0.5, 0.5 + 0.0j)) <= 1e-12
     assert helpers.entrywise_gap(pom.elements[1], Hermitian2(0.5, 0.5, -0.5 + 0.0j)) <= 1e-12
 
 
-def test_to_pom_poles():
-    p = ParamPom(weights=(0.5, 0.5), colatitudes=(0.0, math.pi), longitudes=(1.7, 0.3))
-    pom = to_pom(p)
+def test_row_pom_poles():
+    pom = _pom(*row((0.5, 0.5), (0.0, math.pi), (1.7, 0.3)))
     assert helpers.entrywise_gap(pom.elements[0], Hermitian2(1.0, 0.0, 0j)) <= 1e-12
     assert helpers.entrywise_gap(pom.elements[1], Hermitian2(0.0, 1.0, 0j)) <= 1e-12
 
 
-def test_to_pom_reproduces_square_root_measurement():
+def test_row_pom_reproduces_square_root_measurement():
     theta = 0.8
-    p = ParamPom(weights=(1 / 3, 1 / 3, 1 / 3),
-                 colatitudes=(math.pi / 2,) * 3,
-                 longitudes=(0.0, 2 * math.pi / 3, 4 * math.pi / 3))
-    pom = to_pom(p)
+    pom = _pom(*row((1 / 3, 1 / 3, 1 / 3), (math.pi / 2,) * 3,
+                    (0.0, 2 * math.pi / 3, 4 * math.pi / 3)))
     srm = square_root_measurement(symmetric_ensemble(3, theta))
     for ours, ref in zip(pom.elements, srm.elements):
         assert helpers.entrywise_gap(ours, ref) <= 1e-12
 
 
-def test_to_pom_rejects_infeasible_candidate():
-    lopsided = ParamPom(weights=(0.6, 0.4), colatitudes=(math.pi / 2, math.pi / 2),
-                        longitudes=(0.0, math.pi))
-    with pytest.raises(DomainError, match="residuals"):
-        to_pom(lopsided)
-
-
-def frame_map(p: ParamPom) -> tuple[ParamPom, float]:
-    """The search's frame map applied to one candidate: (normalized candidate, residual)."""
-    W, TH, PH, resid = _frame_map(p.weights[None], p.colatitudes[None], p.longitudes[None])
-    return ParamPom(W[0], TH[0], PH[0]), float(resid[0])
+def frame_map(W, TH, PH):
+    """The search's frame map applied to one row: ((W, TH, PH) normalized, residual)."""
+    W, TH, PH, resid = _frame_map(W[None], TH[None], PH[None])
+    return (W[0], TH[0], PH[0]), float(resid[0])
 
 
 def test_repair_is_identity_on_feasible_input():
-    p = x_basis_params()
-    fixed, resid = frame_map(p)
+    fixed, resid = frame_map(*X_BASIS)
     assert resid <= 1e-15
     # the same elements; a longitude may come back as its full-turn equivalent
-    for ours, ref in zip(to_pom(fixed).elements, to_pom(p).elements):
+    for ours, ref in zip(_pom(*fixed).elements, _pom(*X_BASIS).elements):
         assert helpers.entrywise_gap(ours, ref) <= 1e-15
 
 
 def test_repair_rebalances_forced_weights():
-    lopsided = ParamPom(weights=(0.6, 0.4), colatitudes=(math.pi / 2, math.pi / 2),
-                        longitudes=(0.0, math.pi))
-    fixed, _ = frame_map(lopsided)
-    assert fixed.weights[0] == pytest.approx(0.5, abs=1e-9)
-    assert fixed.weights[1] == pytest.approx(0.5, abs=1e-9)
-    assert np.allclose(fixed.colatitudes, lopsided.colatitudes, atol=1e-9)
+    (W, TH, PH), _ = frame_map(*LOPSIDED)
+    assert W[0] == pytest.approx(0.5, abs=1e-9)
+    assert W[1] == pytest.approx(0.5, abs=1e-9)
+    assert np.allclose(TH, LOPSIDED[1], atol=1e-9)
     # longitudes may come back shifted by a full turn
-    wrapped = np.mod(np.asarray(fixed.longitudes) - lopsided.longitudes + math.pi,
-                     2 * math.pi) - math.pi
+    wrapped = np.mod(PH - LOPSIDED[2] + math.pi, 2 * math.pi) - math.pi
     assert np.allclose(wrapped, 0.0, atol=1e-9)
 
 
 def test_repair_random_infeasible_candidate():
     rng = np.random.default_rng(7)
-    p = ParamPom(weights=rng.uniform(0.05, 1.0, size=4),
-                 colatitudes=rng.uniform(0.0, math.pi, size=4),
-                 longitudes=rng.uniform(0.0, 2 * math.pi, size=4))
-    fixed, resid = frame_map(p)
+    candidate = (rng.uniform(0.05, 1.0, size=4), rng.uniform(0.0, math.pi, size=4),
+                 rng.uniform(0.0, 2 * math.pi, size=4))
+    fixed, resid = frame_map(*candidate)
     assert resid <= 1e-9
-    assert max(constraint_residuals(fixed)) <= 1e-8
-    assert float(fixed.weights.min()) >= 0.0
-    assert validate_pom(to_pom(fixed)) == []
+    assert max(bloch.completeness(*_terms(*fixed))) <= 1e-8
+    assert float(fixed[0].min()) >= 0.0
+    assert validate_pom(_pom(*fixed)) == []
 
 
 def test_feasibility_is_the_completeness_test_of_validate_pom():
     # entrywise residual 1e-8: within the earlier 1e-8 feasibility slack, not within validate_pom's
-    near = ParamPom(weights=(0.5, 0.5 + 5e-9), colatitudes=(0.0, math.pi), longitudes=(0.0, 0.0))
-    with pytest.raises(DomainError, match="residuals"):
-        to_pom(near)
-    fixed, resid = frame_map(near)
+    near = row((0.5, 0.5 + 5e-9), (0.0, math.pi), (0.0, 0.0))
+    assert any("sum to the identity" in v for v in validate_pom(_pom(*near)))
+    fixed, resid = frame_map(*near)
     assert resid <= 1e-9
-    assert validate_pom(to_pom(fixed)) == []
+    assert validate_pom(_pom(*fixed)) == []
 
 
 def test_repair_rejects_singular_frame():
     # every element along one axis: the frame has rank one and the row is discarded
-    aligned = ParamPom(weights=(0.3, 0.5, 0.2), colatitudes=(0.4, 0.4, 0.4),
-                       longitudes=(1.1, 1.1, 1.1))
-    assert frame_map(aligned)[1] == math.inf
+    aligned = row((0.3, 0.5, 0.2), (0.4, 0.4, 0.4), (1.1, 1.1, 1.1))
+    assert frame_map(*aligned)[1] == math.inf
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -138,8 +112,8 @@ def test_frame_map_matches_matrix_oracle(n):
     W2, TH2, PH2, resid = _frame_map(W, TH, PH)
     assert float(resid.max()) <= 1e-14
     assert float(W2.min()) >= 0.0
+    assert max(float(c.max()) for c in bloch.completeness(*_terms(W2, TH2, PH2))) <= 1e-14
     for r in range(32):
-        assert max(constraint_residuals(ParamPom(W2[r], TH2[r], PH2[r]))) <= 1e-14
         expected = helpers.frame_normalized(
             [helpers.bloch_element(*args) for args in zip(W[r], TH[r], PH[r])])
         for k in range(n):
@@ -206,12 +180,39 @@ def test_optimize_fidelity_two_signal_support(m2_concentration):
 
 
 def test_optimize_fidelity_trace_contract(m2_concentration):
-    trace = m2_concentration.trace
+    strategy, trace = m2_concentration.strategy, m2_concentration.trace
     assert 0 <= trace.best_restart < 16
     assert trace.evaluations > 0
     assert len(trace.records) + len(trace.failed_restarts) <= 16
     assert all(rec.final_value >= rec.start_value - 1e-12 for rec in trace.records)
-    assert validate_pom(to_pom(trace.best_params)) == []
+    assert validate_pom(strategy.pom) == []
+
+
+def test_spot_checks_replay_their_values():
+    """Each sampled candidate's measurement gives back the objective value recorded with it."""
+    e = symmetric_ensemble(3, 0.6)
+    cfg = OptimizerConfig(n_elements=3, restarts=4, max_iterations=300, seed=1)
+    fidelity_trace = optimize_fidelity(e, cfg)[2]
+    error_trace = optimize_error(e, cfg)[3]
+    for trace in (fidelity_trace, error_trace):
+        assert len(trace.spot_checks) == 3 * len(trace.records) > 0
+    for spot in fidelity_trace.spot_checks:
+        assert abs(optimal_retransmission(e, spot.pom).fidelity - spot.value) <= 1e-12
+    for spot in error_trace.spot_checks:
+        pom = spot.pom
+        correct = 1.0 - error_probability(e, pom, greedy_assignment(e, pom))
+        assert abs(correct - spot.value) <= 1e-12
+
+
+def test_search_rejects_an_invalid_best_measurement(monkeypatch):
+    half_identity = Pom(elements=(Hermitian2(0.5, 0.5, 0j),))
+    monkeypatch.setattr(optimizer, "_pom", lambda W, TH, PH: half_identity)
+    e = symmetric_ensemble(3, 0.6)
+    cfg = OptimizerConfig(n_elements=3, restarts=2, max_iterations=5, seed=1)
+    with pytest.raises(OptimizationError, match="identity"):
+        optimize_fidelity(e, cfg)
+    with pytest.raises(OptimizationError, match="identity"):
+        optimize_error(e, cfg)
 
 
 def test_optimize_error_degenerate_ensemble():

@@ -152,8 +152,12 @@ def test_parse_rejects_structural_problems():
 
     with pytest.raises(ValidationError, match="format"):
         parse_strategy_document({**good, "format": "something"})
-    with pytest.raises(ValidationError, match="version"):
-        parse_strategy_document({**good, "version": 99})
+    for version in (99, True, 1.0, "1", None):
+        with pytest.raises(ValidationError, match="version"):
+            parse_strategy_document({**good, "version": version})
+    for generator in (5, None, ["x"], {}):
+        with pytest.raises(ValidationError, match="generator"):
+            parse_strategy_document({**good, "generator": generator})
     for parameters in ([], "p", None, 3):
         with pytest.raises(ValidationError, match="parameters"):
             parse_strategy_document({**good, "parameters": parameters})
