@@ -19,6 +19,7 @@ achieving it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +139,8 @@ def optimal_strategy_analytic(m: int, theta: float,
         retransmit = (make_qubit(colat, 0.0), make_qubit(colat, math.pi))
         return Strategy(pom=Pom(elements=elements), retransmit=retransmit)
     n = check_integer(m if n_outputs is None else n_outputs, "n_outputs", 2)
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
     elements = []
     retransmit = []
     for l in range(n):

@@ -100,7 +100,13 @@ def square_root_measurement(e: SymmetricEnsemble) -> Pom:
 
 
 def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
-    """Signal index each outcome is read as; every outcome 0..K-1 must map into 0..m-1."""
+    """Signal index each outcome is read as; the assignment must map exactly the
+    outcomes 0..K-1, each into 0..m-1."""
+    if not isinstance(a.outcome_to_signal, Mapping):
+        raise DomainError("an assignment maps outcomes to signals, got a "
+                          f"{type(a.outcome_to_signal).__name__}")
+    for k in a.outcome_to_signal:
+        check_integer(k, "assigned outcome", 0, len(p))
     read_as = []
     for k in range(len(p)):
         if k not in a.outcome_to_signal:

@@ -31,7 +31,11 @@ from .tolerances import TOL
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 N_SLOTS = 4
-CHUNK = 1 << 20
+# counter step from one trial to the next within a slot's stream, mod 2**64
+_STRIDE = np.uint64(N_SLOTS * int(GOLDEN) % (1 << 64))
+# trials per block: a block's few live arrays of 8-byte values stay within a
+# per-core L2 cache, so memory does not grow with the trial count
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,16 +66,12 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
     slot = check_integer(slot, "slot", 0, N_SLOTS)
     start = check_integer(start, "start", 0)
     stop = check_integer(stop, "stop", start)
-    x = np.arange(start, stop, dtype=np.uint64)
-    x *= np.uint64(N_SLOTS)
-    x += np.uint64(slot + 1)
-    x *= GOLDEN
-    x += np.uint64(seed)
+    x = np.arange(stop - start, dtype=np.uint64)
+    x *= _STRIDE
+    x += np.uint64(((start * N_SLOTS + slot + 1) * int(GOLDEN) + seed) % (1 << 64))
     _mix(x)
     x >>= np.uint64(11)
-    u = x.astype(np.float64)
-    u *= 1.0 / (1 << 53)
-    return u
+    return np.multiply(x, 1.0 / (1 << 53))
 
 
 def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
@@ -100,8 +100,8 @@ def _draw(e: SymmetricEnsemble, cum: np.ndarray, seed: int, start: int, stop: in
     u_outcome = counter_uniforms(seed, 1, start, stop)
     signal = np.minimum((u_signal * e.m).astype(np.int64), e.m - 1)
     outcome = np.zeros(stop - start, dtype=np.int64)
-    for column in cum[:, :-1].T:
-        outcome += u_outcome >= column[signal]
+    for column in np.ascontiguousarray(cum[:, :-1].T):
+        outcome += u_outcome >= column.take(signal)
     return signal, outcome
 
 
@@ -138,8 +138,9 @@ def _fidelity_hits(e: SymmetricEnsemble, s: Strategy, seed: int) -> Callable:
     """Counter of trials whose retransmitted state passes the accept test on slot 2."""
     half = np.full(len(s.retransmit), 0.5)
     accept = np.clip(bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors), 0.0, 1.0)
+    flat, width = accept.ravel(), accept.shape[1]
     return lambda start, stop, signal, outcome: int(
-        (counter_uniforms(seed, 2, start, stop) < accept[signal, outcome]).sum())
+        (counter_uniforms(seed, 2, start, stop) < flat.take(signal * width + outcome)).sum())
 
 
 def _error_hits(e: SymmetricEnsemble, p: Pom, a: Assignment) -> Callable:

@@ -92,6 +92,9 @@ def test_analytic_rejects_domain_violations(capsys):
         code, _, err = run_cli(capsys, "analytic", "--m", "3", "--theta", "0.5",
                                "--alpha", alpha)
         assert code == 2 and "alpha" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--m", "3", "--theta", "0.5", "--alpha", "x"])
+    assert exc.value.code == 2
 
 
 def test_sweep_three_point_grid(capsys, tmp_path):
@@ -192,6 +195,30 @@ def test_simulate_analytic_strategy(capsys, tmp_path):
         if "z =" in line:
             z = float(line.rsplit("z =", 1)[1])
             assert abs(z) <= 4.0
+
+
+def test_simulate_report_is_pinned(capsys, tmp_path):
+    path = tmp_path / "five.strategy.json"
+    run_cli(capsys, "analytic", "--m", "5", "--theta", "0.9", "--n_outputs", "8",
+            "--alpha", "0.3", "--output_path", str(path))
+    code, out, _ = run_cli(capsys, "simulate", "--strategy_file", str(path),
+                           "--trials", "200003", "--seed", "9")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("file = ")
+    # recorded before the simulator ran in cache-sized blocks
+    assert lines[1:] == [
+        "generator = analytic",
+        "m = 5",
+        "theta = 0.90000000000000002",
+        "trials = 200003",
+        "seed = 9",
+        "fidelity_estimate = 0.84649730254046185  std_error = 0.00080603247536042131"
+        "  exact = 0.8465997381633642  z = -0.127",
+        "error_estimate = 0.65437518437223441  std_error = 0.0010634023461897875"
+        "  exact = 0.65359437081761906  z = 0.734",
+        "analytic_f_max = 0.84659973816336409  z = -0.127",
+    ]
 
 
 def test_simulate_validates_the_measurement_once_per_use(capsys, tmp_path, monkeypatch):

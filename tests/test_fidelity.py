@@ -193,7 +193,7 @@ def test_analytic_strategy_rejects_single_output():
         optimal_strategy_analytic(3, 0.5, n_outputs=2.0)
 
 
-@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, "x", 1j, True, None])
 def test_analytic_strategy_rejects_non_finite_phase(alpha):
     with pytest.raises(DomainError, match="alpha"):
         optimal_strategy_analytic(3, 0.5, alpha=alpha)

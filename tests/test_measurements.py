@@ -152,8 +152,16 @@ def test_error_probability_requires_full_assignment():
     for wrong in (1.5, 1.0, True, "1", -1, 3):
         with pytest.raises(DomainError, match="assigned signal index"):
             error_probability(e, pom, Assignment({0: 0, 1: wrong, 2: 2}))
+    # a sequence is not a map, and every outcome named must exist
+    for wrong in ([0, 1, 2], [5, 1, 0], {0: 0, 1: 1, 2: 2, 5: 1}, {0: 0, 1: 1, 2: 2, -1: 0},
+                  {0: 0, 1: 1, 2: 2, "2": 0}, {0: 0, True: 1, 2: 2}):
+        with pytest.raises(DomainError, match="assign"):
+            error_probability(e, pom, Assignment(wrong))
+        with pytest.raises(DomainError, match="assign"):
+            simulate_error(e, pom, Assignment(wrong), 100)
     exact = error_probability(e, pom, Assignment({0: 0, 1: 1, 2: 2}))
     assert error_probability(e, pom, Assignment({0: 0, 1: np.int64(1), 2: 2})) == exact
+    assert error_probability(e, pom, Assignment({np.int64(0): 0, 1: 1, 2: 2})) == exact
 
 
 def test_greedy_assignment_recovers_natural_labels():

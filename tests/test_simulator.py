@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,32 @@ def test_shared_pass_matches_separate_estimates(monkeypatch, trials, chunk):
     # signal, outcome and accept slots, each drawn once per trial
     assert sum(drawn) == 3 * trials
     assert len(drawn) == 3 * -(-trials // chunk)
+
+
+def test_block_size_does_not_change_results(monkeypatch):
+    e = symmetric_ensemble(5, 0.9)
+    s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
+    assignment = greedy_assignment(e, s.pom)
+    trials = 3 * simulator.CHUNK + 17
+    blocked = simulate_strategy(e, s, assignment, trials, seed=13)
+    monkeypatch.setattr(simulator, "CHUNK", 1 << 20)
+    assert simulate_strategy(e, s, assignment, trials, seed=13) == blocked
+
+
+def test_memory_is_bounded_by_the_block_not_the_trials():
+    e = symmetric_ensemble(5, 0.9)
+    s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
+    assignment = greedy_assignment(e, s.pom)
+    trials = (1 << 20) + 5
+    tracemalloc.start()
+    try:
+        simulate_strategy(e, s, assignment, trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about seven live block arrays of 8-byte values; one array of a double
+    # per trial would take 8 * trials bytes
+    assert peak < 10 * 8 * simulator.CHUNK < 8 * trials
 
 
 # SimResults recorded with the earlier sampler, which compared each uniform
