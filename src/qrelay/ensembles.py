@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import bloch
 from .errors import DomainError, check_integer
 from .qubit import PureQubit, make_qubit
 
@@ -45,7 +44,11 @@ class SymmetricEnsemble:
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        return bloch.vectors(self.states)
+        """Closed form (sin theta cos phi_j, sin theta sin phi_j, cos theta), phi_j = 2 pi j/m."""
+        phi = 2.0 * np.pi * np.arange(self.m) / self.m
+        st = math.sin(self.theta)
+        return np.stack((st * np.cos(phi), st * np.sin(phi), np.full(self.m, math.cos(self.theta))),
+                        axis=1)
 
 
 def check_domain(m: int, theta: float) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError, check_integer
-from .measurements import Pom
+from .measurements import Pom, _finite_terms
 from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 
 
@@ -40,6 +40,9 @@ class Strategy:
 
     def __post_init__(self) -> None:
         retransmit = tuple(self.retransmit)
+        for k, state in enumerate(retransmit):
+            if not isinstance(state, PureQubit):
+                raise DomainError(f"retransmit[{k}] is a {type(state).__name__}, not a PureQubit")
         if len(retransmit) != len(self.pom.elements):
             raise DomainError(
                 f"{len(retransmit)} retransmission states for "
@@ -64,6 +67,11 @@ class FidelityReport:
         return tuple(s for _, s in self.per_outcome)
 
 
+def _scores(e: SymmetricEnsemble, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of the score operators of the elements with terms (t, r), batch axes allowed."""
+    return bloch.score(e.prior * bloch.born(t, r, e.vectors), e.vectors)
+
+
 def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
     """Average fidelity of the strategy on the ensemble, by the exact double sum.
 
@@ -71,7 +79,7 @@ def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
     """
     half = np.full(len(s.retransmit), 0.5)
     overlap = bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors)
-    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * overlap).sum())
+    return e.prior * float((bloch.born(*_finite_terms(s.pom), e.vectors) * overlap).sum())
 
 
 def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
@@ -81,7 +89,7 @@ def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
     operator has top eigenvalue t + |r| in Bloch terms, and the state to send
     is its top eigenvector as hermitian_eig2 resolves it.
     """
-    t, r = bloch.score(e.prior * bloch.born(*p.terms, e.vectors), e.vectors)
+    t, r = _scores(e, *_finite_terms(p))
     values = bloch.top(t, r)
     states = [hermitian_eig2(op)[0][1] for op in bloch.operators(t, r)]
     return FidelityReport(fidelity=float(values.sum()),

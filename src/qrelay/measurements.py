@@ -27,10 +27,10 @@ from .tolerances import TOL
 class Pom:
     """Probability operator measure: element k is the operator of outcome k.
 
-    Construction checks structure only (at least one element). Positivity and
-    completeness are diagnosed separately by validate_pom so that candidate
-    measurements can be built and inspected first. terms holds the elements
-    as Bloch terms (t[K], r[K, 3]), built once on first use.
+    Construction checks structure only: at least one element, each a
+    Hermitian2. validate_pom diagnoses positivity and completeness, so that
+    candidates can be built and inspected first. terms holds the elements as
+    Bloch terms (t[K], r[K, 3]), built once on first use.
     """
 
     elements: tuple[Hermitian2, ...]
@@ -40,6 +40,9 @@ class Pom:
         elements = tuple(self.elements)
         if not elements:
             raise DomainError("a measurement needs at least one element")
+        for k, el in enumerate(elements):
+            if not isinstance(el, Hermitian2):
+                raise DomainError(f"element {k} is a {type(el).__name__}, not a Hermitian2")
         object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
@@ -60,6 +63,14 @@ class Assignment:
     """Map from outcome k to the index of the signal state it is read as."""
 
     outcome_to_signal: Mapping[int, int]
+
+
+def _finite_terms(p: Pom) -> tuple[np.ndarray, np.ndarray]:
+    """p.terms if every element is finite, else DomainError naming the first that is not."""
+    bad = np.flatnonzero(np.isnan(p.terms[0]))
+    if bad.size:
+        raise DomainError(f"element {bad[0]} has a non-finite entry")
+    return p.terms
 
 
 def identity_sum_residual(p: Pom) -> float:
@@ -119,9 +130,9 @@ def error_probability(e: SymmetricEnsemble, p: Pom, a: Assignment) -> float:
     """Probability that the assigned signal differs from the transmitted one.
 
     Every outcome must be assigned to a signal index in range; the
-    measurement itself is taken on trust here.
+    measurement must be finite and is otherwise taken on trust here.
     """
-    probs = bloch.born(*p.terms, e.vectors).tolist()
+    probs = bloch.born(*_finite_terms(p), e.vectors).tolist()
     return 1.0 - e.prior * sum(probs[j][k] for k, j in enumerate(_signal_indices(p, a, e.m)))
 
 
@@ -132,7 +143,7 @@ def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:
     ties, signals within the degeneracy tolerance of the best, go to the
     lowest signal index.
     """
-    probs = bloch.born(*p.terms, e.vectors)
+    probs = bloch.born(*_finite_terms(p), e.vectors)
     tied = probs >= probs.max(axis=0) - TOL.degenerate
     return Assignment(outcome_to_signal=dict(enumerate(tied.argmax(axis=0).tolist())))
 

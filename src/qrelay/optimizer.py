@@ -1,12 +1,11 @@
 """Derivative-free search over rank-one measurements, as an independent check
 on the closed-form optima.
 
-Candidate measurements are parameterized by weights and Bloch directions:
-element k is w_k [[1 + cos th_k, exp(-i ph_k) sin th_k],
-                  [exp(i ph_k) sin th_k, 1 - cos th_k]],
-positive semidefinite by construction. Completeness reduces to three real
-constraints: the weights sum to 1 and the weighted direction vectors cancel.
-These arrays are the search's private state: it hands out only measurements
+A candidate is held as the element terms (t[K], r[K, 3]) the rest of the
+package uses (bloch.py): element k is t_k I + r_k.sigma with |r_k| = t_k,
+rank one and positive semidefinite by construction, its weight t_k and unit
+Bloch vector r_k / t_k (+z for an element of weight zero). Proposals move
+the weights and the vectors directly; the search hands out only measurements
 (Pom), the best row realized once at the end and sampled rows as element terms.
 
 Every random start and every proposal is made feasible in one closed-form
@@ -26,7 +25,6 @@ away objective value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,7 +33,8 @@ import numpy as np
 from . import bloch
 from .ensembles import SymmetricEnsemble
 from .errors import OptimizationError, check_integer
-from .fidelity import FidelityReport, Strategy, fidelity_of_strategy, optimal_retransmission
+from .fidelity import (FidelityReport, Strategy, _scores, fidelity_of_strategy,
+                       optimal_retransmission)
 from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
 from .tolerances import TOL
 
@@ -48,33 +47,22 @@ STALL_FLOOR = 600
 RESTART_TIE = 1e-7
 
 
-def _directions(TH: np.ndarray, PH: np.ndarray) -> np.ndarray:
-    """Unit Bloch vectors [..., 3] at the given angles, stored components first as the kernel likes."""
-    st = np.sin(TH)
-    n = np.array([st * np.cos(PH), st * np.sin(PH), np.cos(TH)])
-    return n.transpose(*range(1, n.ndim), 0)
+def _pom(t: np.ndarray, r: np.ndarray) -> Pom:
+    """One row's element terms as a measurement, element k for outcome k."""
+    return Pom(elements=bloch.operators(t, r))
 
 
-def _terms(W: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return W, W[..., None] * _directions(TH, PH)
-
-
-def _pom(W: np.ndarray, TH: np.ndarray, PH: np.ndarray) -> Pom:
-    """One row of the search as a measurement, element k for outcome k; weights are clipped at zero."""
-    return Pom(elements=bloch.operators(*_terms(np.clip(W, 0.0, None), TH, PH)))
-
-
-def _frame_map(W: np.ndarray, TH: np.ndarray, PH: np.ndarray):
+def _frame_map(W: np.ndarray, N: np.ndarray):
     """Square-root normalization of candidates, one per row (bloch.frame_normalize).
 
-    Weights are clipped at zero first. Returns (W, TH, PH, residual) with
-    colatitudes in [0, pi] and longitudes in [0, 2 pi); the residual is
-    bloch.residual, infinite for rows whose frame is singular.
+    N[..., k, :] is element k's Bloch vector at any nonzero length; the
+    vectors are rescaled to unit length and the weights W clipped at zero.
+    Returns the element terms (t, r) and bloch.residual, infinite for rows
+    whose frame is singular.
     """
-    W, d, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), _directions(TH, PH))
-    TH = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
-    PH = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2.0 * math.pi)
-    return W, TH, PH, np.where(lam_minus > TOL.pseudo_inverse, bloch.residual(W, d), np.inf)
+    N = N / np.sqrt(np.einsum("...c,...c->...", N, N))[..., None]
+    t, r, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), N)
+    return t, r, np.where(lam_minus > TOL.pseudo_inverse, bloch.residual(t, r), np.inf)
 
 
 @dataclass(frozen=True)
@@ -103,7 +91,7 @@ class SpotCheck:
 
     @property
     def pom(self) -> Pom:
-        return Pom(elements=bloch.operators(self.t, self.r))
+        return _pom(self.t, self.r)
 
 
 @dataclass(frozen=True)
@@ -131,32 +119,29 @@ class SearchTrace:
     evaluations: int
 
 
-def _fidelity_objective(e: SymmetricEnsemble, W, TH, PH) -> np.ndarray:
+def _fidelity_objective(e: SymmetricEnsemble, t, r) -> np.ndarray:
     """Best fidelity reachable with each row's measurement, retransmission
     already optimized outcome by outcome (top eigenvalue of each score operator)."""
-    q = e.prior * bloch.born(*_terms(W, TH, PH), e.vectors)
-    return bloch.top(*bloch.score(q, e.vectors)).sum(axis=-1)
+    return bloch.top(*_scores(e, t, r)).sum(axis=-1)
 
 
-def _correct_objective(e: SymmetricEnsemble, W, TH, PH) -> np.ndarray:
+def _correct_objective(e: SymmetricEnsemble, t, r) -> np.ndarray:
     """Probability of a correct decision under the best outcome-to-signal map."""
-    return e.prior * bloch.born(*_terms(W, TH, PH), e.vectors).max(axis=-2).sum(axis=-1)
+    return e.prior * bloch.born(t, r, e.vectors).max(axis=-2).sum(axis=-1)
 
 
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
                 name: str) -> tuple[Pom, SearchTrace]:
     n, restarts = cfg.n_elements, cfg.restarts
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
-    W = rng.dirichlet(np.ones(n), size=restarts)
-    TH = np.arccos(rng.uniform(-1.0, 1.0, (restarts, n)))
-    PH = rng.uniform(0.0, 2.0 * math.pi, (restarts, n))
-    W, TH, PH, resid = _frame_map(W, TH, PH)
+    t, r, resid = _frame_map(rng.dirichlet(np.ones(n), size=restarts),
+                             rng.standard_normal((restarts, n, 3)))
     alive = resid <= TOL.identity_sum
     if not alive.any():
         raise OptimizationError(f"no feasible start in {restarts} restarts")
-    VAL = np.where(alive, objective(e, W, TH, PH), -np.inf)
+    VAL = np.where(alive, objective(e, t, r), -np.inf)
     start_vals = VAL.copy()
-    CONC = (W * W).sum(axis=1)
+    CONC = (t * t).sum(axis=1)
     step = STEP_SCALE
     accepted = np.zeros(restarts, dtype=np.int64)
     stall = np.zeros(restarts, dtype=np.int64)
@@ -167,69 +152,62 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     for it in range(cfg.max_iterations):
         iterations = it + 1
         kind = rng.random(restarts)
-        noise = rng.standard_normal((3, restarts, n))
-        W2, TH2, PH2 = W.copy(), TH.copy(), PH.copy()
-        full = kind < 0.45
-        W2[full] += (0.25 * step) * noise[0][full]
-        TH2[full] += step * noise[1][full]
-        PH2[full] += step * noise[2][full]
-        single = (kind >= 0.45) & (kind < 0.70)
+        # unit Bloch vectors, +z where an element has weight zero (and so r = 0)
+        N = r / np.where(t > 0.0, t, 1.0)[..., None]
+        N[..., 2] += t <= 0.0
+        full = (kind < 0.45)[:, None]
+        W2 = t + (0.25 * step) * full * rng.standard_normal((restarts, n))
+        N2 = N + step * full[..., None] * rng.standard_normal((restarts, n, 3))
+        rows = np.where((kind >= 0.45) & (kind < 0.70))[0]
         ks = rng.integers(0, n, restarts)
-        polar = rng.random(restarts) < 0.5
-        g = step * rng.standard_normal(restarts)
-        rows = np.where(single & polar)[0]
-        TH2[rows, ks[rows]] += g[rows]
-        rows = np.where(single & ~polar)[0]
-        PH2[rows, ks[rows]] += g[rows]
+        N2[rows, ks[rows]] += step * rng.standard_normal((restarts, 3))[rows]
         givers = rng.integers(0, n, restarts)
         takers = rng.integers(0, n - 1, restarts)
         takers = takers + (takers >= givers)
-        amount = W[rows_all, givers] * rng.random(restarts)
+        amount = t[rows_all, givers] * rng.random(restarts)
         rows = np.where(kind >= 0.70)[0]
         W2[rows, givers[rows]] -= amount[rows]
         W2[rows, takers[rows]] += amount[rows]
         step *= STEP_DECAY
-        W2, TH2, PH2, resid = _frame_map(W2, TH2, PH2)
+        t2, r2, resid = _frame_map(W2, N2)
         valid = alive & (resid <= TOL.identity_sum)
-        VAL2 = objective(e, W2, TH2, PH2)
+        VAL2 = objective(e, t2, r2)
         evaluations += int(valid.sum())
-        CONC2 = (W2 * W2).sum(axis=1)
+        CONC2 = (t2 * t2).sum(axis=1)
         accept = valid & ((VAL2 > VAL + ACCEPT_TIE)
                           | ((VAL2 >= VAL - ACCEPT_TIE) & (CONC2 > CONC + 1e-12)))
-        W[accept] = W2[accept]
-        TH[accept] = TH2[accept]
-        PH[accept] = PH2[accept]
+        t[accept] = t2[accept]
+        r[accept] = r2[accept]
         VAL[accept] = VAL2[accept]
         CONC[accept] = CONC2[accept]
         accepted += accept
         stall = np.where(accept, 0, stall + 1)
         if iterations % SPOT_EVERY == 0:
             for row in np.where(alive)[0]:
-                # W[row] is a view of the live state, which later accepts overwrite
-                t, r = _terms(W[row].copy(), TH[row], PH[row])
-                spots.append(SpotCheck(restart=int(row), iteration=iterations,
-                                       t=t, r=r, value=float(VAL[row])))
+                # t[row] and r[row] are views of the live state, which later accepts overwrite
+                spots.append(SpotCheck(restart=int(row), iteration=iterations, t=t[row].copy(),
+                                       r=r[row].copy(), value=float(VAL[row])))
         if iterations >= STALL_FLOOR and (stall[alive] >= STALL_LIMIT).all():
             break
     best = -1
-    for r in range(restarts):
-        if not alive[r]:
+    for k in range(restarts):
+        if not alive[k]:
             continue
         # lexicographic: clearly better value wins, near-ties go to the more
         # concentrated candidate, exact ties to the earlier restart
-        if best < 0 or VAL[r] > VAL[best] + RESTART_TIE or (
-                VAL[r] >= VAL[best] - RESTART_TIE and CONC[r] > CONC[best] + 1e-12):
-            best = r
-    pom = _pom(W[best], TH[best], PH[best])
+        if best < 0 or VAL[k] > VAL[best] + RESTART_TIE or (
+                VAL[k] >= VAL[best] - RESTART_TIE and CONC[k] > CONC[best] + 1e-12):
+            best = k
+    pom = _pom(t[best], r[best])
     violations = validate_pom(pom)
     if violations:
         raise OptimizationError(f"best candidate is not a valid measurement: {violations[0]}")
     records = tuple(
-        RestartRecord(restart=r, start_value=float(start_vals[r]),
-                      final_value=float(VAL[r]), iterations=iterations,
-                      accepted=int(accepted[r]))
-        for r in range(restarts) if alive[r])
-    failed = tuple(int(r) for r in range(restarts) if not alive[r])
+        RestartRecord(restart=k, start_value=float(start_vals[k]),
+                      final_value=float(VAL[k]), iterations=iterations,
+                      accepted=int(accepted[k]))
+        for k in range(restarts) if alive[k])
+    failed = tuple(k for k in range(restarts) if not alive[k])
     trace = SearchTrace(objective=name, records=records, spot_checks=tuple(spots),
                         failed_restarts=failed, best_restart=best,
                         evaluations=evaluations)

@@ -59,12 +59,16 @@ def random_pom(rng: np.random.Generator, size: int) -> Pom:
                               for el in frame_normalized(seeds)))
 
 
+def unit_vectors(colatitudes, longitudes) -> np.ndarray:
+    """Unit Bloch vectors [..., 3] at the given angles."""
+    th, ph = np.asarray(colatitudes, dtype=float), np.asarray(longitudes, dtype=float)
+    return np.stack((np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)), axis=-1)
+
+
 def bloch_element(weight: float, colatitude: float, longitude: float) -> np.ndarray:
     """The matrix weight * (I + n.sigma) for the unit vector n at the given angles."""
-    n = (math.sin(colatitude) * math.cos(longitude),
-         math.sin(colatitude) * math.sin(longitude), math.cos(colatitude))
-    return weight * np.array([[1.0 + n[2], n[0] - 1j * n[1]],
-                              [n[0] + 1j * n[1], 1.0 - n[2]]])
+    x, y, z = unit_vectors(colatitude, longitude)
+    return weight * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def state_matrix(e: SymmetricEnsemble) -> np.ndarray:

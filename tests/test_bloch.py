@@ -53,15 +53,15 @@ def test_objective_rows_match_exact_evaluation(m, theta):
     W = rng.dirichlet(np.ones(4), size=12)
     TH = np.arccos(rng.uniform(-1.0, 1.0, (12, 4)))
     PH = rng.uniform(0.0, 2 * math.pi, (12, 4))
-    W, TH, PH, resid = _frame_map(W, TH, PH)
+    t, r, resid = _frame_map(W, helpers.unit_vectors(TH, PH))
     assert float(resid.max()) <= 1e-14
-    fidelity = _fidelity_objective(e, W, TH, PH)
-    correct = _correct_objective(e, W, TH, PH)
-    for r in range(12):
-        pom = _pom(W[r], TH[r], PH[r])
-        assert abs(fidelity[r] - optimal_retransmission(e, pom).fidelity) <= 1e-12
+    fidelity = _fidelity_objective(e, t, r)
+    correct = _correct_objective(e, t, r)
+    for i in range(12):
+        pom = _pom(t[i], r[i])
+        assert abs(fidelity[i] - optimal_retransmission(e, pom).fidelity) <= 1e-12
         exact = 1.0 - error_probability(e, pom, greedy_assignment(e, pom))
-        assert abs(correct[r] - exact) <= 1e-12
+        assert abs(correct[i] - exact) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])

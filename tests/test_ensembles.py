@@ -7,7 +7,10 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import DomainError, SymmetricEnsemble, optimal_strategy_analytic, symmetric_ensemble
+import qrelay
+from qrelay import (DomainError, SymmetricEnsemble, bloch, error_probability,
+                    fidelity_of_strategy, optimal_strategy_analytic, simulate_strategy,
+                    symmetric_ensemble)
 from qrelay.qubit import PLUS
 
 
@@ -50,6 +53,30 @@ def test_defining_amplitudes():
         expected = math.sin(theta / 2) * complex(math.cos(2 * math.pi * j / m),
                                                  math.sin(2 * math.pi * j / m))
         assert s.amp_minus == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 13])
+def test_closed_form_vectors_match_the_states(m):
+    for theta in np.linspace(0.0, math.pi / 2, 17):
+        e = symmetric_ensemble(m, float(theta))
+        assert np.abs(e.vectors - bloch.vectors(e.states)).max() <= 1e-15
+
+
+def test_figures_of_merit_build_no_states(monkeypatch):
+    strategy = optimal_strategy_analytic(5, 0.7)
+    assignment = helpers.identity_assignment(5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return qrelay.qubit.make_qubit(*args)
+
+    for module in (qrelay, qrelay.ensembles, qrelay.fidelity):
+        monkeypatch.setattr(module, "make_qubit", counted)
+    simulate_strategy(symmetric_ensemble(5, 0.7), strategy, assignment, trials=1000)
+    fidelity_of_strategy(symmetric_ensemble(5, 0.7), strategy)
+    error_probability(symmetric_ensemble(5, 0.7), strategy.pom, assignment)
+    assert calls == []
 
 
 def test_domain_rejection():

@@ -27,6 +27,13 @@ def test_strategy_requires_matching_lengths():
         Strategy(pom=Z_BASIS, retransmit=(PLUS,))
 
 
+def test_strategy_rejects_states_that_are_not_qubits():
+    with pytest.raises(DomainError, match=r"retransmit\[0\] is a int, not a PureQubit"):
+        Strategy(Z_BASIS, (1, 2))
+    with pytest.raises(DomainError, match=r"retransmit\[1\] is a tuple"):
+        Strategy(Z_BASIS, (PLUS, (1.0, 0.0)))
+
+
 def test_degenerate_ensemble_reaches_unit_fidelity():
     e = symmetric_ensemble(4, 0.0)
     s = Strategy(pom=Z_BASIS, retransmit=(PLUS, PLUS))

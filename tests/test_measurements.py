@@ -8,10 +8,11 @@ import pytest
 
 import helpers
 import property_suites
-from qrelay import (Assignment, DomainError, Hermitian2, Pom, ValidationError, bloch,
-                    error_probability, greedy_assignment, identity_sum_residual,
-                    min_error_analytic, optimal_strategy_analytic, simulate_error,
-                    square_root_measurement, symmetric_ensemble, validate_pom)
+from qrelay import (Assignment, DomainError, Hermitian2, Pom, Strategy, ValidationError, bloch,
+                    error_probability, fidelity_of_strategy, greedy_assignment,
+                    identity_sum_residual, min_error_analytic, optimal_retransmission,
+                    optimal_strategy_analytic, simulate_error, square_root_measurement,
+                    symmetric_ensemble, validate_pom)
 from qrelay.qubit import PLUS
 
 Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
@@ -53,6 +54,27 @@ def test_non_finite_element_is_a_violation(entry, value):
     pom = Pom(elements=(bad, Z_BASIS.elements[1]))
     assert validate_pom(pom) != []
     assert not identity_sum_residual(pom) <= 1e-9
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda e, p: fidelity_of_strategy(e, Strategy(p, (PLUS, PLUS))),
+    lambda e, p: error_probability(e, p, Assignment({0: 0, 1: 1})),
+    greedy_assignment,
+    optimal_retransmission,
+], ids=["fidelity_of_strategy", "error_probability", "greedy_assignment",
+        "optimal_retransmission"])
+def test_non_finite_measurement_is_rejected_by_element(call, value):
+    pom = Pom(elements=(Z_BASIS.elements[0], Hermitian2(0.0, value, 0j)))
+    with pytest.raises(DomainError, match="element 1 has a non-finite entry"):
+        call(symmetric_ensemble(3, 0.6), pom)
+    assert "element 1 has a non-finite entry" in validate_pom(pom)
+
+
+@pytest.mark.parametrize("elements", [(1, 2), (HALF_IDENTITY, "x"), (np.eye(2),)])
+def test_pom_rejects_elements_that_are_not_operators(elements):
+    with pytest.raises(DomainError, match="not a Hermitian2"):
+        Pom(elements=elements)
 
 
 def test_square_root_measurement_orthogonal_pair():

@@ -12,12 +12,13 @@ from qrelay import (DomainError, Hermitian2, OptimizationError, OptimizerConfig,
                     max_fidelity_analytic, min_error_analytic, optimal_retransmission,
                     optimize_error, optimize_fidelity, optimizer,
                     square_root_measurement, symmetric_ensemble, validate_pom)
-from qrelay.optimizer import _frame_map, _pom, _terms
+from qrelay.optimizer import _frame_map, _pom
 
 
-def row(weights, colatitudes, longitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One search row (W, TH, PH) as float arrays."""
-    return tuple(np.array(v, dtype=float) for v in (weights, colatitudes, longitudes))
+def row(weights, colatitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
+    """One search row as element terms (t, r): weights t and r = t n, n the unit vectors at the angles."""
+    t = np.array(weights, dtype=float)
+    return t, t[:, None] * helpers.unit_vectors(colatitudes, longitudes)
 
 
 X_BASIS = row((0.5, 0.5), (math.pi / 2, math.pi / 2), (0.0, math.pi))
@@ -25,7 +26,7 @@ LOPSIDED = row((0.6, 0.4), (math.pi / 2, math.pi / 2), (0.0, math.pi))
 
 
 def test_completeness_on_known_candidate():
-    r_sum, r_polar, r_azimuthal = bloch.completeness(*_terms(*LOPSIDED))
+    r_sum, r_polar, r_azimuthal = bloch.completeness(*LOPSIDED)
     assert r_sum == pytest.approx(0.0, abs=1e-15)
     assert r_polar == pytest.approx(0.0, abs=1e-15)
     assert r_azimuthal == pytest.approx(0.2, abs=1e-12)
@@ -53,37 +54,44 @@ def test_row_pom_reproduces_square_root_measurement():
         assert helpers.entrywise_gap(ours, ref) <= 1e-12
 
 
-def frame_map(W, TH, PH):
-    """The search's frame map applied to one row: ((W, TH, PH) normalized, residual)."""
-    W, TH, PH, resid = _frame_map(W[None], TH[None], PH[None])
-    return (W[0], TH[0], PH[0]), float(resid[0])
+def frame_map(t, r):
+    """The search's frame map applied to one row, r read as its elements' Bloch
+    vectors: ((t, r) normalized, residual)."""
+    t, r, resid = _frame_map(t[None], r[None])
+    return (t[0], r[0]), float(resid[0])
 
 
 def test_repair_is_identity_on_feasible_input():
     fixed, resid = frame_map(*X_BASIS)
     assert resid <= 1e-15
-    # the same elements; a longitude may come back as its full-turn equivalent
     for ours, ref in zip(_pom(*fixed).elements, _pom(*X_BASIS).elements):
         assert helpers.entrywise_gap(ours, ref) <= 1e-15
 
 
 def test_repair_rebalances_forced_weights():
-    (W, TH, PH), _ = frame_map(*LOPSIDED)
-    assert W[0] == pytest.approx(0.5, abs=1e-9)
-    assert W[1] == pytest.approx(0.5, abs=1e-9)
-    assert np.allclose(TH, LOPSIDED[1], atol=1e-9)
-    # longitudes may come back shifted by a full turn
-    wrapped = np.mod(PH - LOPSIDED[2] + math.pi, 2 * math.pi) - math.pi
-    assert np.allclose(wrapped, 0.0, atol=1e-9)
+    (t, r), _ = frame_map(*LOPSIDED)
+    assert t[0] == pytest.approx(0.5, abs=1e-9)
+    assert t[1] == pytest.approx(0.5, abs=1e-9)
+    # each element keeps its direction
+    assert np.allclose(r / t[:, None], LOPSIDED[1] / LOPSIDED[0][:, None], atol=1e-9)
+
+
+def test_frame_map_rescales_direction_vectors():
+    t = np.array([0.6, 0.3, 0.1])
+    n = helpers.unit_vectors((0.4, 2.0, 1.1), (0.2, 2.5, 4.0))
+    unit, doubled = frame_map(t, n), frame_map(t, 2.0 * n)
+    assert unit[1] <= 1e-15
+    assert np.array_equal(doubled[0][0], unit[0][0]) and np.array_equal(doubled[0][1], unit[0][1])
+    assert doubled[1] == unit[1]
 
 
 def test_repair_random_infeasible_candidate():
     rng = np.random.default_rng(7)
-    candidate = (rng.uniform(0.05, 1.0, size=4), rng.uniform(0.0, math.pi, size=4),
-                 rng.uniform(0.0, 2 * math.pi, size=4))
+    candidate = row(rng.uniform(0.05, 1.0, size=4), rng.uniform(0.0, math.pi, size=4),
+                    rng.uniform(0.0, 2 * math.pi, size=4))
     fixed, resid = frame_map(*candidate)
     assert resid <= 1e-9
-    assert max(bloch.completeness(*_terms(*fixed))) <= 1e-8
+    assert max(bloch.completeness(*fixed)) <= 1e-8
     assert float(fixed[0].min()) >= 0.0
     assert validate_pom(_pom(*fixed)) == []
 
@@ -109,15 +117,15 @@ def test_frame_map_matches_matrix_oracle(n):
     W = rng.dirichlet(np.ones(n), size=32)
     TH = np.arccos(rng.uniform(-1.0, 1.0, (32, n)))
     PH = rng.uniform(0.0, 2 * math.pi, (32, n))
-    W2, TH2, PH2, resid = _frame_map(W, TH, PH)
+    t, r, resid = _frame_map(W, helpers.unit_vectors(TH, PH))
     assert float(resid.max()) <= 1e-14
-    assert float(W2.min()) >= 0.0
-    assert max(float(c.max()) for c in bloch.completeness(*_terms(W2, TH2, PH2))) <= 1e-14
-    for r in range(32):
+    assert float(t.min()) >= 0.0
+    assert max(float(c.max()) for c in bloch.completeness(t, r)) <= 1e-14
+    for i in range(32):
         expected = helpers.frame_normalized(
-            [helpers.bloch_element(*args) for args in zip(W[r], TH[r], PH[r])])
-        for k in range(n):
-            got = helpers.bloch_element(W2[r, k], TH2[r, k], PH2[r, k])
+            [helpers.bloch_element(*args) for args in zip(W[i], TH[i], PH[i])])
+        for k, el in enumerate(bloch.operators(t[i], r[i])):
+            got = helpers.matrix(el)
             assert np.abs(got - expected[k]).max() <= 1e-12
             assert abs(float(np.linalg.eigvalsh(got)[0])) <= 1e-14
 
@@ -206,7 +214,7 @@ def test_spot_checks_replay_their_values():
 
 def test_search_rejects_an_invalid_best_measurement(monkeypatch):
     half_identity = Pom(elements=(Hermitian2(0.5, 0.5, 0j),))
-    monkeypatch.setattr(optimizer, "_pom", lambda W, TH, PH: half_identity)
+    monkeypatch.setattr(optimizer, "_pom", lambda t, r: half_identity)
     e = symmetric_ensemble(3, 0.6)
     cfg = OptimizerConfig(n_elements=3, restarts=2, max_iterations=5, seed=1)
     with pytest.raises(OptimizationError, match="identity"):
