@@ -6,7 +6,7 @@ identify the signal (minimum-error discrimination), and how close to the
 original can the retransmitted state be on average (maximum fidelity)?
 
 Both optima are available in closed form for symmetric ensembles, together
-with derivative-free numerical searches and a Monte Carlo simulator that
+with fixed-point numerical searches and a Monte Carlo simulator that
 check them independently.
 """
 

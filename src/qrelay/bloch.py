@@ -43,6 +43,14 @@ def vectors(states: Sequence[PureQubit]) -> np.ndarray:
     return np.array(rows)
 
 
+def unit(v: np.ndarray) -> np.ndarray:
+    """v / |v| over the last axis, +z for a zero vector."""
+    norm = np.sqrt(np.einsum("...c,...c->...", v, v))
+    u = v / np.where(norm > 0.0, norm, np.inf)[..., None]
+    u[..., 2] += norm == 0.0
+    return u
+
+
 def born(t: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
     """P[..., j, k] = t_k + r_k.n_j."""
     return t[..., None, :] + np.einsum("jc,...kc->...jk", n, r)
@@ -51,6 +59,15 @@ def born(t: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
 def score(q: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Terms of the score operators O_k = sum_j q[..., j, k] |psi_j><psi_j|."""
     return 0.5 * q.sum(axis=-2), 0.5 * np.einsum("...jk,jc->...kc", q, n)
+
+
+def sandwich(g0: np.ndarray, g: np.ndarray, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of G E G for G = g0 I + g.sigma and E = t I + r.sigma:
+    t (g0^2 + |g|^2) + 2 g0 g.r and 2 t g0 g + (g0^2 - |g|^2) r + 2 (g.r) g."""
+    gr = np.einsum("...c,...c->...", g, r)
+    gg = np.einsum("...c,...c->...", g, g)
+    return (t * (g0 * g0 + gg) + 2.0 * g0 * gr,
+            (2.0 * t * g0 + 2.0 * gr)[..., None] * g + (g0 * g0 - gg)[..., None] * r)
 
 
 def top(t: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -88,11 +105,7 @@ def frame_normalize(w: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     which inverts S on its support only. Returns (t', r', lam-).
     """
     n = n.transpose(n.ndim - 1, *range(n.ndim - 1))  # components first: dots sum over axis 0
-    s = (w * n).sum(axis=-1)
-    norm = np.sqrt((s * s).sum(axis=0))
-    u = s / np.where(norm > 0.0, norm, np.inf)
-    u[2] += norm == 0.0
-    u = u[..., None]
+    u = np.moveaxis(unit(np.moveaxis((w * n).sum(axis=-1), 0, -1)), -1, 0)[..., None]
     half = 0.5 * w
     plus = half * ((n + u) ** 2).sum(axis=0)
     minus = half * ((n - u) ** 2).sum(axis=0)

@@ -17,8 +17,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import bloch
 from .ensembles import symmetric_ensemble
 from .errors import DomainError, OptimizationError, ValidationError
@@ -26,7 +24,7 @@ from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
                        optimal_strategy_analytic, retransmission_colatitude)
 from .measurements import (error_probability, greedy_assignment, identity_sum_residual,
                            min_error_analytic)
-from .optimizer import STEP_SCALE, OptimizerConfig, optimize_fidelity
+from .optimizer import OptimizerConfig, optimize_fidelity
 from .simulator import simulate_strategy
 from .strategy_io import load_strategy, save_strategy
 
@@ -36,10 +34,9 @@ def _fmt(x: float) -> str:
 
 
 def _print_strategy(s: Strategy) -> None:
-    """One line per outcome: element weight t and unit direction r/t, retransmitted Bloch vector."""
+    """One line per outcome: element weight t and unit direction of r (+z for r = 0), retransmitted Bloch vector."""
     t, r = s.pom.terms
-    direction = np.divide(r, t[:, None], out=np.zeros_like(r), where=t[:, None] > 0.0)
-    for k, (w, n, b) in enumerate(zip(t.tolist(), direction.tolist(),
+    for k, (w, n, b) in enumerate(zip(t.tolist(), bloch.unit(r).tolist(),
                                       bloch.vectors(s.retransmit).tolist())):
         print(f"outcome {k}: weight = {_fmt(max(0.0, w))}  "
               f"direction = ({_fmt(n[0])}, {_fmt(n[1])}, {_fmt(n[2])})  "
@@ -114,8 +111,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         save_strategy(args.output_path, e, strategy, "optimizer",
                       {"m": args.m, "theta": theta, "n_elements": n_elements,
                        "restarts": cfg.restarts, "max_iterations": cfg.max_iterations,
-                       "step_scale": STEP_SCALE, "seed": cfg.seed,
-                       "achieved_f": achieved, "analytic_f_max": bound})
+                       "seed": cfg.seed, "achieved_f": achieved, "analytic_f_max": bound})
         print(f"saved: {args.output_path}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Exception types raised by the package, and the integer check behind every count and seed."""
+"""Exception types raised by the package, and the type checks behind every count, seed and sequence argument."""
 
 from __future__ import annotations
 
@@ -27,3 +27,15 @@ def check_integer(value, name: str, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+def check_items(value, name: str, kind: type) -> tuple:
+    """value as a tuple if it is an iterable of kind instances; else DomainError naming the first item that is not."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise DomainError(f"{name} is a {type(value).__name__}, not a {kind.__name__} sequence") from None
+    for k, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise DomainError(f"{name}[{k}] is a {type(item).__name__}, not a {kind.__name__}")
+    return items

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_items
 from .measurements import Pom, _finite_terms
 from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 
@@ -39,10 +39,9 @@ class Strategy:
     retransmit: tuple[PureQubit, ...]
 
     def __post_init__(self) -> None:
-        retransmit = tuple(self.retransmit)
-        for k, state in enumerate(retransmit):
-            if not isinstance(state, PureQubit):
-                raise DomainError(f"retransmit[{k}] is a {type(state).__name__}, not a PureQubit")
+        if not isinstance(self.pom, Pom):
+            raise DomainError(f"pom is a {type(self.pom).__name__}, not a Pom")
+        retransmit = check_items(self.retransmit, "retransmit", PureQubit)
         if len(retransmit) != len(self.pom.elements):
             raise DomainError(
                 f"{len(retransmit)} retransmission states for "

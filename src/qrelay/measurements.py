@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_items
 from .qubit import Hermitian2
 from .tolerances import TOL
 
@@ -37,12 +37,9 @@ class Pom:
     meta: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        elements = tuple(self.elements)
+        elements = check_items(self.elements, "elements", Hermitian2)
         if not elements:
             raise DomainError("a measurement needs at least one element")
-        for k, el in enumerate(elements):
-            if not isinstance(el, Hermitian2):
-                raise DomainError(f"element {k} is a {type(el).__name__}, not a Hermitian2")
         object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:

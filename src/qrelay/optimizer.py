@@ -1,26 +1,28 @@
-"""Derivative-free search over rank-one measurements, as an independent check
-on the closed-form optima.
+"""Fixed-point ascent over rank-one measurements, as an independent check on
+the closed-form optima.
 
 A candidate is held as the element terms (t[K], r[K, 3]) the rest of the
 package uses (bloch.py): element k is t_k I + r_k.sigma with |r_k| = t_k,
-rank one and positive semidefinite by construction, its weight t_k and unit
-Bloch vector r_k / t_k (+z for an element of weight zero). Proposals move
-the weights and the vectors directly; the search hands out only measurements
-(Pom), the best row realized once at the end and sampled rows as element terms.
+rank one and positive semidefinite by construction. The search hands out only
+measurements (Pom), the best row realized once at the end and sampled rows as
+element terms.
 
-Every random start and every proposal is made feasible in one closed-form
-step, the square-root (frame) normalization E_k -> S^(-1/2) E_k S^(-1/2)
-with S the sum of the elements, which keeps each element rank one and makes
-the set exactly complete. Only normalized candidates are scored; a candidate
-whose frame is singular, or whose completeness residual exceeds the one
-validate_pom allows, is discarded.
+Both objectives are maxima of functions linear in each element, so each has a
+gradient operator G_k at element E_k: for the fidelity
+sum_j p_j |<psi_j|phi_k>|^2 |psi_j><psi_j| with phi_k the best retransmission,
+for the error p |psi_a(k)><psi_a(k)| with a(k) the greedy signal. A step is
+the Jezek-Rehacek-Fiurasek iteration (PRA 65, 060301(R), 2002)
+E_k -> S^(-1/2) G_k E_k G_k S^(-1/2), S the sum of the G_k E_k G_k. Each
+G_k E_k G_k is rank one again, and the normalization is the square-root
+(frame) map (Hausladen and Wootters, J. Mod. Opt. 41, 2385, 1994), which
+makes the set exactly complete. The step has no size and draws no random
+numbers: the generator only draws the frame-normalized starts.
 
-The local search is a multi-start random walk with a decaying step; all
-restarts advance in lockstep as rows of one batch so the inner loop stays in
-vectorized numpy. Moves are accepted on strict objective improvement; on
-near-ties the tighter weight concentration (larger sum of squared weights)
-wins, which deduplicates elements pointing the same way without ever trading
-away objective value.
+All restarts advance in lockstep as rows of one batch. A row stops once a step
+moves none of its terms by more than STOP, or when its stepped frame is
+singular or misses the completeness residual validate_pom allows; it then
+keeps its candidate. In the best row, elements that point the same way are
+merged, their weights summed, before it is realized as a measurement.
 """
 
 from __future__ import annotations
@@ -38,13 +40,8 @@ from .fidelity import (FidelityReport, Strategy, _scores, fidelity_of_strategy,
 from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
 from .tolerances import TOL
 
-STEP_SCALE = 0.3
-STEP_DECAY = 0.995
-ACCEPT_TIE = 1e-10  # objective moves within this count as ties, won by concentration
 SPOT_EVERY = 100
-STALL_LIMIT = 400
-STALL_FLOOR = 600
-RESTART_TIE = 1e-7
+STOP = 1e-12  # a step that moves no term of a row by more than this ends the row
 
 
 def _pom(t: np.ndarray, r: np.ndarray) -> Pom:
@@ -55,13 +52,12 @@ def _pom(t: np.ndarray, r: np.ndarray) -> Pom:
 def _frame_map(W: np.ndarray, N: np.ndarray):
     """Square-root normalization of candidates, one per row (bloch.frame_normalize).
 
-    N[..., k, :] is element k's Bloch vector at any nonzero length; the
-    vectors are rescaled to unit length and the weights W clipped at zero.
-    Returns the element terms (t, r) and bloch.residual, infinite for rows
-    whose frame is singular.
+    N[..., k, :] is element k's Bloch vector at any length; the vectors are
+    rescaled to unit length (+z for a zero vector) and the weights W clipped
+    at zero. Returns the element terms (t, r) and bloch.residual, infinite
+    for rows whose frame is singular.
     """
-    N = N / np.sqrt(np.einsum("...c,...c->...", N, N))[..., None]
-    t, r, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), N)
+    t, r, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), bloch.unit(N))
     return t, r, np.where(lam_minus > TOL.pseudo_inverse, bloch.residual(t, r), np.inf)
 
 
@@ -96,6 +92,8 @@ class SpotCheck:
 
 @dataclass(frozen=True)
 class RestartRecord:
+    """One restart's values; iterations counts the batch's steps, accepted those this row applied."""
+
     restart: int
     start_value: float
     final_value: float
@@ -119,15 +117,33 @@ class SearchTrace:
     evaluations: int
 
 
-def _fidelity_objective(e: SymmetricEnsemble, t, r) -> np.ndarray:
+def _fidelity_objective(e: SymmetricEnsemble, t, r):
     """Best fidelity reachable with each row's measurement, retransmission
-    already optimized outcome by outcome (top eigenvalue of each score operator)."""
-    return bloch.top(*_scores(e, t, r)).sum(axis=-1)
+    already optimized outcome by outcome (top eigenvalue of each score
+    operator), and the terms (g0, g) of 2/p times its gradient operators,
+    sum_j (1 + n_j.v_k) |psi_j><psi_j| with v_k the unit direction of
+    outcome k's score vector."""
+    s0, s = _scores(e, t, r)
+    q = bloch.born(np.ones_like(s0), bloch.unit(s), e.vectors)
+    return (bloch.top(s0, s).sum(axis=-1), *bloch.score(q, e.vectors))
 
 
-def _correct_objective(e: SymmetricEnsemble, t, r) -> np.ndarray:
-    """Probability of a correct decision under the best outcome-to-signal map."""
-    return e.prior * bloch.born(t, r, e.vectors).max(axis=-2).sum(axis=-1)
+def _correct_objective(e: SymmetricEnsemble, t, r):
+    """Probability of a correct decision under the best outcome-to-signal map,
+    and the terms (g0, g) of 2/p times its gradient operators,
+    I + n_a(k).sigma with a(k) the signal of largest joint probability."""
+    p = bloch.born(t, r, e.vectors)
+    return (e.prior * p.max(axis=-2).sum(axis=-1), np.ones_like(t),
+            e.vectors[p.argmax(axis=-2)])
+
+
+def _merged(t: np.ndarray, r: np.ndarray):
+    """One row with elements whose unit vectors coincide merged into the first
+    of them, weights summed and the rest zeroed, then frame-normalized again."""
+    n = bloch.unit(r)
+    first = (np.abs(n[:, None] - n[None]).max(axis=-1) <= TOL.negligible).argmax(axis=0)
+    t, r, _ = _frame_map(np.bincount(first, weights=t, minlength=len(t))[None], n[None])
+    return t[0], r[0]
 
 
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
@@ -139,73 +155,39 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     alive = resid <= TOL.identity_sum
     if not alive.any():
         raise OptimizationError(f"no feasible start in {restarts} restarts")
-    VAL = np.where(alive, objective(e, t, r), -np.inf)
+    VAL, g0, g = objective(e, t, r)
+    VAL = np.where(alive, VAL, -np.inf)
     start_vals = VAL.copy()
-    CONC = (t * t).sum(axis=1)
-    step = STEP_SCALE
-    accepted = np.zeros(restarts, dtype=np.int64)
-    stall = np.zeros(restarts, dtype=np.int64)
+    live = alive.copy()
+    applied = np.zeros(restarts, dtype=np.int64)
     spots: list[SpotCheck] = []
     evaluations = int(alive.sum())
-    rows_all = np.arange(restarts)
     iterations = 0
-    for it in range(cfg.max_iterations):
-        iterations = it + 1
-        kind = rng.random(restarts)
-        # unit Bloch vectors, +z where an element has weight zero (and so r = 0)
-        N = r / np.where(t > 0.0, t, 1.0)[..., None]
-        N[..., 2] += t <= 0.0
-        full = (kind < 0.45)[:, None]
-        W2 = t + (0.25 * step) * full * rng.standard_normal((restarts, n))
-        N2 = N + step * full[..., None] * rng.standard_normal((restarts, n, 3))
-        rows = np.where((kind >= 0.45) & (kind < 0.70))[0]
-        ks = rng.integers(0, n, restarts)
-        N2[rows, ks[rows]] += step * rng.standard_normal((restarts, 3))[rows]
-        givers = rng.integers(0, n, restarts)
-        takers = rng.integers(0, n - 1, restarts)
-        takers = takers + (takers >= givers)
-        amount = t[rows_all, givers] * rng.random(restarts)
-        rows = np.where(kind >= 0.70)[0]
-        W2[rows, givers[rows]] -= amount[rows]
-        W2[rows, takers[rows]] += amount[rows]
-        step *= STEP_DECAY
-        t2, r2, resid = _frame_map(W2, N2)
-        valid = alive & (resid <= TOL.identity_sum)
-        VAL2 = objective(e, t2, r2)
-        evaluations += int(valid.sum())
-        CONC2 = (t2 * t2).sum(axis=1)
-        accept = valid & ((VAL2 > VAL + ACCEPT_TIE)
-                          | ((VAL2 >= VAL - ACCEPT_TIE) & (CONC2 > CONC + 1e-12)))
-        t[accept] = t2[accept]
-        r[accept] = r2[accept]
-        VAL[accept] = VAL2[accept]
-        CONC[accept] = CONC2[accept]
-        accepted += accept
-        stall = np.where(accept, 0, stall + 1)
+    while live.any() and iterations < cfg.max_iterations:
+        iterations += 1
+        t2, r2, resid = _frame_map(*bloch.sandwich(g0, g, t, r))
+        step = live & (resid <= TOL.identity_sum)
+        moved = np.maximum(np.abs(t2 - t).max(axis=-1), np.abs(r2 - r).max(axis=(-2, -1)))
+        t[step], r[step] = t2[step], r2[step]
+        VAL2, g0, g = objective(e, t, r)
+        VAL[step] = VAL2[step]
+        applied += step
+        evaluations += int(step.sum())
+        live = step & (moved > STOP)
         if iterations % SPOT_EVERY == 0:
             for row in np.where(alive)[0]:
-                # t[row] and r[row] are views of the live state, which later accepts overwrite
+                # t[row] and r[row] are views of the live state, which later steps overwrite
                 spots.append(SpotCheck(restart=int(row), iteration=iterations, t=t[row].copy(),
                                        r=r[row].copy(), value=float(VAL[row])))
-        if iterations >= STALL_FLOOR and (stall[alive] >= STALL_LIMIT).all():
-            break
-    best = -1
-    for k in range(restarts):
-        if not alive[k]:
-            continue
-        # lexicographic: clearly better value wins, near-ties go to the more
-        # concentrated candidate, exact ties to the earlier restart
-        if best < 0 or VAL[k] > VAL[best] + RESTART_TIE or (
-                VAL[k] >= VAL[best] - RESTART_TIE and CONC[k] > CONC[best] + 1e-12):
-            best = k
-    pom = _pom(t[best], r[best])
+    best = int(np.argmax(VAL))
+    pom = _pom(*_merged(t[best], r[best]))
     violations = validate_pom(pom)
     if violations:
         raise OptimizationError(f"best candidate is not a valid measurement: {violations[0]}")
     records = tuple(
         RestartRecord(restart=k, start_value=float(start_vals[k]),
                       final_value=float(VAL[k]), iterations=iterations,
-                      accepted=int(accepted[k]))
+                      accepted=int(applied[k]))
         for k in range(restarts) if alive[k])
     failed = tuple(k for k in range(restarts) if not alive[k])
     trace = SearchTrace(objective=name, records=records, spot_checks=tuple(spots),

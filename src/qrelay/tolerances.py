@@ -17,7 +17,8 @@ class Tolerances:
     """Largest allowed deviation of a state's squared norm from 1 at construction."""
 
     negligible: float = 1e-12
-    """Amplitude magnitude treated as exactly zero by the phase convention."""
+    """Amplitude magnitude treated as exactly zero by the phase convention, and largest
+    entrywise gap at which the search merges two unit Bloch vectors as one."""
 
     psd: float = 1e-12
     """An eigenvalue >= -psd still counts as positive semidefinite."""

@@ -55,13 +55,46 @@ def test_objective_rows_match_exact_evaluation(m, theta):
     PH = rng.uniform(0.0, 2 * math.pi, (12, 4))
     t, r, resid = _frame_map(W, helpers.unit_vectors(TH, PH))
     assert float(resid.max()) <= 1e-14
-    fidelity = _fidelity_objective(e, t, r)
-    correct = _correct_objective(e, t, r)
+    fidelity = _fidelity_objective(e, t, r)[0]
+    correct = _correct_objective(e, t, r)[0]
     for i in range(12):
         pom = _pom(t[i], r[i])
         assert abs(fidelity[i] - optimal_retransmission(e, pom).fidelity) <= 1e-12
         exact = 1.0 - error_probability(e, pom, greedy_assignment(e, pom))
         assert abs(correct[i] - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("objective", [_fidelity_objective, _correct_objective])
+@pytest.mark.parametrize("m,theta", [(2, math.pi / 4), (3, 0.0), (4, 1.2), (8, math.pi / 2)])
+def test_objective_gradients_match_central_differences(objective, m, theta):
+    """(g0, g) is 2/p times the gradient: dF = p sum_k (g0_k dt_k + g_k.dr_k)."""
+    rng = np.random.default_rng(80 + m)
+    e = symmetric_ensemble(m, theta)
+    t, r, _ = _frame_map(rng.dirichlet(np.ones(4), size=12), rng.standard_normal((12, 4, 3)))
+    dt, dr = rng.standard_normal((12, 4)), rng.standard_normal((12, 4, 3))
+    _, g0, g = objective(e, t, r)
+    step = 1e-6
+    numeric = (objective(e, t + step * dt, r + step * dr)[0]
+               - objective(e, t - step * dt, r - step * dr)[0]) / (2 * step)
+    analytic = e.prior * ((g0 * dt).sum(axis=-1) + np.einsum("ikc,ikc->i", g, dr))
+    assert np.abs(numeric - analytic).max() <= 1e-6
+
+
+def test_sandwich_matches_matrix_products():
+    """bloch.sandwich gives the terms of G E G, against 2x2 matrix products."""
+    rng = np.random.default_rng(17)
+    g0, t = rng.uniform(0.1, 2.0, (2, 6))
+    g, r = rng.standard_normal((2, 6, 3))
+    t2, r2 = bloch.sandwich(g0, g, t, r)
+    for G, E, GEG in zip(*(map(helpers.matrix, bloch.operators(*terms))
+                           for terms in ((g0, g), (t, r), (t2, r2)))):
+        assert np.abs(G @ E @ G - GEG).max() <= 1e-12
+
+
+def test_unit_directions_take_z_for_zero_vectors():
+    v = np.array([[[3.0, 0.0, 4.0], [0.0, 0.0, 0.0]], [[0.0, -2.0, 0.0], [0.0, 0.0, 0.0]]])
+    assert np.array_equal(bloch.unit(v), [[[0.6, 0.0, 0.8], [0.0, 0.0, 1.0]],
+                                          [[0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]])
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])

@@ -41,13 +41,16 @@ def test_analytic_report_three_signals(capsys):
 
 
 def test_analytic_directions_are_unit_vectors(capsys):
-    code, out, _ = run_cli(capsys, "analytic", "--m", "3", "--theta", "1.5707963267948966")
-    assert code == 0
-    directions = re.findall(r"direction = \(([^)]*)\)", out)
-    assert len(directions) == 3
-    for text in directions:
-        x, y, z = (float(v) for v in text.split(","))
-        assert math.sqrt(x * x + y * y + z * z) == pytest.approx(1.0, abs=1e-12)
+    # the two-signal search merges its four elements into two, leaving two of weight zero
+    for args, outcomes in ((("analytic", "--m", "3", "--theta", "1.5707963267948966"), 3),
+                           (("optimize", "--m", "2", "--theta", "0.785", "--n_elements", "4"), 4)):
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        directions = re.findall(r"direction = \(([^)]*)\)", out)
+        assert len(directions) == outcomes
+        for text in directions:
+            x, y, z = (float(v) for v in text.split(","))
+            assert math.sqrt(x * x + y * y + z * z) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analytic_report_degenerate_two_signals(capsys):

@@ -32,6 +32,8 @@ def test_strategy_rejects_states_that_are_not_qubits():
         Strategy(Z_BASIS, (1, 2))
     with pytest.raises(DomainError, match=r"retransmit\[1\] is a tuple"):
         Strategy(Z_BASIS, (PLUS, (1.0, 0.0)))
+    with pytest.raises(DomainError, match="pom is a tuple, not a Pom"):
+        Strategy(pom=(1, 2), retransmit=())
 
 
 def test_degenerate_ensemble_reaches_unit_fidelity():

@@ -71,7 +71,7 @@ def test_non_finite_measurement_is_rejected_by_element(call, value):
     assert "element 1 has a non-finite entry" in validate_pom(pom)
 
 
-@pytest.mark.parametrize("elements", [(1, 2), (HALF_IDENTITY, "x"), (np.eye(2),)])
+@pytest.mark.parametrize("elements", [(1, 2), (HALF_IDENTITY, "x"), (np.eye(2),), 5, None])
 def test_pom_rejects_elements_that_are_not_operators(elements):
     with pytest.raises(DomainError, match="not a Hermitian2"):
         Pom(elements=elements)

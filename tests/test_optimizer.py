@@ -12,7 +12,7 @@ from qrelay import (DomainError, Hermitian2, OptimizationError, OptimizerConfig,
                     max_fidelity_analytic, min_error_analytic, optimal_retransmission,
                     optimize_error, optimize_fidelity, optimizer,
                     square_root_measurement, symmetric_ensemble, validate_pom)
-from qrelay.optimizer import _frame_map, _pom
+from qrelay.optimizer import _fidelity_objective, _frame_map, _pom
 
 
 def row(weights, colatitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +198,13 @@ def test_optimize_fidelity_trace_contract(m2_concentration):
 
 def test_spot_checks_replay_their_values():
     """Each sampled candidate's measurement gives back the objective value recorded with it."""
-    e = symmetric_ensemble(3, 0.6)
+    e = symmetric_ensemble(3, 0.2)
     cfg = OptimizerConfig(n_elements=3, restarts=4, max_iterations=300, seed=1)
     fidelity_trace = optimize_fidelity(e, cfg)[2]
     error_trace = optimize_error(e, cfg)[3]
     for trace in (fidelity_trace, error_trace):
-        assert len(trace.spot_checks) == 3 * len(trace.records) > 0
+        iterations = trace.records[0].iterations
+        assert len(trace.spot_checks) == (iterations // optimizer.SPOT_EVERY) * len(trace.records) > 0
     for spot in fidelity_trace.spot_checks:
         assert abs(optimal_retransmission(e, spot.pom).fidelity - spot.value) <= 1e-12
     for spot in error_trace.spot_checks:
@@ -251,9 +252,24 @@ def test_never_beats_bound_property(default_fidelity_sweep):
     assert property_suites.optimizer_bound_suite(default_fidelity_sweep) == 25
 
 
-def test_stall_stop_ends_a_converged_search(default_fidelity_sweep):
-    trace = default_fidelity_sweep.results[3, 0.0].trace
-    assert all(rec.iterations < OptimizerConfig().max_iterations for rec in trace.records)
+def test_fixed_point_stop_ends_a_converged_search(default_fidelity_sweep):
+    point = default_fidelity_sweep.results[8, math.pi / 2]
+    assert all(rec.iterations < OptimizerConfig().max_iterations for rec in point.trace.records)
+    assert max(rec.accepted for rec in point.trace.records) == point.trace.records[0].iterations
+    # one more step from the returned measurement leaves it where it is
+    e = symmetric_ensemble(8, math.pi / 2)
+    t, r = point.strategy.pom.terms
+    _, g0, g = _fidelity_objective(e, t, r)
+    stepped, resid = frame_map(*bloch.sandwich(g0, g, t, r))
+    assert resid <= 1e-15
+    assert np.abs(stepped[0] - t).max() <= 1e-12 and np.abs(stepped[1] - r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m,theta", [(3, math.pi / 4), (5, math.pi / 2)])
+def test_error_search_reaches_the_closed_form_before_the_cap(m, theta):
+    _, _, error, trace = optimize_error(symmetric_ensemble(m, theta))
+    assert trace.records[0].iterations < OptimizerConfig().max_iterations
+    assert abs(error - min_error_analytic(m, theta)) <= 1e-12
 
 
 def test_search_soundness_property(default_fidelity_sweep):
