@@ -23,19 +23,17 @@ from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 from .simulator import (SimResult, counter_uniforms, simulate_error, simulate_fidelity,
                         simulate_strategy)
 from .strategy_io import load_strategy, parse_strategy_document, save_strategy
-from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment", "DomainError", "FidelityReport", "Hermitian2", "OptimizationError",
     "OptimizerConfig", "Pom", "PureQubit", "SearchTrace", "SimResult", "Strategy",
-    "SymmetricEnsemble", "TOL", "Tolerances", "ValidationError", "counter_uniforms",
-    "error_probability", "fidelity_of_strategy", "greedy_assignment", "hermitian_eig2",
-    "identity_sum_residual", "load_strategy", "make_qubit", "max_fidelity_analytic",
-    "min_error_analytic", "optimal_retransmission", "optimal_strategy_analytic",
-    "optimize_error", "optimize_fidelity", "parse_strategy_document",
-    "retransmission_colatitude", "save_strategy", "simulate_error", "simulate_fidelity",
-    "simulate_strategy", "square_root_measurement", "symmetric_ensemble",
-    "validate_pom",
+    "SymmetricEnsemble", "ValidationError", "counter_uniforms", "error_probability",
+    "fidelity_of_strategy", "greedy_assignment", "hermitian_eig2", "identity_sum_residual",
+    "load_strategy", "make_qubit", "max_fidelity_analytic", "min_error_analytic",
+    "optimal_retransmission", "optimal_strategy_analytic", "optimize_error",
+    "optimize_fidelity", "parse_strategy_document", "retransmission_colatitude",
+    "save_strategy", "simulate_error", "simulate_fidelity", "simulate_strategy",
+    "square_root_measurement", "symmetric_ensemble", "validate_pom",
 ]

@@ -15,16 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .qubit import Hermitian2, PureQubit
-from .tolerances import TOL
+from .tolerances import PSEUDO_INVERSE
 
 
 def terms(elements: Sequence[Hermitian2]) -> tuple[np.ndarray, np.ndarray]:
-    """(t[K], r[K, 3]) of operators; one with a non-finite entry gets NaN terms throughout."""
+    """(t[K], r[K, 3]) of operators."""
     rows = np.array([(0.5 * (el.a + el.d), el.b.real, -el.b.imag, 0.5 * (el.a - el.d))
                      for el in elements])
-    finite = np.isfinite(rows)
-    if not finite.all():
-        rows[~finite.all(axis=1)] = np.nan
     return rows[:, 0], rows[:, 1:]
 
 
@@ -110,8 +107,8 @@ def frame_normalize(w: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     plus = half * ((n + u) ** 2).sum(axis=0)
     minus = half * ((n - u) ** 2).sum(axis=0)
     lam_plus, lam_minus = plus.sum(axis=-1), minus.sum(axis=-1)
-    kept_plus = np.where(lam_plus > TOL.pseudo_inverse, lam_plus, np.inf)[..., None]
-    kept_minus = np.where(lam_minus > TOL.pseudo_inverse, lam_minus, np.inf)[..., None]
+    kept_plus = np.where(lam_plus > PSEUDO_INVERSE, lam_plus, np.inf)[..., None]
+    kept_minus = np.where(lam_minus > PSEUDO_INVERSE, lam_minus, np.inf)[..., None]
     plus, minus = plus / kept_plus, minus / kept_minus
     cross = w / np.sqrt(kept_plus * kept_minus)
     r = 0.5 * (plus - minus) * u + cross * (n - (u * n).sum(axis=0) * u)

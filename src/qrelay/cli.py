@@ -36,8 +36,7 @@ def _fmt(x: float) -> str:
 def _print_strategy(s: Strategy) -> None:
     """One line per outcome: element weight t and unit direction of r (+z for r = 0), retransmitted Bloch vector."""
     t, r = s.pom.terms
-    for k, (w, n, b) in enumerate(zip(t.tolist(), bloch.unit(r).tolist(),
-                                      bloch.vectors(s.retransmit).tolist())):
+    for k, (w, n, b) in enumerate(zip(t.tolist(), bloch.unit(r).tolist(), s.vectors.tolist())):
         print(f"outcome {k}: weight = {_fmt(max(0.0, w))}  "
               f"direction = ({_fmt(n[0])}, {_fmt(n[1])}, {_fmt(n[2])})  "
               f"retransmit = ({_fmt(b[0])}, {_fmt(b[1])}, {_fmt(b[2])})")

@@ -9,13 +9,12 @@ coincide with |+>.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_number
 from .qubit import PureQubit, make_qubit
 
 
@@ -53,8 +52,7 @@ class SymmetricEnsemble:
 
 def check_domain(m: int, theta: float) -> None:
     check_integer(m, "ensemble size", 2)
-    if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
-        raise DomainError(f"theta must be a real number, got {theta!r}")
+    check_number(theta, "theta")
     if not 0.0 <= theta <= math.pi / 2:
         raise DomainError(f"theta {theta!r} outside [0, pi/2]")
 

@@ -1,4 +1,4 @@
-"""Exception types raised by the package, and the type checks behind every count, seed and sequence argument."""
+"""Exception types raised by the package, and the type checks behind every count, seed, number and sequence argument."""
 
 from __future__ import annotations
 
@@ -27,6 +27,20 @@ def check_integer(value, name: str, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+# per kind: the abstract number class, and the builtin types that pass before the slower test against it
+_KINDS = {float: (numbers.Real, (float, int)), complex: (numbers.Complex, (complex, float, int))}
+
+
+def check_number(value, name: str, kind: type = float) -> None:
+    """DomainError unless value is a real (kind float) or complex (kind complex) number, numpy scalars included.
+
+    bool is rejected although Python counts it as a number.
+    """
+    abstract, exact = _KINDS[kind]
+    if type(value) not in exact and (isinstance(value, bool) or not isinstance(value, abstract)):
+        raise DomainError(f"{name} must be a {abstract.__name__.lower()} number, got {value!r}")
 
 
 def check_items(value, name: str, kind: type) -> tuple:

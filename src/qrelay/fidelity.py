@@ -20,23 +20,28 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError, check_integer, check_items
-from .measurements import Pom, _finite_terms
+from .measurements import Pom
 from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """A measurement together with one retransmission state per outcome."""
+    """A measurement together with one retransmission state per outcome.
+
+    vectors holds the retransmission states' Bloch vectors v[K, 3], built
+    with the record.
+    """
 
     pom: Pom
     retransmit: tuple[PureQubit, ...]
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.pom, Pom):
@@ -47,6 +52,7 @@ class Strategy:
                 f"{len(retransmit)} retransmission states for "
                 f"{len(self.pom.elements)} outcomes")
         object.__setattr__(self, "retransmit", retransmit)
+        object.__setattr__(self, "vectors", bloch.vectors(retransmit))
 
 
 @dataclass(frozen=True)
@@ -77,8 +83,8 @@ def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
     |<psi_j|phi_k>|^2 is the Born probability of the projector (I + n(phi_k).sigma)/2.
     """
     half = np.full(len(s.retransmit), 0.5)
-    overlap = bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors)
-    return e.prior * float((bloch.born(*_finite_terms(s.pom), e.vectors) * overlap).sum())
+    overlap = bloch.born(half, 0.5 * s.vectors, e.vectors)
+    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * overlap).sum())
 
 
 def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
@@ -88,7 +94,7 @@ def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
     operator has top eigenvalue t + |r| in Bloch terms, and the state to send
     is its top eigenvector as hermitian_eig2 resolves it.
     """
-    t, r = _scores(e, *_finite_terms(p))
+    t, r = _scores(e, *p.terms)
     values = bloch.top(t, r)
     states = [hermitian_eig2(op)[0][1] for op in bloch.operators(t, r)]
     return FidelityReport(fidelity=float(values.sum()),

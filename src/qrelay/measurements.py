@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError, check_integer, check_items
 from .qubit import Hermitian2
-from .tolerances import TOL
+from .tolerances import DEGENERATE, IDENTITY_SUM, PSD
 
 
 @dataclass(frozen=True)
@@ -28,19 +27,24 @@ class Pom:
     """Probability operator measure: element k is the operator of outcome k.
 
     Construction checks structure only: at least one element, each a
-    Hermitian2. validate_pom diagnoses positivity and completeness, so that
-    candidates can be built and inspected first. terms holds the elements as
-    Bloch terms (t[K], r[K, 3]), built once on first use.
+    Hermitian2 with finite terms. validate_pom diagnoses positivity and
+    completeness, so that candidates can be built and inspected first. terms
+    holds the elements as Bloch terms (t[K], r[K, 3]), built with the record.
     """
 
     elements: tuple[Hermitian2, ...]
-    meta: dict[str, Any] = field(default_factory=dict, compare=False)
+    terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         elements = check_items(self.elements, "elements", Hermitian2)
         if not elements:
             raise DomainError("a measurement needs at least one element")
+        t, r = bloch.terms(elements)
+        finite = np.isfinite(t) & np.isfinite(r).all(axis=1)
+        if not finite.all():
+            raise DomainError(f"element {finite.argmin()} has a non-finite entry")
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "terms", (t, r))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -50,10 +54,6 @@ class Pom:
         """Outcome labels 0..K-1, in element order."""
         return tuple(range(len(self)))
 
-    @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        return bloch.terms(self.elements)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -62,30 +62,17 @@ class Assignment:
     outcome_to_signal: Mapping[int, int]
 
 
-def _finite_terms(p: Pom) -> tuple[np.ndarray, np.ndarray]:
-    """p.terms if every element is finite, else DomainError naming the first that is not."""
-    bad = np.flatnonzero(np.isnan(p.terms[0]))
-    if bad.size:
-        raise DomainError(f"element {bad[0]} has a non-finite entry")
-    return p.terms
-
-
 def identity_sum_residual(p: Pom) -> float:
-    """Largest entrywise deviation of the element sum from the identity; NaN if an entry is not finite."""
+    """Largest entrywise deviation of the element sum from the identity."""
     return float(bloch.residual(*p.terms))
 
 
 def validate_pom(p: Pom) -> list[str]:
     """Collect human-readable violations; an empty list means the measure is sound."""
-    low = bloch.lowest(*p.terms)
-    violations = []
-    for k, value in enumerate(low.tolist()):
-        if not value >= -TOL.psd:
-            what = ("has a non-finite entry" if math.isnan(value) else
-                    f"is not positive semidefinite (minimum eigenvalue {value:.3e})")
-            violations.append(f"element {k} {what}")
+    violations = [f"element {k} is not positive semidefinite (minimum eigenvalue {value:.3e})"
+                  for k, value in enumerate(bloch.lowest(*p.terms).tolist()) if value < -PSD]
     residual = identity_sum_residual(p)
-    if not residual <= TOL.identity_sum:
+    if not residual <= IDENTITY_SUM:
         violations.append(f"elements do not sum to the identity (residual {residual:.3e})")
     return violations
 
@@ -96,15 +83,11 @@ def square_root_measurement(e: SymmetricEnsemble) -> Pom:
     Each element is S^(-1/2) |psi_j><psi_j| S^(-1/2) where S is the sum of the
     signal projectors. When S is singular the inverse square root is taken on
     the support only (an eigenvalue at or below the pseudo-inverse cutoff is
-    dropped) and the result is flagged with meta["rank_deficient"] = True.
+    dropped), so the elements sum to the projector onto the support and
+    validate_pom reports that they do not sum to the identity.
     """
-    t, r, lam_minus = bloch.frame_normalize(np.full(e.m, 0.5), e.vectors)
-    meta: dict[str, Any] = {}
-    if lam_minus <= TOL.pseudo_inverse:
-        # S has trace m, so its larger eigenvalue is at least m/2 and stays
-        meta["rank_deficient"] = True
-        meta["support_dimension"] = 1
-    return Pom(elements=bloch.operators(t, r), meta=meta)
+    t, r, _ = bloch.frame_normalize(np.full(e.m, 0.5), e.vectors)
+    return Pom(elements=bloch.operators(t, r))
 
 
 def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
@@ -127,9 +110,9 @@ def error_probability(e: SymmetricEnsemble, p: Pom, a: Assignment) -> float:
     """Probability that the assigned signal differs from the transmitted one.
 
     Every outcome must be assigned to a signal index in range; the
-    measurement must be finite and is otherwise taken on trust here.
+    measurement is otherwise taken on trust here.
     """
-    probs = bloch.born(*_finite_terms(p), e.vectors).tolist()
+    probs = bloch.born(*p.terms, e.vectors).tolist()
     return 1.0 - e.prior * sum(probs[j][k] for k, j in enumerate(_signal_indices(p, a, e.m)))
 
 
@@ -140,8 +123,8 @@ def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:
     ties, signals within the degeneracy tolerance of the best, go to the
     lowest signal index.
     """
-    probs = bloch.born(*_finite_terms(p), e.vectors)
-    tied = probs >= probs.max(axis=0) - TOL.degenerate
+    probs = bloch.born(*p.terms, e.vectors)
+    tied = probs >= probs.max(axis=0) - DEGENERATE
     return Assignment(outcome_to_signal=dict(enumerate(tied.argmax(axis=0).tolist())))
 
 

@@ -38,7 +38,7 @@ from .errors import OptimizationError, check_integer
 from .fidelity import (FidelityReport, Strategy, _scores, fidelity_of_strategy,
                        optimal_retransmission)
 from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
-from .tolerances import TOL
+from .tolerances import IDENTITY_SUM, NEGLIGIBLE, PSEUDO_INVERSE
 
 SPOT_EVERY = 100
 STOP = 1e-12  # a step that moves no term of a row by more than this ends the row
@@ -58,7 +58,7 @@ def _frame_map(W: np.ndarray, N: np.ndarray):
     for rows whose frame is singular.
     """
     t, r, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), bloch.unit(N))
-    return t, r, np.where(lam_minus > TOL.pseudo_inverse, bloch.residual(t, r), np.inf)
+    return t, r, np.where(lam_minus > PSEUDO_INVERSE, bloch.residual(t, r), np.inf)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _merged(t: np.ndarray, r: np.ndarray):
     """One row with elements whose unit vectors coincide merged into the first
     of them, weights summed and the rest zeroed, then frame-normalized again."""
     n = bloch.unit(r)
-    first = (np.abs(n[:, None] - n[None]).max(axis=-1) <= TOL.negligible).argmax(axis=0)
+    first = (np.abs(n[:, None] - n[None]).max(axis=-1) <= NEGLIGIBLE).argmax(axis=0)
     t, r, _ = _frame_map(np.bincount(first, weights=t, minlength=len(t))[None], n[None])
     return t[0], r[0]
 
@@ -152,7 +152,7 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
     t, r, resid = _frame_map(rng.dirichlet(np.ones(n), size=restarts),
                              rng.standard_normal((restarts, n, 3)))
-    alive = resid <= TOL.identity_sum
+    alive = resid <= IDENTITY_SUM
     if not alive.any():
         raise OptimizationError(f"no feasible start in {restarts} restarts")
     VAL, g0, g = objective(e, t, r)
@@ -166,7 +166,7 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     while live.any() and iterations < cfg.max_iterations:
         iterations += 1
         t2, r2, resid = _frame_map(*bloch.sandwich(g0, g, t, r))
-        step = live & (resid <= TOL.identity_sum)
+        step = live & (resid <= IDENTITY_SUM)
         moved = np.maximum(np.abs(t2 - t).max(axis=-1), np.abs(r2 - r).max(axis=(-2, -1)))
         t[step], r[step] = t2[step], r2[step]
         VAL2, g0, g = objective(e, t, r)

@@ -12,8 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .tolerances import TOL
+from .errors import DomainError, check_number
+from .tolerances import DEGENERATE, NEGLIGIBLE, NORM
 
 NORM_ROUNDING = 8.0 * 2.0 ** -52  # 8 ulps of 1; rescaling lands a squared norm well inside it
 
@@ -27,25 +27,28 @@ class PureQubit:
     then rescales to unit norm unless the squared norm is 1 to rounding, so a
     state rebuilt from its own amplitudes comes back bit for bit. Pairs whose
     squared norm is off 1 by more than the norm tolerance, or is not finite,
-    are rejected rather than silently rescaled.
+    are rejected rather than silently rescaled, as are amplitudes that are not
+    numbers.
     """
 
     amp_plus: complex
     amp_minus: complex
 
     def __post_init__(self) -> None:
+        check_number(self.amp_plus, "amp_plus", complex)
+        check_number(self.amp_minus, "amp_minus", complex)
         try:
             cp, cm = complex(self.amp_plus), complex(self.amp_minus)
             nsq = abs(cp) ** 2 + abs(cm) ** 2
         except OverflowError as exc:  # an amplitude too large for a double, or its square
             raise DomainError(f"amplitudes out of range: {exc}") from exc
-        if not abs(nsq - 1.0) <= TOL.norm:
+        if not abs(nsq - 1.0) <= NORM:
             raise DomainError(f"amplitudes have squared norm {nsq!r}, expected 1")
-        if abs(cp) > TOL.negligible:
+        if abs(cp) > NEGLIGIBLE:
             if cp.imag != 0.0 or cp.real < 0.0:
                 cp, cm = complex(abs(cp), 0.0), cm * abs(cp) / cp
                 nsq = abs(cp) ** 2 + abs(cm) ** 2
-        elif abs(cm) > TOL.negligible and (cm.imag != 0.0 or cm.real < 0.0):
+        elif abs(cm) > NEGLIGIBLE and (cm.imag != 0.0 or cm.real < 0.0):
             cp, cm = cp * abs(cm) / cm, complex(abs(cm), 0.0)
             nsq = abs(cp) ** 2 + abs(cm) ** 2
         if abs(nsq - 1.0) > NORM_ROUNDING:
@@ -68,6 +71,8 @@ def make_qubit(colatitude: float, longitude: float) -> PureQubit:
     longitude : float
         Azimuthal angle, unrestricted; enters only through exp(i*longitude).
     """
+    check_number(colatitude, "colatitude")
+    check_number(longitude, "longitude")
     if not 0.0 <= colatitude <= math.pi:
         raise DomainError(f"colatitude {colatitude!r} outside [0, pi]")
     half = 0.5 * colatitude
@@ -76,13 +81,16 @@ def make_qubit(colatitude: float, longitude: float) -> PureQubit:
 
 @dataclass(frozen=True)
 class Hermitian2:
-    """2x2 Hermitian operator [[a, b], [conj(b), d]] with a, d real."""
+    """2x2 Hermitian operator [[a, b], [conj(b), d]] with a, d real; DomainError for a field that is not a number."""
 
     a: float
     d: float
     b: complex
 
     def __post_init__(self) -> None:
+        check_number(self.a, "a")
+        check_number(self.d, "d")
+        check_number(self.b, "b", complex)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "d", float(self.d))
         object.__setattr__(self, "b", complex(self.b))
@@ -106,7 +114,7 @@ def hermitian_eig2(h: Hermitian2) -> tuple[tuple[float, PureQubit], tuple[float,
     half = 0.5 * (h.a - h.d)
     r = math.hypot(half, abs(h.b))
     lam1, lam2 = mean + r, mean - r
-    if 2.0 * r <= TOL.degenerate:
+    if 2.0 * r <= DEGENERATE:
         return ((lam1, PLUS), (lam2, MINUS))
     if half >= 0.0:
         vp, vm = lam1 - h.d, h.b.conjugate()

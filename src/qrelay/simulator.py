@@ -27,7 +27,7 @@ from .ensembles import SymmetricEnsemble
 from .errors import ValidationError, check_integer
 from .fidelity import Strategy
 from .measurements import Assignment, Pom, _signal_indices, validate_pom
-from .tolerances import TOL
+from .tolerances import PROBABILITY
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 N_SLOTS = 4
@@ -81,7 +81,7 @@ def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     if violations:
         raise ValidationError("; ".join(violations))
     born = bloch.born(*p.terms, e.vectors)
-    if born.min() < -TOL.probability:
+    if born.min() < -PROBABILITY:
         raise ValidationError(f"outcome probability {born.min():.3e} below the clamping window")
     born = np.clip(born, 0.0, 1.0)
     born = born / born.sum(axis=1, keepdims=True)
@@ -137,7 +137,7 @@ def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
 def _fidelity_hits(e: SymmetricEnsemble, s: Strategy, seed: int) -> Callable:
     """Counter of trials whose retransmitted state passes the accept test on slot 2."""
     half = np.full(len(s.retransmit), 0.5)
-    accept = np.clip(bloch.born(half, 0.5 * bloch.vectors(s.retransmit), e.vectors), 0.0, 1.0)
+    accept = np.clip(bloch.born(half, 0.5 * s.vectors, e.vectors), 0.0, 1.0)
     flat, width = accept.ravel(), accept.shape[1]
     return lambda start, stop, signal, outcome: int(
         (counter_uniforms(seed, 2, start, stop) < flat.take(signal * width + outcome)).sum())

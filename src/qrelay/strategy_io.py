@@ -131,7 +131,10 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
         raise ValidationError(f"{len(state_rows)} retransmission states for {len(pom_rows)} elements")
     elements = tuple(Hermitian2(a=row[0], d=row[3], b=complex(row[1], row[2]))
                      for row in pom_rows)
-    pom = Pom(elements=elements)
+    try:
+        pom = Pom(elements=elements)
+    except DomainError as exc:  # terms that overflow a double
+        raise ValidationError(f"pom: {exc}") from exc
     violations = validate_pom(pom)
     if violations:
         raise ValidationError(f"pom: {violations[0]}")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import helpers
-from qrelay import (Hermitian2, bloch, error_probability, greedy_assignment,
-                    optimal_retransmission, square_root_measurement, symmetric_ensemble)
+from qrelay import (DomainError, Hermitian2, Pom, bloch, error_probability, greedy_assignment,
+                    optimal_retransmission, square_root_measurement, symmetric_ensemble,
+                    validate_pom)
 from qrelay.optimizer import _correct_objective, _fidelity_objective, _frame_map, _pom
 
 
@@ -30,11 +31,11 @@ def test_terms_and_operators_are_inverse():
         assert helpers.entrywise_gap(ours, ref) <= 1e-15
 
 
-def test_non_finite_element_gets_nan_terms():
+def test_non_finite_element_is_rejected_before_terms():
     ops = (bloch.operators(np.array([0.5]), np.array([[0.0, 0.0, 0.5]]))[0],
            Hermitian2(math.inf, -math.inf, 0j))
-    t, r = bloch.terms(ops)
-    assert t[0] == 0.5 and np.isnan(t[1]) and np.isnan(r[1]).all()
+    with pytest.raises(DomainError, match="element 1 has a non-finite entry"):
+        Pom(elements=ops)
 
 
 def test_frame_normalize_with_zero_frame_axis():
@@ -106,4 +107,5 @@ def test_square_root_measurement_matches_frame_oracle(m, theta):
     expected = helpers.frame_normalized([np.outer(v, v.conj()) for v in psi])
     for el, ref in zip(pom.elements, expected):
         assert np.abs(helpers.matrix(el) - ref).max() <= 1e-12
-    assert pom.meta.get("rank_deficient", False) == (theta == 0.0)
+    # only the rank-deficient frame at theta = 0 leaves a sum short of the identity
+    assert (validate_pom(pom) != []) == (theta == 0.0)

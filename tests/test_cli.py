@@ -333,6 +333,16 @@ def test_validate_rejects_theta_beyond_double_range(capsys, tmp_path):
     assert code == 3 and out.startswith("invalid:")
 
 
+def test_validate_rejects_an_element_whose_terms_overflow(capsys, tmp_path):
+    path = tmp_path / "overflow.strategy.json"
+    run_cli(capsys, "analytic", "--m", "2", "--theta", "1.0", "--output_path", str(path))
+    doc = json.loads(path.read_text())
+    doc["pom"][0] = [1e308, 0.0, 0.0, 1e308]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "validate", "--strategy_file", str(path))
+    assert code == 3 and out == "invalid: pom: element 0 has a non-finite entry\n"
+
+
 def test_validate_rejects_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.strategy.json"
     path.write_text("{oops")

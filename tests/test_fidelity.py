@@ -1,5 +1,6 @@
 """Fidelity functional, score operators and the closed-form optimal strategies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import helpers
 import property_suites
 from qrelay import (DomainError, Hermitian2, Pom, Strategy, bloch, fidelity_of_strategy,
                     max_fidelity_analytic, optimal_retransmission,
-                    optimal_strategy_analytic, retransmission_colatitude,
+                    optimal_strategy_analytic, retransmission_colatitude, simulate_strategy,
                     square_root_measurement, symmetric_ensemble)
 from qrelay.qubit import PLUS
 
@@ -34,6 +35,29 @@ def test_strategy_rejects_states_that_are_not_qubits():
         Strategy(Z_BASIS, (PLUS, (1.0, 0.0)))
     with pytest.raises(DomainError, match="pom is a tuple, not a Pom"):
         Strategy(pom=(1, 2), retransmit=())
+
+
+def test_strategy_vectors_are_those_of_its_states():
+    s = optimal_strategy_analytic(5, 0.7)
+    assert np.array_equal(s.vectors, bloch.vectors(s.retransmit))
+    flipped = dataclasses.replace(s, retransmit=s.retransmit[::-1])
+    assert np.array_equal(flipped.vectors, s.vectors[::-1])
+
+
+def test_figures_of_merit_convert_no_states(monkeypatch):
+    e = symmetric_ensemble(5, 0.7)
+    s = optimal_strategy_analytic(5, 0.7)
+    calls = []
+    vectors = bloch.vectors
+
+    def counted(states):
+        calls.append(states)
+        return vectors(states)
+
+    monkeypatch.setattr(bloch, "vectors", counted)
+    fidelity_of_strategy(e, s)
+    simulate_strategy(e, s, helpers.identity_assignment(5), trials=1000)
+    assert calls == []
 
 
 def test_degenerate_ensemble_reaches_unit_fidelity():

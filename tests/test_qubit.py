@@ -60,6 +60,24 @@ def test_constructor_rejects_amplitudes_beyond_double_range(amps):
         PureQubit(*amps)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Hermitian2(None, 0, 0), lambda: Hermitian2(1j, 0, 0), lambda: Hermitian2("x", 0, 0),
+    lambda: Hermitian2(0, True, 0), lambda: Hermitian2(0, 0, "1"),
+    lambda: PureQubit(None, 1), lambda: PureQubit(1, "0"),
+    lambda: make_qubit("a", 0), lambda: make_qubit(1.0, "x"), lambda: make_qubit(None, 0),
+], ids=["h_none", "h_complex_diagonal", "h_text", "h_bool", "h_text_offdiagonal",
+        "q_none", "q_text", "colatitude_text", "longitude_text", "colatitude_none"])
+def test_fields_that_are_not_numbers_raise_domain_error(build):
+    with pytest.raises(DomainError, match="must be a (real|complex) number"):
+        build()
+
+
+def test_numpy_scalar_fields_are_numbers():
+    assert Hermitian2(np.float64(0.5), np.int64(0), np.complex64(0.5j)) == Hermitian2(0.5, 0.0, 0.5j)
+    assert PureQubit(np.complex128(1.0), np.float32(0.0)) == PLUS
+    assert make_qubit(np.float32(0.0), np.float64(1.0)) == PLUS
+
+
 def test_construction_is_idempotent():
     rng = np.random.default_rng(11)
     states = [helpers.random_qubit(rng) for _ in range(2000)]

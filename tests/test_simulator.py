@@ -10,7 +10,7 @@ import pytest
 import helpers
 import property_suites
 import qrelay.simulator as simulator
-from qrelay import (DomainError, Hermitian2, Pom, SimResult, Strategy, ValidationError,
+from qrelay import (DomainError, Hermitian2, Pom, SimResult, Strategy,
                     counter_uniforms, error_probability, greedy_assignment,
                     optimal_strategy_analytic, simulate_error, simulate_fidelity,
                     simulate_strategy, square_root_measurement, symmetric_ensemble)
@@ -229,13 +229,12 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_measurement_is_rejected(value):
-    e = symmetric_ensemble(3, math.pi / 2)
     s = optimal_strategy_analytic(3, math.pi / 2)
     bad = dataclasses.replace(s.pom.elements[0], a=value)
-    broken = dataclasses.replace(s, pom=dataclasses.replace(
-        s.pom, elements=(bad,) + s.pom.elements[1:]))
-    with pytest.raises(ValidationError):
-        simulate_fidelity(e, broken, 100_000, seed=0)
+    # the measurement is refused when built, so no simulation can be handed it
+    with pytest.raises(DomainError, match="element 0 has a non-finite entry"):
+        dataclasses.replace(s, pom=dataclasses.replace(
+            s.pom, elements=(bad,) + s.pom.elements[1:]))
 
 
 def test_trials_must_be_positive():

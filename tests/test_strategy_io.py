@@ -212,6 +212,17 @@ def test_parse_rejects_numbers_beyond_double_range(where, value):
         parse_strategy_document(doc)
 
 
+def test_load_rejects_an_element_whose_terms_overflow(tmp_path):
+    # every entry is a finite double, but a + d is not
+    doc = json.loads(render_document(strategy_document(
+        symmetric_ensemble(2, 0.7), optimal_strategy_analytic(2, 0.7), generator="analytic")))
+    doc["pom"][0] = [1e308, 0.0, 0.0, 1e308]
+    path = tmp_path / "overflow.strategy.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="pom: element 0 has a non-finite entry"):
+        load_strategy(path)
+
+
 # JSON as json.loads gives it. "m" also takes sizes up to 10^12: parsing never builds
 # the signal states, so it costs the same for any m. NUMBERS, with integers and floats
 # beyond the double range, fill theta and the quadruples only.
