@@ -2,8 +2,10 @@
 
 Runs the multi-start measurement optimizer on a grid of ensembles and prints
 one line per grid point with the analytic bound, the best value the search
-reached, and the signed gap. Every gap should sit within the optimizer
-tolerance below zero; a positive gap would falsify the bound.
+reached, the signed gap and the search's outer-step count, marked "cap" when
+the search stopped at max_iterations rather than converging. Every gap should
+sit within the optimizer tolerance below zero; a positive gap would falsify
+the bound.
 
     python3 scripts/verify_bounds.py
     python3 scripts/verify_bounds.py --m 2 3 --steps 9 --restarts 32 --seed 7
@@ -32,19 +34,21 @@ def main(argv=None) -> int:
     cfg = OptimizerConfig(n_elements=args.elements, restarts=args.restarts,
                           seed=args.seed)
     print(f"{'m':>3} {'theta':>12} {'bound':>20} {'achieved':>20} "
-          f"{'gap':>12} {'time_s':>7}")
+          f"{'gap':>12} {'steps':>6} {'time_s':>7}")
     worst = -math.inf
     for m in args.m:
         for i in range(args.steps):
             theta = (math.pi / 2) * i / (args.steps - 1)
             bound = max_fidelity_analytic(m, theta)
             start = time.perf_counter()
-            _, value, _ = optimize_fidelity(symmetric_ensemble(m, theta), cfg)
+            _, value, trace = optimize_fidelity(symmetric_ensemble(m, theta), cfg)
             elapsed = time.perf_counter() - start
             gap = value - bound
             worst = max(worst, gap)
+            steps = trace.records[0].iterations
+            cap = " cap" if steps >= cfg.max_iterations else ""
             print(f"{m:>3} {theta:>12.8f} {bound:>20.15f} {value:>20.15f} "
-                  f"{gap:>12.2e} {elapsed:>7.2f}")
+                  f"{gap:>12.2e} {steps:>6} {elapsed:>7.2f}{cap}")
     print(f"\nworst gap (achieved - bound): {worst:.3e}")
     return 0 if worst <= 1e-6 else 1
 

@@ -154,6 +154,7 @@ def optimal_strategy_analytic(m: int, theta: float,
     n = check_integer(m if n_outputs is None else n_outputs, "n_outputs", 2)
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
         raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
+    alpha = math.fmod(alpha, 2.0 * math.pi)  # exact, so a large offset keeps the spacing
     elements = []
     retransmit = []
     for l in range(n):

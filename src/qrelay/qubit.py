@@ -81,7 +81,8 @@ def make_qubit(colatitude: float, longitude: float) -> PureQubit:
 
 @dataclass(frozen=True)
 class Hermitian2:
-    """2x2 Hermitian operator [[a, b], [conj(b), d]] with a, d real; DomainError for a field that is not a number."""
+    """2x2 Hermitian operator [[a, b], [conj(b), d]] with a, d real; DomainError for a field
+    that is not a number or lies beyond the double range."""
 
     a: float
     d: float
@@ -91,9 +92,13 @@ class Hermitian2:
         check_number(self.a, "a")
         check_number(self.d, "d")
         check_number(self.b, "b", complex)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "b", complex(self.b))
+        try:
+            a, d, b = float(self.a), float(self.d), complex(self.b)
+        except OverflowError as exc:  # an integer too large for a double
+            raise DomainError(f"entries out of range: {exc}") from exc
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "b", b)
 
 
 def hermitian_eig2(h: Hermitian2) -> tuple[tuple[float, PureQubit], tuple[float, PureQubit]]:

@@ -11,7 +11,7 @@ import property_suites
 from qrelay import (DomainError, Hermitian2, Pom, Strategy, bloch, fidelity_of_strategy,
                     max_fidelity_analytic, optimal_retransmission,
                     optimal_strategy_analytic, retransmission_colatitude, simulate_strategy,
-                    square_root_measurement, symmetric_ensemble)
+                    square_root_measurement, symmetric_ensemble, validate_pom)
 from qrelay.qubit import PLUS
 
 Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
@@ -230,6 +230,14 @@ def test_analytic_strategy_rejects_single_output():
 def test_analytic_strategy_rejects_non_finite_phase(alpha):
     with pytest.raises(DomainError, match="alpha"):
         optimal_strategy_analytic(3, 0.5, alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e9, 1e15, 1e17, 1e300])
+def test_analytic_strategy_keeps_large_phase_offsets_complete(alpha):
+    s = optimal_strategy_analytic(3, 0.5, alpha=alpha)
+    assert validate_pom(s.pom) == []
+    assert abs(fidelity_of_strategy(symmetric_ensemble(3, 0.5), s)
+               - max_fidelity_analytic(3, 0.5)) <= 1e-15
 
 
 def test_analytic_strategy_accepts_numpy_integer_outputs():

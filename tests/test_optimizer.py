@@ -272,6 +272,42 @@ def test_error_search_reaches_the_closed_form_before_the_cap(m, theta):
     assert abs(error - min_error_analytic(m, theta)) <= 1e-12
 
 
+def test_error_search_with_fewer_elements_than_signals_stops_every_row():
+    cfg = OptimizerConfig(n_elements=3, restarts=4, max_iterations=1000, seed=1)
+    _, _, _, trace = optimize_error(symmetric_ensemble(4, 0.6), cfg)
+    assert trace.records[0].iterations < cfg.max_iterations
+    best = 1.0 - min_error_analytic(4, 0.6)
+    assert all(abs(rec.final_value - best) <= 1e-13 for rec in trace.records)
+
+
+def test_default_sweep_converges_before_the_cap(default_fidelity_sweep):
+    for point in default_fidelity_sweep.results.values():
+        assert point.trace.records[0].iterations < OptimizerConfig().max_iterations
+        assert point.bound - point.achieved <= 1e-12
+
+
+def assert_spot_values_never_fall(trace):
+    """From one spot check of a restart to its next, the value falls by rounding at most."""
+    last = {}
+    for spot in trace.spot_checks:
+        assert spot.value >= last.get(spot.restart, -math.inf) - 1e-12
+        last[spot.restart] = spot.value
+
+
+def test_spot_check_values_never_fall(default_fidelity_sweep):
+    for point in default_fidelity_sweep.results.values():
+        assert_spot_values_never_fall(point.trace)
+
+
+def test_every_outer_step_ascends(monkeypatch):
+    """Sampled at every outer step, the slowest point still ascends: the
+    safeguard rejects each extrapolation that would lower a restart's value."""
+    monkeypatch.setattr(optimizer, "SPOT_EVERY", 1)
+    trace = optimize_fidelity(symmetric_ensemble(5, math.pi / 8))[2]
+    assert len(trace.spot_checks) == trace.records[0].iterations * len(trace.records)
+    assert_spot_values_never_fall(trace)
+
+
 def test_search_soundness_property(default_fidelity_sweep):
     traces = [res.trace for res in default_fidelity_sweep.results.values()]
     assert property_suites.optimizer_soundness_suite(traces) > 0

@@ -72,6 +72,13 @@ def test_fields_that_are_not_numbers_raise_domain_error(build):
         build()
 
 
+@pytest.mark.parametrize("fields", [(10 ** 400, 0, 0), (0, -10 ** 400, 0), (0, 0, 10 ** 400)],
+                         ids=["a", "d", "b"])
+def test_hermitian_fields_beyond_double_range_raise_domain_error(fields):
+    with pytest.raises(DomainError, match="out of range"):
+        Hermitian2(*fields)
+
+
 def test_numpy_scalar_fields_are_numbers():
     assert Hermitian2(np.float64(0.5), np.int64(0), np.complex64(0.5j)) == Hermitian2(0.5, 0.0, 0.5j)
     assert PureQubit(np.complex128(1.0), np.float32(0.0)) == PLUS
