@@ -32,6 +32,7 @@ class SymmetricEnsemble:
     def __post_init__(self) -> None:
         check_domain(self.m, self.theta)
         object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "theta", float(self.theta))
 
     @cached_property
     def prior(self) -> float:

@@ -86,8 +86,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class SpotCheck:
-    """Current candidate sampled mid-search, as element terms (t[K], r[K, 3]),
-    so audits can replay the objective on its measurement."""
+    """A row's candidate sampled mid-search, as element terms (t[K], r[K, 3]),
+    so audits can replay the objective on its measurement. The search samples
+    every SPOT_EVERY outer steps, each row that applied a step since the last
+    sample, so a stopped row's final candidate is kept once."""
 
     restart: int
     iteration: int
@@ -119,7 +121,9 @@ class SearchTrace:
     Recorded values are always the maximized objective: the fidelity itself,
     or the correct-decision probability (1 - error) for the error search.
     evaluations counts objective evaluations of single rows: one per feasible
-    start, then four per live row in each outer step.
+    start, then four per live row in each outer step. spot_checks holds
+    min(ceil(accepted / SPOT_EVERY), iterations // SPOT_EVERY) samples of each
+    restart (SpotCheck).
     """
 
     objective: str
@@ -212,7 +216,9 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         evaluations += 4 * int(live.sum())
         live = step & (moved > STOP)
         if iterations % SPOT_EVERY == 0:
-            for row in np.where(alive)[0]:
+            # rows step from the first outer step until they stop, so these are
+            # the rows whose candidate changed since the last sample
+            for row in np.where(applied > iterations - SPOT_EVERY)[0]:
                 # t[row] and r[row] are views of the live state, which later steps overwrite
                 spots.append(SpotCheck(restart=int(row), iteration=iterations, t=t[row].copy(),
                                        r=r[row].copy(), value=float(VAL[row])))

@@ -3,18 +3,17 @@
 A document records the ensemble parameters, the measurement elements as real
 quadruples [a, re(b), im(b), d], the retransmission amplitudes as quadruples
 [re+, im+, re-, im-], and provenance (who generated it, with what
-parameters). Floats are rendered by repr, which parses back to the same
-double and sign of zero, so saving a loaded document reproduces it byte for
-byte; loading re-validates everything before any simulation may consume it.
+parameters). json writes the values, floats by repr, which parses back to the
+same double and sign of zero, so saving a loaded document reproduces it byte
+for byte. Loading checks the document's shape, and the record constructors
+check its numbers, before any simulation may consume it.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .ensembles import SymmetricEnsemble, symmetric_ensemble
 from .errors import DomainError, ValidationError
@@ -23,47 +22,45 @@ from .measurements import Pom, validate_pom
 from .qubit import Hermitian2, PureQubit
 
 FORMAT_VERSION = 1
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _render(value: Any, indent: int) -> str:
+    """value as JSON text: non-empty objects, and lists holding anything but
+    numbers, one item a line; every other value, a numeric row too, on one line."""
     pad = " " * indent
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"cannot serialize non-finite float {value!r}")
-        return repr(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
-            return "[" + ", ".join(_render(x, 0) for x in items) + "]"
-        inner = ",\n".join(pad + "  " + _render(x, indent + 2) for x in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 2)}'
-            for k, v in value.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    raise DomainError(f"cannot serialize {type(value).__name__} values")
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(str(k))}: {_render(v, indent + 2)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and not all(map(_is_number, value)):
+        items = [_render(x, indent + 2) for x in value]
+        brackets = "[]"
+    else:
+        try:
+            return _ENCODER.encode(value)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"cannot serialize: {exc}") from exc
+    inner = ",\n".join(pad + "  " + item for item in items)
+    return brackets[0] + "\n" + inner + "\n" + pad + brackets[1]
 
 
 def strategy_document(e: SymmetricEnsemble, s: Strategy, generator: str,
                       parameters: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Plain-data document describing the strategy; ready to render."""
+    """Plain-data document describing the strategy; DomainError where loading would reject it."""
+    if not isinstance(generator, str):
+        raise DomainError(f"generator must be a string, got {generator!r}")
+    if not isinstance(parameters, (dict, type(None))):
+        raise DomainError(f"parameters must be a dict, got {parameters!r}")
     return {
         "format": "strategy",
         "version": FORMAT_VERSION,
         "generator": generator,
         "parameters": dict(parameters or {}),
-        "ensemble": {"m": e.m, "theta": float(e.theta)},
+        "ensemble": {"m": e.m, "theta": e.theta},
         "pom": [[el.a, el.b.real, el.b.imag, el.d] for el in s.pom.elements],
         "retransmit": [[q.amp_plus.real, q.amp_plus.imag,
                         q.amp_minus.real, q.amp_minus.imag] for q in s.retransmit],
@@ -79,19 +76,21 @@ def save_strategy(path: str | Path, e: SymmetricEnsemble, s: Strategy,
     Path(path).write_text(render_document(strategy_document(e, s, generator, parameters)))
 
 
-def _quadruples(doc: dict[str, Any], key: str) -> list[list[float]]:
-    rows = doc.get(key)
+def _quadruples(doc: dict[str, Any], key: str, make: Callable[..., Any]) -> tuple:
+    """The records make builds from the rows of doc[key], each a list of 4 numbers."""
+    rows = doc[key]
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f'"{key}" must be a non-empty list')
-    out = []
+    records = []
     for pos, row in enumerate(rows):
-        if (not isinstance(row, list) or len(row) != 4
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)):
+        # the number test also keeps out JSON true, which complex() would take as 1
+        if not isinstance(row, list) or len(row) != 4 or not all(map(_is_number, row)):
             raise ValidationError(f'"{key}"[{pos}] must be a list of 4 numbers')
-        if not all(abs(x) <= sys.float_info.max for x in row):  # exact for integers; NaN fails
-            raise ValidationError(f'"{key}"[{pos}] contains a number that is not a finite double')
-        out.append([float(x) for x in row])
-    return out
+        try:
+            records.append(make(*row))
+        except (DomainError, OverflowError) as exc:  # OverflowError: complex() of a huge integer
+            raise ValidationError(f'"{key}"[{pos}]: {exc}') from exc
+    return tuple(records)
 
 
 def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict[str, Any]]:
@@ -116,45 +115,30 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
     ens = doc["ensemble"]
     if not isinstance(ens, dict) or "m" not in ens or "theta" not in ens:
         raise ValidationError('"ensemble" must be an object with "m" and "theta"')
-    m, theta = ens["m"], ens["theta"]
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValidationError('"ensemble.m" must be an integer')
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise ValidationError('"ensemble.theta" must be a number')
     try:
-        ensemble = symmetric_ensemble(m, float(theta))
-    except (DomainError, OverflowError) as exc:
+        ensemble = symmetric_ensemble(ens["m"], ens["theta"])
+    except DomainError as exc:
         raise ValidationError(f"ensemble: {exc}") from exc
-    pom_rows = _quadruples(doc, "pom")
-    state_rows = _quadruples(doc, "retransmit")
-    if len(state_rows) != len(pom_rows):
-        raise ValidationError(f"{len(state_rows)} retransmission states for {len(pom_rows)} elements")
-    elements = tuple(Hermitian2(a=row[0], d=row[3], b=complex(row[1], row[2]))
-                     for row in pom_rows)
+    elements = _quadruples(doc, "pom", lambda a, re_b, im_b, d: Hermitian2(a, d, complex(re_b, im_b)))
+    states = _quadruples(doc, "retransmit", lambda *q: PureQubit(complex(*q[:2]), complex(*q[2:])))
+    if len(states) != len(elements):
+        raise ValidationError(f"{len(states)} retransmission states for {len(elements)} elements")
     try:
         pom = Pom(elements=elements)
-    except DomainError as exc:  # terms that overflow a double
+    except DomainError as exc:  # non-finite terms
         raise ValidationError(f"pom: {exc}") from exc
     violations = validate_pom(pom)
     if violations:
         raise ValidationError(f"pom: {violations[0]}")
-    states = []
-    for pos, row in enumerate(state_rows):
-        try:
-            states.append(PureQubit(complex(row[0], row[1]), complex(row[2], row[3])))
-        except DomainError as exc:
-            raise ValidationError(f'"retransmit"[{pos}]: {exc}') from exc
-    strategy = Strategy(pom=pom, retransmit=tuple(states))
     meta = {"generator": doc["generator"], "parameters": doc["parameters"],
             "version": doc["version"]}
-    return ensemble, strategy, meta
+    return ensemble, Strategy(pom=pom, retransmit=states), meta
 
 
 def load_strategy(path: str | Path) -> tuple[SymmetricEnsemble, Strategy, dict[str, Any]]:
-    """Read and validate a strategy document from disk."""
-    text = Path(path).read_text()
+    """Read and validate a strategy document, UTF-8 JSON, from disk."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ValidationError(f"not valid JSON: {exc}") from exc
     return parse_strategy_document(doc)

@@ -333,6 +333,17 @@ def test_validate_rejects_theta_beyond_double_range(capsys, tmp_path):
     assert code == 3 and out.startswith("invalid:")
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00garbage",
+                                     ('{"a": ' * 100000 + "1" + "}" * 100000).encode()],
+                         ids=["not_utf8", "too_deep"])
+def test_unreadable_file_exits_3(capsys, tmp_path, command, content):
+    path = tmp_path / "unreadable.strategy.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, command, "--strategy_file", str(path))
+    assert code == 3 and "invalid: not valid" in out + err
+
+
 def test_validate_rejects_an_element_whose_terms_overflow(capsys, tmp_path):
     path = tmp_path / "overflow.strategy.json"
     run_cli(capsys, "analytic", "--m", "2", "--theta", "1.0", "--output_path", str(path))

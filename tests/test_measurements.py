@@ -76,6 +76,17 @@ def test_pom_rejects_elements_that_are_not_operators(elements):
         Pom(elements=elements)
 
 
+def test_pom_rejects_an_empty_element_tuple():
+    with pytest.raises(DomainError, match="at least one element"):
+        Pom(elements=())
+
+
+def test_labels_number_the_outcomes_in_element_order():
+    pom = optimal_strategy_analytic(4, 0.7, n_outputs=5).pom
+    assert pom.labels == tuple(range(len(pom))) == (0, 1, 2, 3, 4)
+    assert Z_BASIS.labels == (0, 1)
+
+
 def test_replaced_elements_rebuild_the_terms():
     pom = optimal_strategy_analytic(3, 0.7).pom
     el = pom.elements[0]

@@ -196,6 +196,12 @@ def test_optimize_fidelity_trace_contract(m2_concentration):
     assert validate_pom(strategy.pom) == []
 
 
+def expected_spot_checks(trace) -> int:
+    """One sample every SPOT_EVERY outer steps of each restart that applied a step since the last."""
+    return sum(min(math.ceil(rec.accepted / optimizer.SPOT_EVERY),
+                   rec.iterations // optimizer.SPOT_EVERY) for rec in trace.records)
+
+
 def test_spot_checks_replay_their_values():
     """Each sampled candidate's measurement gives back the objective value recorded with it."""
     e = symmetric_ensemble(3, 0.2)
@@ -203,8 +209,7 @@ def test_spot_checks_replay_their_values():
     fidelity_trace = optimize_fidelity(e, cfg)[2]
     error_trace = optimize_error(e, cfg)[3]
     for trace in (fidelity_trace, error_trace):
-        iterations = trace.records[0].iterations
-        assert len(trace.spot_checks) == (iterations // optimizer.SPOT_EVERY) * len(trace.records) > 0
+        assert len(trace.spot_checks) == expected_spot_checks(trace) > 0
     for spot in fidelity_trace.spot_checks:
         assert abs(optimal_retransmission(e, spot.pom).fidelity - spot.value) <= 1e-12
     for spot in error_trace.spot_checks:
@@ -304,7 +309,8 @@ def test_every_outer_step_ascends(monkeypatch):
     safeguard rejects each extrapolation that would lower a restart's value."""
     monkeypatch.setattr(optimizer, "SPOT_EVERY", 1)
     trace = optimize_fidelity(symmetric_ensemble(5, math.pi / 8))[2]
-    assert len(trace.spot_checks) == trace.records[0].iterations * len(trace.records)
+    assert len(trace.spot_checks) == expected_spot_checks(trace) == sum(
+        rec.accepted for rec in trace.records)
     assert_spot_values_never_fall(trace)
 
 

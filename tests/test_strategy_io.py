@@ -3,13 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 import qrelay.ensembles
-from qrelay import (ValidationError, fidelity_of_strategy, load_strategy, make_qubit,
+from qrelay import (DomainError, ValidationError, fidelity_of_strategy, load_strategy, make_qubit,
                     optimal_strategy_analytic, parse_strategy_document,
                     save_strategy, symmetric_ensemble, validate_pom)
 from qrelay.strategy_io import FORMAT_VERSION, render_document, strategy_document
@@ -138,6 +139,127 @@ def test_rendering_uses_full_precision():
     assert reparsed["pom"][0][1] == s.pom.elements[0].b.real
 
 
+GOLDEN_ANALYTIC = """{
+  "format": "strategy",
+  "version": 1,
+  "generator": "analytic",
+  "parameters": {
+    "m": 3,
+    "theta": 0.7,
+    "n_outputs": 4,
+    "alpha": 0.3
+  },
+  "ensemble": {
+    "m": 3,
+    "theta": 0.7
+  },
+  "pom": [
+    [0.25, 0.2388341222814015, -0.07388005166533489, 0.25],
+    [0.25, -0.07388005166533489, -0.2388341222814015, 0.25],
+    [0.25, -0.23883412228140152, 0.07388005166533482, 0.25],
+    [0.25, 0.0738800516653348, 0.23883412228140152, 0.25]
+  ],
+  "retransmit": [
+    [0.9912392635394817, 0.0, 0.12617938247045798, 0.039031856951469705],
+    [0.9912392635394817, 0.0, -0.039031856951469705, 0.12617938247045798],
+    [0.9912392635394817, 0.0, -0.12617938247045798, -0.03903185695146967],
+    [0.9912392635394817, 0.0, 0.039031856951469664, -0.12617938247045798]
+  ]
+}
+"""
+
+NESTED_PARAMETERS = {
+    "grid": [[0.1, 2], [-0.0, 1e-300]], "mixed": [1, "a", 2.5], "empty_list": [],
+    "empty_dict": {}, "zero": -0.0, "big": 10 ** 29 + 7, "quote": 'say "hi"',
+    "name": "Ångström θ", "nested": {"deep": [{"x": [True, None]}]}}
+
+GOLDEN_NESTED = r"""{
+  "format": "strategy",
+  "version": 1,
+  "generator": "search",
+  "parameters": {
+    "grid": [
+      [0.1, 2],
+      [-0.0, 1e-300]
+    ],
+    "mixed": [
+      1,
+      "a",
+      2.5
+    ],
+    "empty_list": [],
+    "empty_dict": {},
+    "zero": -0.0,
+    "big": 100000000000000000000000000007,
+    "quote": "say \"hi\"",
+    "name": "\u00c5ngstr\u00f6m \u03b8",
+    "nested": {
+      "deep": [
+        {
+          "x": [
+            true,
+            null
+          ]
+        }
+      ]
+    }
+  },
+  "ensemble": {
+    "m": 2,
+    "theta": 0.5
+  },
+  "pom": [
+    [0.5, 0.5, 0.0, 0.5],
+    [0.5, -0.5, 0.0, 0.5]
+  ],
+  "retransmit": [
+    [0.9918091191589925, 0.0, 0.12772889709483676, 0.0],
+    [0.9918091191589925, 0.0, -0.12772889709483676, 1.564227849858135e-17]
+  ]
+}
+"""
+
+
+def test_rendering_matches_the_golden_bytes(tmp_path):
+    analytic = strategy_document(symmetric_ensemble(3, 0.7),
+                                 optimal_strategy_analytic(3, 0.7, 4, 0.3), "analytic",
+                                 {"m": 3, "theta": 0.7, "n_outputs": 4, "alpha": 0.3})
+    nested = strategy_document(symmetric_ensemble(2, 0.5), optimal_strategy_analytic(2, 0.5),
+                               "search", NESTED_PARAMETERS)
+    assert render_document(analytic) == GOLDEN_ANALYTIC
+    assert render_document(nested) == GOLDEN_NESTED
+    path = tmp_path / "nested.strategy.json"
+    path.write_text(GOLDEN_NESTED)
+    assert load_strategy(path)[2]["parameters"] == NESTED_PARAMETERS
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, {1, 2}, np.int64(3)],
+                         ids=["nan", "inf", "set", "int64"])
+@pytest.mark.parametrize("where", ["value", "row", "list"])
+def test_rendering_rejects_values_json_cannot_hold(tmp_path, value, where):
+    parameters = {"value": {"x": value}, "row": {"x": [1.0, value]},
+                  "list": {"x": ["a", value]}}[where]
+    with pytest.raises(DomainError):
+        render_document(parameters)
+    path = tmp_path / "never.strategy.json"
+    with pytest.raises(DomainError):
+        save_strategy(path, symmetric_ensemble(2, 0.5), optimal_strategy_analytic(2, 0.5),
+                      "analytic", parameters)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("generator,parameters", [
+    (5, None), (None, None), ("analytic", "ab"), ("analytic", 5), ("analytic", [1, 2])])
+def test_saving_rejects_what_loading_would_reject(tmp_path, generator, parameters):
+    e, s = symmetric_ensemble(2, 0.5), optimal_strategy_analytic(2, 0.5)
+    with pytest.raises(DomainError, match="generator" if parameters is None else "parameters"):
+        strategy_document(e, s, generator, parameters)
+    path = tmp_path / "never.strategy.json"
+    with pytest.raises(DomainError):
+        save_strategy(path, e, s, generator, parameters)
+    assert not path.exists()
+
+
 def test_parse_rejects_structural_problems():
     base = strategy_document(symmetric_ensemble(2, 1.0),
                              optimal_strategy_analytic(2, 1.0), generator="analytic")
@@ -167,6 +289,13 @@ def test_parse_rejects_structural_problems():
         parse_strategy_document({**good, "ensemble": {"m": 2.0, "theta": 1.0}})
     with pytest.raises(ValidationError, match="ensemble"):
         parse_strategy_document({**good, "ensemble": {"m": 1, "theta": 1.0}})
+
+
+def test_integer_theta_loads_as_a_float():
+    good = json.loads(render_document(strategy_document(
+        symmetric_ensemble(3, 1.0), optimal_strategy_analytic(3, 1.0), generator="analytic")))
+    e, _, _ = parse_strategy_document({**good, "ensemble": {"m": 3, "theta": 1}})
+    assert type(e.theta) is float and e.theta == 1.0
 
 
 def test_parse_rejects_bad_payloads():
@@ -300,6 +429,18 @@ def test_parsing_builds_no_signal_states(monkeypatch):
 def test_load_rejects_malformed_text(tmp_path):
     path = tmp_path / "broken.strategy.json"
     path.write_text("{not json")
+    with pytest.raises(ValidationError, match="JSON"):
+        load_strategy(path)
+
+
+UNREADABLE = {"not_utf8": b"\xff\xfe\x00garbage",
+              "too_deep": ('{"a": ' * 100000 + "1" + "}" * 100000).encode()}
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_load_rejects_unreadable_text(tmp_path, content):
+    path = tmp_path / "unreadable.strategy.json"
+    path.write_bytes(content)
     with pytest.raises(ValidationError, match="JSON"):
         load_strategy(path)
 
