@@ -73,8 +73,8 @@ def top(t: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def lowest(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue t - |r|."""
-    return t - np.sqrt(np.einsum("...c,...c->...", r, r))
+    """Smallest eigenvalue t - |r|; hypot overflows only where |r| is past the double range."""
+    return t - np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
 
 
 def completeness(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

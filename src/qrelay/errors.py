@@ -14,7 +14,7 @@ class ValidationError(ValueError):
 
 
 class OptimizationError(RuntimeError):
-    """No optimizer restart produced a feasible candidate."""
+    """The optimizer's best candidate is not a valid measurement."""
 
 
 def check_integer(value, name: str, low: int, high: int | None = None) -> int:

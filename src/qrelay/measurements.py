@@ -69,9 +69,10 @@ def identity_sum_residual(p: Pom) -> float:
 
 def validate_pom(p: Pom) -> list[str]:
     """Collect human-readable violations; an empty list means the measure is sound."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the double range: fails
+        lowest, residual = bloch.lowest(*p.terms), identity_sum_residual(p)
     violations = [f"element {k} is not positive semidefinite (minimum eigenvalue {value:.3e})"
-                  for k, value in enumerate(bloch.lowest(*p.terms).tolist()) if value < -PSD]
-    residual = identity_sum_residual(p)
+                  for k, value in enumerate(lowest.tolist()) if value < -PSD]
     if not residual <= IDENTITY_SUM:
         violations.append(f"elements do not sum to the identity (residual {residual:.3e})")
     return violations

@@ -16,7 +16,10 @@ E_k -> S^(-1/2) G_k E_k G_k S^(-1/2), S the sum of the G_k E_k G_k. Each
 G_k E_k G_k is rank one again, and the normalization is the square-root
 (frame) map (Hausladen and Wootters, J. Mod. Opt. 41, 2385, 1994), which
 makes the set exactly complete. No step draws random numbers: the generator
-only draws the frame-normalized starts.
+only draws the starts. A complete rank-one set is w_k (I + n_k.sigma) with
+sum w_k = 1 and sum w_k n_k = 0, so a start is complete as drawn: Gaussian
+vectors v_k, the last minus the sum of the others, give element k
+|v_k| (I + v_k.sigma / |v_k|) / sum |v| (two elements: an antipodal pair).
 
 The map F converges only linearly, and slowly where it barely contracts (near
 theta = pi/8 by about 0.995 a step), so each outer step is one safeguarded
@@ -120,8 +123,8 @@ class SearchTrace:
 
     Recorded values are always the maximized objective: the fidelity itself,
     or the correct-decision probability (1 - error) for the error search.
-    evaluations counts objective evaluations of single rows: one per feasible
-    start, then four per live row in each outer step. spot_checks holds
+    evaluations counts objective evaluations of single rows: one per start,
+    then four per live row in each outer step. spot_checks holds
     min(ceil(accepted / SPOT_EVERY), iterations // SPOT_EVERY) samples of each
     restart (SpotCheck).
     """
@@ -129,7 +132,6 @@ class SearchTrace:
     objective: str
     records: tuple[RestartRecord, ...]
     spot_checks: tuple[SpotCheck, ...]
-    failed_restarts: tuple[int, ...]
     best_restart: int
     evaluations: int
 
@@ -179,19 +181,16 @@ def _extrapolated(x0, x1, x2):
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
                 name: str) -> tuple[Pom, SearchTrace]:
     n, restarts = cfg.n_elements, cfg.restarts
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
-    t, r, resid = _frame_map(rng.dirichlet(np.ones(n), size=restarts),
-                             rng.standard_normal((restarts, n, 3)))
-    alive = resid <= IDENTITY_SUM
-    if not alive.any():
-        raise OptimizationError(f"no feasible start in {restarts} restarts")
+    v = np.random.default_rng(np.random.SeedSequence([cfg.seed, n])).standard_normal((restarts, n, 3))
+    v[:, -1] = -v[:, :-1].sum(axis=1)
+    r = v / np.linalg.norm(v, axis=-1).sum(axis=1)[:, None, None]
+    t = np.linalg.norm(r, axis=-1)
     VAL, g0, g = objective(e, t, r)
-    VAL = np.where(alive, VAL, -np.inf)
     start_vals = VAL.copy()
-    live = alive.copy()
+    live = np.ones(restarts, dtype=bool)
     applied = np.zeros(restarts, dtype=np.int64)
     spots: list[SpotCheck] = []
-    evaluations = int(alive.sum())
+    evaluations = restarts
     iterations = 0
 
     def plain(t, r, g0, g):
@@ -231,11 +230,9 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         RestartRecord(restart=k, start_value=float(start_vals[k]),
                       final_value=float(VAL[k]), iterations=iterations,
                       accepted=int(applied[k]))
-        for k in range(restarts) if alive[k])
-    failed = tuple(k for k in range(restarts) if not alive[k])
+        for k in range(restarts))
     trace = SearchTrace(objective=name, records=records, spot_checks=tuple(spots),
-                        failed_restarts=failed, best_restart=best,
-                        evaluations=evaluations)
+                        best_restart=best, evaluations=evaluations)
     return pom, trace
 
 

@@ -315,12 +315,12 @@ def test_simulate_rejects_non_positive_trials(capsys, tmp_path):
 
 def test_optimize_search_failure_exits_4(capsys, monkeypatch):
     def failing(e, cfg):
-        raise OptimizationError("no feasible start in 16 restarts")
+        raise OptimizationError("best candidate is not a valid measurement: residual 1e-3")
 
     monkeypatch.setattr(qrelay.cli, "optimize_fidelity", failing)
     code, out, err = run_cli(capsys, "optimize", "--m", "3", "--theta", "0.5")
     assert code == 4
-    assert "optimization failed: no feasible start" in err and out == ""
+    assert "optimization failed: best candidate is not a valid measurement" in err and out == ""
 
 
 def test_validate_rejects_theta_beyond_double_range(capsys, tmp_path):
@@ -352,6 +352,19 @@ def test_validate_rejects_an_element_whose_terms_overflow(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "validate", "--strategy_file", str(path))
     assert code == 3 and out == "invalid: pom: element 0 has a non-finite entry\n"
+
+
+def test_validate_rejects_elements_whose_sum_overflows(tmp_path):
+    path = tmp_path / "overflow.strategy.json"
+    assert main(["analytic", "--m", "5", "--theta", "0.7", "--output_path", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["pom"][1][0], doc["pom"][4][0] = 1.7e308, 1e308
+    path.write_text(json.dumps(doc))
+    # in a process of its own, where any warning is an error, as in CI
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qrelay", "validate",
+                           "--strategy_file", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stderr == ""
+    assert proc.stdout == "invalid: pom: elements do not sum to the identity (residual inf)\n"
 
 
 def test_validate_rejects_malformed_json(capsys, tmp_path):

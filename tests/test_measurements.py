@@ -47,6 +47,19 @@ def test_non_psd_element_reported_with_eigenvalue():
     assert any("positive" in v for v in violations)
 
 
+def test_elements_beyond_the_double_range_fail_the_test_they_break():
+    # a positive semidefinite element whose |r| = 1e200 squares past the double range
+    big = Pom(elements=(Hermitian2(2e200, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
+    assert validate_pom(big) == ["elements do not sum to the identity (residual 2.000e+200)"]
+    # |r| itself lies past the double range: not positive semidefinite
+    wide = Pom(elements=(Hermitian2(0.0, 0.0, complex(1.7e308, 1.7e308)), Hermitian2(1.0, 1.0, 0j)))
+    assert validate_pom(wide)[0] == "element 0 is not positive semidefinite (minimum eigenvalue -inf)"
+    # partial sums of the terms overflow in both directions
+    cancel = Pom(elements=tuple(Hermitian2(1.0, 1.0, complex(x, 0.0))
+                                for x in (1.7e308, 1.7e308, -1.7e308, -1.7e308)))
+    assert "sum to the identity" in validate_pom(cancel)[-1]
+
+
 @pytest.mark.parametrize("entry", ["a", "d", "b"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_element_is_a_violation(entry, value):

@@ -130,6 +130,31 @@ def test_frame_map_matches_matrix_oracle(n):
             assert abs(float(np.linalg.eigvalsh(got)[0])) <= 1e-14
 
 
+def first_rows(e, cfg):
+    """The terms (t, r) of the starts, as the search's first objective call receives them."""
+    seen = []
+
+    def recording(e, t, r):
+        seen.append((t.copy(), r.copy()))
+        return _fidelity_objective(e, t, r)
+
+    optimizer._run_search(e, cfg, recording, "fidelity")
+    return seen[0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_starts_are_complete_rank_one_sets(n):
+    e = symmetric_ensemble(3, 0.6)
+    for seed in (0, 1, 7, 2 ** 40):
+        t, r = first_rows(e, OptimizerConfig(n_elements=n, restarts=8, max_iterations=1, seed=seed))
+        assert t.shape == (8, n) and r.shape == (8, n, 3)
+        assert float(bloch.residual(t, r).max()) <= 1e-14
+        assert np.abs(t - np.linalg.norm(r, axis=-1)).max() <= 1e-16
+        if n == 2:
+            assert np.abs(t - 0.5).max() <= 1e-15
+            assert np.abs(r[:, 0] + r[:, 1]).max() <= 1e-16
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         OptimizerConfig(n_elements=1)
@@ -191,7 +216,7 @@ def test_optimize_fidelity_trace_contract(m2_concentration):
     strategy, trace = m2_concentration.strategy, m2_concentration.trace
     assert 0 <= trace.best_restart < 16
     assert trace.evaluations > 0
-    assert len(trace.records) + len(trace.failed_restarts) <= 16
+    assert [rec.restart for rec in trace.records] == list(range(16))
     assert all(rec.final_value >= rec.start_value - 1e-12 for rec in trace.records)
     assert validate_pom(strategy.pom) == []
 
@@ -209,6 +234,8 @@ def test_spot_checks_replay_their_values():
     fidelity_trace = optimize_fidelity(e, cfg)[2]
     error_trace = optimize_error(e, cfg)[3]
     for trace in (fidelity_trace, error_trace):
+        assert [rec.restart for rec in trace.records] == list(range(cfg.restarts))
+        assert trace.records[0].iterations < cfg.max_iterations
         assert len(trace.spot_checks) == expected_spot_checks(trace) > 0
     for spot in fidelity_trace.spot_checks:
         assert abs(optimal_retransmission(e, spot.pom).fidelity - spot.value) <= 1e-12

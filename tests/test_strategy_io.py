@@ -352,6 +352,17 @@ def test_load_rejects_an_element_whose_terms_overflow(tmp_path):
         load_strategy(path)
 
 
+def test_load_rejects_elements_whose_sum_overflows(tmp_path):
+    # every term is finite, but their sum over the elements is not
+    doc = json.loads(render_document(strategy_document(
+        symmetric_ensemble(5, 0.7), optimal_strategy_analytic(5, 0.7), generator="analytic")))
+    doc["pom"][1][0], doc["pom"][4][0] = 1.7e308, 1e308
+    path = tmp_path / "overflow.strategy.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"pom: elements do not sum to the identity \(residual inf\)"):
+        load_strategy(path)
+
+
 # JSON as json.loads gives it. "m" also takes sizes up to 10^12: parsing never builds
 # the signal states, so it costs the same for any m. NUMBERS, with integers and floats
 # beyond the double range, fill theta and the quadruples only.
