@@ -9,9 +9,10 @@ the ensemble-averaged overlap between what was sent and what is retransmitted,
 For a fixed measurement the best retransmission states are computed exactly:
 outcome k contributes at most the top eigenvalue of its score operator
 
-    O_k = sum_j p_j <psi_j|pi_k|psi_j> |psi_j><psi_j|,
+    O_k = sum_j p_j <psi_j|pi_k|psi_j> |psi_j><psi_j| = s0_k I + s_k.sigma,
 
-attained by retransmitting the matching eigenvector. The module also carries
+attained by retransmitting the state whose Bloch vector points along the
+score vector s_k, and |+> (+z) when s_k is zero. The module also carries
 the closed-form optimum over all strategies and the measurement family
 achieving it.
 """
@@ -28,7 +29,7 @@ from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
 from .errors import DomainError, check_integer, check_items
 from .measurements import Pom
-from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
+from .qubit import Hermitian2, PureQubit, make_qubit, state_along
 
 
 @dataclass(frozen=True)
@@ -72,31 +73,32 @@ class FidelityReport:
         return tuple(s for _, s in self.per_outcome)
 
 
-def _scores(e: SymmetricEnsemble, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Terms of the score operators of the elements with terms (t, r), batch axes allowed."""
-    return bloch.score(e.prior * bloch.born(t, r, e.vectors), e.vectors)
+def _retransmission(e: SymmetricEnsemble, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's best fidelity contribution, its score operator's top eigenvalue s0 + |s|,
+    and the Bloch vector attaining it, bloch.unit(s) (+z for a zero s); batch axes allowed."""
+    s0, s = bloch.score(e.prior * bloch.born(t, r, e.vectors), e.vectors)
+    return bloch.top(s0, s), bloch.unit(s)
+
+
+def _overlaps(e: SymmetricEnsemble, s: Strategy) -> np.ndarray:
+    """|<psi_j|phi_k>|^2[j, k], the Born probability of the projector (I + n(phi_k).sigma)/2."""
+    return bloch.born(np.full(len(s.retransmit), 0.5), 0.5 * s.vectors, e.vectors)
 
 
 def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
-    """Average fidelity of the strategy on the ensemble, by the exact double sum.
-
-    |<psi_j|phi_k>|^2 is the Born probability of the projector (I + n(phi_k).sigma)/2.
-    """
-    half = np.full(len(s.retransmit), 0.5)
-    overlap = bloch.born(half, 0.5 * s.vectors, e.vectors)
-    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * overlap).sum())
+    """Average fidelity of the strategy on the ensemble, by the exact double sum."""
+    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * _overlaps(e, s)).sum())
 
 
 def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
     """Exact best fidelity over retransmission states for a fixed measurement.
 
     Independent of how the measurement was obtained: each outcome's score
-    operator has top eigenvalue t + |r| in Bloch terms, and the state to send
-    is its top eigenvector as hermitian_eig2 resolves it.
+    operator s0 I + s.sigma has top eigenvalue s0 + |s|, and the state to
+    send points along the score vector s, or is |+> (+z) when s is zero.
     """
-    t, r = _scores(e, *p.terms)
-    values = bloch.top(t, r)
-    states = [hermitian_eig2(op)[0][1] for op in bloch.operators(t, r)]
+    values, v = _retransmission(e, *p.terms)
+    states = [state_along(*n) for n in v.tolist()]
     return FidelityReport(fidelity=float(values.sum()),
                           per_outcome=tuple(zip(values.tolist(), states)))
 

@@ -48,7 +48,7 @@ import numpy as np
 from . import bloch
 from .ensembles import SymmetricEnsemble
 from .errors import OptimizationError, check_integer
-from .fidelity import (FidelityReport, Strategy, _scores, fidelity_of_strategy,
+from .fidelity import (FidelityReport, Strategy, _retransmission, fidelity_of_strategy,
                        optimal_retransmission)
 from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
 from .tolerances import IDENTITY_SUM, NEGLIGIBLE, PSEUDO_INVERSE
@@ -142,9 +142,9 @@ def _fidelity_objective(e: SymmetricEnsemble, t, r):
     operator), and the terms (g0, g) of 2/p times its gradient operators,
     sum_j (1 + n_j.v_k) |psi_j><psi_j| with v_k the unit direction of
     outcome k's score vector."""
-    s0, s = _scores(e, t, r)
-    q = bloch.born(np.ones_like(s0), bloch.unit(s), e.vectors)
-    return (bloch.top(s0, s).sum(axis=-1), *bloch.score(q, e.vectors))
+    values, v = _retransmission(e, t, r)
+    q = bloch.born(np.ones_like(values), v, e.vectors)
+    return (values.sum(axis=-1), *bloch.score(q, e.vectors))
 
 
 def _correct_objective(e: SymmetricEnsemble, t, r):

@@ -101,31 +101,28 @@ class Hermitian2:
         object.__setattr__(self, "b", b)
 
 
+def state_along(x: float, y: float, z: float) -> PureQubit:
+    """The pure state whose Bloch vector points along (x, y, z), at any length; at the
+    origin the signs of the zeros pick the pole, so give a zero vector +z first."""
+    return make_qubit(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
+
+
 def hermitian_eig2(h: Hermitian2) -> tuple[tuple[float, PureQubit], tuple[float, PureQubit]]:
     """Eigendecomposition of a 2x2 Hermitian operator, eigenvalues descending.
 
     Returns ((lam1, v1), (lam2, v2)) with lam1 >= lam2 and orthonormal
-    eigenvectors in the PureQubit phase convention. The eigenvector formula
-    picks whichever of the two null-space columns has the larger norm, which
-    stays well conditioned for every non-degenerate operator. When the gap
-    2r falls at or below the degeneracy tolerance any unit vector is an
-    eigenvector to that accuracy; the tie is resolved toward the basis pair
-    (|+>, |->) so the result favors maximal overlap with |+>.
+    eigenvectors in the PureQubit phase convention: v1 and v2 point along
+    +r and -r, for the operator t I + r.sigma. When the gap 2|r| falls at or
+    below the degeneracy tolerance any unit vector is an eigenvector to that
+    accuracy; the tie is resolved toward the basis pair (|+>, |->) so the
+    result favors maximal overlap with |+>.
 
     The thresholds are absolute, so operators are expected to be of order
     unity as they are everywhere in this package.
     """
     mean = 0.5 * (h.a + h.d)
-    half = 0.5 * (h.a - h.d)
-    r = math.hypot(half, abs(h.b))
-    lam1, lam2 = mean + r, mean - r
+    x, y, z = h.b.real, -h.b.imag, 0.5 * (h.a - h.d)
+    r = math.hypot(z, abs(h.b))
     if 2.0 * r <= DEGENERATE:
-        return ((lam1, PLUS), (lam2, MINUS))
-    if half >= 0.0:
-        vp, vm = lam1 - h.d, h.b.conjugate()
-    else:
-        vp, vm = h.b, lam1 - h.a
-    norm = math.sqrt(abs(vp) ** 2 + abs(vm) ** 2)
-    v1 = PureQubit(vp / norm, vm / norm)
-    v2 = PureQubit(-v1.amp_minus.conjugate(), v1.amp_plus.conjugate())
-    return ((lam1, v1), (lam2, v2))
+        return ((mean + r, PLUS), (mean - r, MINUS))
+    return ((mean + r, state_along(x, y, z)), (mean - r, state_along(-x, -y, -z)))

@@ -25,7 +25,7 @@ import numpy as np
 from . import bloch
 from .ensembles import SymmetricEnsemble
 from .errors import ValidationError, check_integer
-from .fidelity import Strategy
+from .fidelity import Strategy, _overlaps
 from .measurements import Assignment, Pom, _signal_indices, validate_pom
 from .tolerances import PROBABILITY
 
@@ -136,8 +136,7 @@ def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
 
 def _fidelity_hits(e: SymmetricEnsemble, s: Strategy, seed: int) -> Callable:
     """Counter of trials whose retransmitted state passes the accept test on slot 2."""
-    half = np.full(len(s.retransmit), 0.5)
-    accept = np.clip(bloch.born(half, 0.5 * s.vectors, e.vectors), 0.0, 1.0)
+    accept = np.clip(_overlaps(e, s), 0.0, 1.0)
     flat, width = accept.ravel(), accept.shape[1]
     return lambda start, stop, signal, outcome: int(
         (counter_uniforms(seed, 2, start, stop) < flat.take(signal * width + outcome)).sum())

@@ -162,6 +162,27 @@ def test_optimal_retransmission_dominates_alternatives():
         assert value <= best.fidelity + 1e-12
 
 
+@pytest.mark.parametrize("w", [1e-12, 1e-13, 1e-14])
+def test_optimal_retransmission_reaches_its_reported_fidelity(w):
+    # the first element's score vector is of order w, so the report must not
+    # round it to a tie that its retransmission then fails to reach
+    e = symmetric_ensemble(4, math.pi / 2)
+    pom = Pom(elements=(Hermitian2(w, w, w), Hermitian2(1 - w, 1 - w, -w)))
+    report = optimal_retransmission(e, pom)
+    assert report.fidelity - fidelity_of_strategy(e, Strategy(pom, report.states)) <= 1e-15
+
+
+def test_optimal_retransmission_points_along_the_score_vectors():
+    rng = np.random.default_rng(19)
+    for m, theta, size in [(2, 0.4, 2), (3, 1.2, 3), (4, math.pi / 2, 5), (7, 0.05, 8)]:
+        e = symmetric_ensemble(m, theta)
+        for _ in range(10):
+            pom = helpers.random_pom(rng, size)
+            _, s = bloch.score(e.prior * bloch.born(*pom.terms, e.vectors), e.vectors)
+            got = bloch.vectors(optimal_retransmission(e, pom).states)
+            assert np.abs(got - bloch.unit(s)).max() <= 1e-15
+
+
 def test_max_fidelity_analytic_values():
     for m in range(3, 9):
         assert max_fidelity_analytic(m, math.pi / 2) == pytest.approx(0.75, abs=1e-15)

@@ -60,6 +60,13 @@ def test_elements_beyond_the_double_range_fail_the_test_they_break():
     assert "sum to the identity" in validate_pom(cancel)[-1]
 
 
+def test_identity_sum_residual_past_the_double_range_is_infinite_without_warning():
+    # the element terms are finite, their sum is not; a warning would raise here
+    big = Pom(elements=(Hermitian2(1.7e308, 0.2, 0j), Hermitian2(1e308, 0.2, 0j)))
+    assert identity_sum_residual(big) == math.inf
+    assert validate_pom(big)[-1] == "elements do not sum to the identity (residual inf)"
+
+
 @pytest.mark.parametrize("entry", ["a", "d", "b"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_element_is_a_violation(entry, value):

@@ -1,5 +1,6 @@
 """States, their Bloch vectors and the closed-form 2x2 Hermitian eigensolver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import helpers
 import property_suites
 from qrelay import DomainError, Hermitian2, PureQubit, bloch, hermitian_eig2, make_qubit
-from qrelay.qubit import MINUS, PLUS
+from qrelay.qubit import MINUS, PLUS, state_along
 
 ANGLES = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 LONGITUDES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -144,6 +145,35 @@ def test_expectation_matches_matrix_sandwich():
         direct = (helpers.ket(s).conj() @ helpers.matrix(h) @ helpers.ket(s)).real
         got = bloch.born(*bloch.terms((h,)), bloch.vectors((s,)))[0, 0]
         assert got == pytest.approx(direct, abs=1e-12)
+
+
+NEAR_POLES = [(1e-9, 2e-9, 1.0), (-3e-17, 1e-17, 1.0), (1e-9, -1e-9, -1.0), (2e-17, 5e-17, -1.0),
+              (1e-300, 0.0, -1.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+
+
+def directions() -> np.ndarray:
+    """Random directions in both hemispheres, then directions within 1e-9 rad of a pole."""
+    rng = np.random.default_rng(17)
+    return np.vstack([rng.normal(size=(200, 3)), NEAR_POLES])
+
+
+def test_state_along_round_trips_through_bloch_vectors():
+    v = directions()
+    n = bloch.vectors([state_along(*row) for row in v.tolist()])
+    assert np.abs(n - bloch.unit(v)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-200, 2.0 ** -40, 1e-3, 3.7, 1e200])
+def test_state_along_ignores_the_length(scale):
+    for row in directions().tolist():
+        state, rescaled = state_along(*row), state_along(*(scale * c for c in row))
+        assert abs(state.amp_plus - rescaled.amp_plus) <= 1e-15
+        assert abs(state.amp_minus - rescaled.amp_minus) <= 1e-15
+
+
+@pytest.mark.parametrize("zero", list(itertools.product((0.0, -0.0), repeat=3)))
+def test_state_along_the_unit_of_a_zero_vector_is_plus(zero):
+    assert state_along(*bloch.unit(np.array(zero))) == PLUS
 
 
 def test_eig_identity_resolves_tie_toward_plus():
