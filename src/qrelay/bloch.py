@@ -101,15 +101,14 @@ def frame_normalize(w: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     accuracy. An eigenvalue at or below the pseudo-inverse cutoff is dropped,
     which inverts S on its support only. Returns (t', r', lam-).
     """
-    n = n.transpose(n.ndim - 1, *range(n.ndim - 1))  # components first: dots sum over axis 0
-    u = np.moveaxis(unit(np.moveaxis((w * n).sum(axis=-1), 0, -1)), -1, 0)[..., None]
+    u = unit(np.einsum("...k,...kc->...c", w, n))[..., None, :]
     half = 0.5 * w
-    plus = half * ((n + u) ** 2).sum(axis=0)
-    minus = half * ((n - u) ** 2).sum(axis=0)
+    plus = half * ((n + u) ** 2).sum(axis=-1)
+    minus = half * ((n - u) ** 2).sum(axis=-1)
     lam_plus, lam_minus = plus.sum(axis=-1), minus.sum(axis=-1)
     kept_plus = np.where(lam_plus > PSEUDO_INVERSE, lam_plus, np.inf)[..., None]
     kept_minus = np.where(lam_minus > PSEUDO_INVERSE, lam_minus, np.inf)[..., None]
     plus, minus = plus / kept_plus, minus / kept_minus
     cross = w / np.sqrt(kept_plus * kept_minus)
-    r = 0.5 * (plus - minus) * u + cross * (n - (u * n).sum(axis=0) * u)
-    return 0.5 * (plus + minus), r.transpose(*range(1, r.ndim), 0), lam_minus
+    r = (0.5 * (plus - minus))[..., None] * u + cross[..., None] * (n - (u * n).sum(axis=-1, keepdims=True) * u)
+    return 0.5 * (plus + minus), r, lam_minus

@@ -1,4 +1,4 @@
-"""Exception types raised by the package, and the type checks behind every count, seed, number and sequence argument."""
+"""Exception types raised by the package, and the type checks behind every count, number, record and sequence argument."""
 
 from __future__ import annotations
 
@@ -41,6 +41,12 @@ def check_number(value, name: str, kind: type = float) -> None:
     abstract, exact = _KINDS[kind]
     if type(value) not in exact and (isinstance(value, bool) or not isinstance(value, abstract)):
         raise DomainError(f"{name} must be a {abstract.__name__.lower()} number, got {value!r}")
+
+
+def check_instance(value, name: str, kind: type) -> None:
+    """DomainError naming value's type unless value is a kind instance."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} is a {type(value).__name__}, not a {kind.__name__}")
 
 
 def check_items(value, name: str, kind: type) -> tuple:

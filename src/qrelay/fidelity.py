@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
-from .errors import DomainError, check_integer, check_items
+from .errors import DomainError, check_instance, check_integer, check_items
 from .measurements import Pom
 from .qubit import Hermitian2, PureQubit, make_qubit, state_along
 
@@ -45,8 +45,7 @@ class Strategy:
     vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pom, Pom):
-            raise DomainError(f"pom is a {type(self.pom).__name__}, not a Pom")
+        check_instance(self.pom, "pom", Pom)
         retransmit = check_items(self.retransmit, "retransmit", PureQubit)
         if len(retransmit) != len(self.pom.elements):
             raise DomainError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble, check_domain
-from .errors import DomainError, check_integer, check_items
+from .errors import DomainError, check_instance, check_integer, check_items
 from .qubit import Hermitian2
 from .tolerances import DEGENERATE, IDENTITY_SUM, PSD
 
@@ -63,10 +63,11 @@ class Assignment:
 
 
 def identity_sum_residual(p: Pom) -> float:
-    """Largest entrywise deviation of the element sum from the identity; not
-    finite, and no warning, where partial sums pass the double range."""
+    """Largest entrywise deviation of the element sum from the identity;
+    infinite, and no warning, where partial sums pass the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(bloch.residual(*p.terms))
+        residual = float(bloch.residual(*p.terms))
+    return math.inf if math.isnan(residual) else residual  # NaN: infinite partial sums cancelled
 
 
 def validate_pom(p: Pom) -> list[str]:
@@ -96,6 +97,7 @@ def square_root_measurement(e: SymmetricEnsemble) -> Pom:
 def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
     """Signal index each outcome is read as; the assignment must map exactly the
     outcomes 0..K-1, each into 0..m-1."""
+    check_instance(a, "assignment", Assignment)
     if not isinstance(a.outcome_to_signal, Mapping):
         raise DomainError("an assignment maps outcomes to signals, got a "
                           f"{type(a.outcome_to_signal).__name__}")

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble
-from .errors import OptimizationError, check_integer
+from .errors import OptimizationError, check_instance, check_integer
 from .fidelity import (FidelityReport, Strategy, _retransmission, fidelity_of_strategy,
                        optimal_retransmission)
 from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
@@ -63,7 +63,7 @@ def _pom(t: np.ndarray, r: np.ndarray) -> Pom:
 
 
 def _frame_map(W: np.ndarray, N: np.ndarray):
-    """Square-root normalization of candidates, one per row (bloch.frame_normalize).
+    """Square-root normalization of candidates, over any leading shape (bloch.frame_normalize).
 
     N[..., k, :] is element k's Bloch vector at any length; the vectors are
     rescaled to unit length (+z for a zero vector) and the weights W clipped
@@ -161,8 +161,7 @@ def _merged(t: np.ndarray, r: np.ndarray):
     of them, weights summed and the rest zeroed, then frame-normalized again."""
     n = bloch.unit(r)
     first = (np.abs(n[:, None] - n[None]).max(axis=-1) <= NEGLIGIBLE).argmax(axis=0)
-    t, r, _ = _frame_map(np.bincount(first, weights=t, minlength=len(t))[None], n[None])
-    return t[0], r[0]
+    return _frame_map(np.bincount(first, weights=t, minlength=len(t)), n)[:2]
 
 
 def _extrapolated(x0, x1, x2):
@@ -180,6 +179,7 @@ def _extrapolated(x0, x1, x2):
 
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
                 name: str) -> tuple[Pom, SearchTrace]:
+    check_instance(cfg, "cfg", OptimizerConfig)
     n, restarts = cfg.n_elements, cfg.restarts
     v = np.random.default_rng(np.random.SeedSequence([cfg.seed, n])).standard_normal((restarts, n, 3))
     v[:, -1] = -v[:, :-1].sum(axis=1)

@@ -47,6 +47,22 @@ def test_frame_normalize_with_zero_frame_axis():
     assert np.array_equal(t, w) and np.abs(r - w[:, None] * n).max() <= 1e-16
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_frame_normalize_rows_match_each_row_alone(k):
+    """Leading shapes (), (B,) and (B1, B2) give each row exactly what it gets alone."""
+    rng = np.random.default_rng(90 + k)
+    w = rng.dirichlet(np.ones(k), size=(2, 3))
+    n = bloch.unit(rng.standard_normal((2, 3, k, 3)))
+    n[0, 1] = n[0, 1, :1]  # every element along one axis: a singular frame
+    w[1, 2], n[1, 2] = 1.0 / k, [(0.0, 0.0, (-1.0) ** j) for j in range(k)]  # s = 0 for even k
+    rows = [tuple(bloch.frame_normalize(w[i, j], n[i, j])) for i in range(2) for j in range(3)]
+    for batch in (bloch.frame_normalize(w.reshape(6, k), n.reshape(6, k, 3)),
+                  tuple(x.reshape(6, *x.shape[2:]) for x in bloch.frame_normalize(w, n))):
+        for b, alone in enumerate(rows):
+            for ours, ref in zip(batch, alone):
+                assert ours[b].shape == ref.shape and np.array_equal(ours[b], ref)
+
+
 @pytest.mark.parametrize("m,theta", [(2, math.pi / 4), (3, 0.0), (4, 1.2), (8, math.pi / 2)])
 def test_objective_rows_match_exact_evaluation(m, theta):
     rng = np.random.default_rng(70 + m)

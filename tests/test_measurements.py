@@ -67,6 +67,13 @@ def test_identity_sum_residual_past_the_double_range_is_infinite_without_warning
     assert validate_pom(big)[-1] == "elements do not sum to the identity (residual inf)"
 
 
+def test_identity_sum_residual_is_infinite_where_pairwise_partial_sums_cancel_infinities():
+    # from 8 elements on the sum of t is taken pairwise: +inf + -inf, not a rounded total
+    cancel = Pom(elements=tuple(Hermitian2(x, 0.0, 0j) for x in [1.7e308] * 4 + [-1.7e308] * 4))
+    assert identity_sum_residual(cancel) == math.inf
+    assert validate_pom(cancel)[-1] == "elements do not sum to the identity (residual inf)"
+
+
 @pytest.mark.parametrize("entry", ["a", "d", "b"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_element_is_a_violation(entry, value):
@@ -223,6 +230,12 @@ def test_error_probability_requires_full_assignment():
     exact = error_probability(e, pom, Assignment({0: 0, 1: 1, 2: 2}))
     assert error_probability(e, pom, Assignment({0: 0, 1: np.int64(1), 2: 2})) == exact
     assert error_probability(e, pom, Assignment({np.int64(0): 0, 1: 1, 2: 2})) == exact
+
+
+def test_error_probability_rejects_an_assignment_that_is_not_an_assignment():
+    e = symmetric_ensemble(3, 0.5)
+    with pytest.raises(DomainError, match="assignment is a dict, not a Assignment"):
+        error_probability(e, square_root_measurement(e), {0: 0, 1: 1, 2: 2})
 
 
 def test_greedy_assignment_recovers_natural_labels():

@@ -188,6 +188,12 @@ def test_config_accepts_numpy_integers():
     assert optimize_fidelity(e, cfg)[1] == optimize_fidelity(e, plain)[1]
 
 
+@pytest.mark.parametrize("search", [optimize_fidelity, optimize_error])
+def test_search_rejects_a_config_that_is_not_a_config(search):
+    with pytest.raises(DomainError, match="cfg is a NoneType, not a OptimizerConfig"):
+        search(symmetric_ensemble(3, 0.6), None)
+
+
 def test_optimize_fidelity_degenerate_ensemble():
     e = symmetric_ensemble(4, 0.0)
     cfg = OptimizerConfig(n_elements=2, restarts=4, max_iterations=300, seed=1)

@@ -256,6 +256,17 @@ def test_trials_and_seed_must_be_integers(wrong):
         simulate_error(e, s.pom, greedy_assignment(e, s.pom), **args)
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda e, s, a: simulate_error(e, s.pom, a, 100),
+    lambda e, s, a: simulate_strategy(e, s, a, 100),
+], ids=["simulate_error", "simulate_strategy"])
+def test_assignment_that_is_not_an_assignment_is_rejected(simulate):
+    e = symmetric_ensemble(3, 0.9)
+    s = optimal_strategy_analytic(3, 0.9)
+    with pytest.raises(DomainError, match="assignment is a dict, not a Assignment"):
+        simulate(e, s, {0: 0, 1: 1, 2: 2})
+
+
 def test_numpy_integer_trials_and_seed_are_accepted():
     e = symmetric_ensemble(3, 0.9)
     s = optimal_strategy_analytic(3, 0.9)
