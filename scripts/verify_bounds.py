@@ -5,7 +5,7 @@ one line per grid point with the analytic bound, the best value the search
 reached, the signed gap and the search's outer-step count, marked "cap" when
 the search stopped at max_iterations rather than converging. Every gap should
 sit within the optimizer tolerance below zero; a positive gap would falsify
-the bound.
+the bound. Exits 1 when a gap exceeds that tolerance or any search hit the cap.
 
     python3 scripts/verify_bounds.py
     python3 scripts/verify_bounds.py --m 2 3 --steps 9 --restarts 32 --seed 7
@@ -36,6 +36,7 @@ def main(argv=None) -> int:
     print(f"{'m':>3} {'theta':>12} {'bound':>20} {'achieved':>20} "
           f"{'gap':>12} {'steps':>6} {'time_s':>7}")
     worst = -math.inf
+    capped = 0
     for m in args.m:
         for i in range(args.steps):
             theta = (math.pi / 2) * i / (args.steps - 1)
@@ -47,10 +48,12 @@ def main(argv=None) -> int:
             worst = max(worst, gap)
             steps = trace.records[0].iterations
             cap = " cap" if steps >= cfg.max_iterations else ""
+            capped += bool(cap)
             print(f"{m:>3} {theta:>12.8f} {bound:>20.15f} {value:>20.15f} "
                   f"{gap:>12.2e} {steps:>6} {elapsed:>7.2f}{cap}")
     print(f"\nworst gap (achieved - bound): {worst:.3e}")
-    return 0 if worst <= 1e-6 else 1
+    print(f"searches stopped at max_iterations: {capped}")
+    return 0 if worst <= 1e-6 and capped == 0 else 1
 
 
 if __name__ == "__main__":

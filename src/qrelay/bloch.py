@@ -40,9 +40,10 @@ def vectors(states: Sequence[PureQubit]) -> np.ndarray:
     return np.array(rows)
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    """v / |v| over the last axis, +z for a zero vector."""
-    norm = np.sqrt(np.einsum("...c,...c->...", v, v))
+def unit(v: np.ndarray, norm: np.ndarray | None = None) -> np.ndarray:
+    """v / |v| over the last axis, +z for a zero vector; norm, when given, is |v| already taken."""
+    if norm is None:
+        norm = np.sqrt(np.einsum("...c,...c->...", v, v))
     u = v / np.where(norm > 0.0, norm, np.inf)[..., None]
     u[..., 2] += norm == 0.0
     return u
@@ -50,12 +51,13 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 def born(t: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
     """P[..., j, k] = t_k + r_k.n_j."""
-    return t[..., None, :] + np.einsum("jc,...kc->...jk", n, r)
+    return t[..., None, :] + n @ np.swapaxes(r, -1, -2)
 
 
 def score(q: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Terms of the score operators O_k = sum_j q[..., j, k] |psi_j><psi_j|."""
-    return 0.5 * q.sum(axis=-2), 0.5 * np.einsum("...jk,jc->...kc", q, n)
+    """Terms of the score operators O_k = sum_j q[..., j, k] |psi_j><psi_j|, summed over
+    the states; fidelity._retransmission forms the same terms from the ensemble's moments."""
+    return 0.5 * q.sum(axis=-2), 0.5 * (np.swapaxes(q, -1, -2) @ n)
 
 
 def sandwich(g0: np.ndarray, g: np.ndarray, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +103,7 @@ def frame_normalize(w: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     accuracy. An eigenvalue at or below the pseudo-inverse cutoff is dropped,
     which inverts S on its support only. Returns (t', r', lam-).
     """
-    u = unit(np.einsum("...k,...kc->...c", w, n))[..., None, :]
+    u = unit(w[..., None, :] @ n)
     half = 0.5 * w
     plus = half * ((n + u) ** 2).sum(axis=-1)
     minus = half * ((n - u) ** 2).sum(axis=-1)

@@ -22,8 +22,9 @@ from .qubit import PureQubit, make_qubit
 class SymmetricEnsemble:
     """The ensemble of m equiprobable states at colatitude theta.
 
-    prior, states and their Bloch vectors n[m, 3] are derived from (m, theta)
-    on first use, so an ensemble that is only described costs nothing per state.
+    prior, states, their Bloch vectors n[m, 3] and the moments of those
+    vectors are derived from (m, theta) on first use, so an ensemble that is
+    only described costs nothing per state.
     """
 
     m: int
@@ -49,6 +50,13 @@ class SymmetricEnsemble:
         st = math.sin(self.theta)
         return np.stack((st * np.cos(phi), st * np.sin(phi), np.full(self.m, math.cos(self.theta))),
                         axis=1)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu[3], M[3, 3]) = (sum_j p n_j, sum_j p n_j n_j^T), summed from vectors: every
+        ensemble average linear or quadratic in the signal's Bloch vector reads them alone."""
+        n = self.vectors
+        return self.prior * n.sum(axis=0), self.prior * (n.T @ n)
 
 
 def check_domain(m: int, theta: float) -> None:

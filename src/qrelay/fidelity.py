@@ -74,19 +74,28 @@ class FidelityReport:
 
 def _retransmission(e: SymmetricEnsemble, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each element's best fidelity contribution, its score operator's top eigenvalue s0 + |s|,
-    and the Bloch vector attaining it, bloch.unit(s) (+z for a zero s); batch axes allowed."""
-    s0, s = bloch.score(e.prior * bloch.born(t, r, e.vectors), e.vectors)
-    return bloch.top(s0, s), bloch.unit(s)
+    and the Bloch vector attaining it, bloch.unit(s) (+z for a zero s); batch axes allowed.
+
+    The score terms are ensemble averages of t + r.n and (t + r.n) n, so they come from
+    the moments (mu, M) alone: s0 = (t + r.mu) / 2 and s = (t mu + M r) / 2.
+    """
+    mu, M = e.moments
+    s = t[..., None] * mu + r @ M
+    norm = np.sqrt(np.einsum("...c,...c->...", s, s))
+    return 0.5 * (t + r @ mu + norm), bloch.unit(s, norm)
 
 
 def _overlaps(e: SymmetricEnsemble, s: Strategy) -> np.ndarray:
     """|<psi_j|phi_k>|^2[j, k], the Born probability of the projector (I + n(phi_k).sigma)/2."""
+    check_instance(e, "ensemble", SymmetricEnsemble)
+    check_instance(s, "strategy", Strategy)
     return bloch.born(np.full(len(s.retransmit), 0.5), 0.5 * s.vectors, e.vectors)
 
 
 def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
     """Average fidelity of the strategy on the ensemble, by the exact double sum."""
-    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * _overlaps(e, s)).sum())
+    overlaps = _overlaps(e, s)
+    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * overlaps).sum())
 
 
 def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
@@ -96,6 +105,8 @@ def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
     operator s0 I + s.sigma has top eigenvalue s0 + |s|, and the state to
     send points along the score vector s, or is |+> (+z) when s is zero.
     """
+    check_instance(e, "ensemble", SymmetricEnsemble)
+    check_instance(p, "pom", Pom)
     values, v = _retransmission(e, *p.terms)
     states = [state_along(*n) for n in v.tolist()]
     return FidelityReport(fidelity=float(values.sum()),

@@ -65,6 +65,7 @@ class Assignment:
 def identity_sum_residual(p: Pom) -> float:
     """Largest entrywise deviation of the element sum from the identity;
     infinite, and no warning, where partial sums pass the double range."""
+    check_instance(p, "pom", Pom)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(bloch.residual(*p.terms))
     return math.inf if math.isnan(residual) else residual  # NaN: infinite partial sums cancelled
@@ -73,7 +74,7 @@ def identity_sum_residual(p: Pom) -> float:
 def validate_pom(p: Pom) -> list[str]:
     """Collect human-readable violations; an empty list means the measure is sound."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the double range: fails
-        lowest, residual = bloch.lowest(*p.terms), identity_sum_residual(p)
+        residual, lowest = identity_sum_residual(p), bloch.lowest(*p.terms)
     violations = [f"element {k} is not positive semidefinite (minimum eigenvalue {value:.3e})"
                   for k, value in enumerate(lowest.tolist()) if value < -PSD]
     if not residual <= IDENTITY_SUM:
@@ -90,13 +91,16 @@ def square_root_measurement(e: SymmetricEnsemble) -> Pom:
     dropped), so the elements sum to the projector onto the support and
     validate_pom reports that they do not sum to the identity.
     """
+    check_instance(e, "ensemble", SymmetricEnsemble)
     t, r, _ = bloch.frame_normalize(np.full(e.m, 0.5), e.vectors)
     return Pom(elements=bloch.operators(t, r))
 
 
-def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
+def _signal_indices(e: SymmetricEnsemble, p: Pom, a: Assignment) -> list[int]:
     """Signal index each outcome is read as; the assignment must map exactly the
     outcomes 0..K-1, each into 0..m-1."""
+    check_instance(e, "ensemble", SymmetricEnsemble)
+    check_instance(p, "pom", Pom)
     check_instance(a, "assignment", Assignment)
     if not isinstance(a.outcome_to_signal, Mapping):
         raise DomainError("an assignment maps outcomes to signals, got a "
@@ -107,7 +111,7 @@ def _signal_indices(p: Pom, a: Assignment, m: int) -> list[int]:
     for k in range(len(p)):
         if k not in a.outcome_to_signal:
             raise DomainError(f"outcome {k} has no assigned signal")
-        read_as.append(check_integer(a.outcome_to_signal[k], "assigned signal index", 0, m))
+        read_as.append(check_integer(a.outcome_to_signal[k], "assigned signal index", 0, e.m))
     return read_as
 
 
@@ -117,8 +121,9 @@ def error_probability(e: SymmetricEnsemble, p: Pom, a: Assignment) -> float:
     Every outcome must be assigned to a signal index in range; the
     measurement is otherwise taken on trust here.
     """
+    read_as = _signal_indices(e, p, a)
     probs = bloch.born(*p.terms, e.vectors).tolist()
-    return 1.0 - e.prior * sum(probs[j][k] for k, j in enumerate(_signal_indices(p, a, e.m)))
+    return 1.0 - e.prior * sum(probs[j][k] for k, j in enumerate(read_as))
 
 
 def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:
@@ -128,6 +133,8 @@ def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:
     ties, signals within the degeneracy tolerance of the best, go to the
     lowest signal index.
     """
+    check_instance(e, "ensemble", SymmetricEnsemble)
+    check_instance(p, "pom", Pom)
     probs = bloch.born(*p.terms, e.vectors)
     tied = probs >= probs.max(axis=0) - DEGENERATE
     return Assignment(outcome_to_signal=dict(enumerate(tied.argmax(axis=0).tolist())))

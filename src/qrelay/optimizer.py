@@ -27,9 +27,10 @@ squared extrapolation (SQUAREM; Varadhan and Roland, Scand. J. Stat. 35, 335,
 2008): two plain steps x1 = F(x0) and x2 = F(x1), the point
 x0 - 2 alpha d + alpha^2 c with d = x1 - x0, c = x2 - 2 x1 + x0 and
 alpha = min(-|d|/|c|, -1), mapped back onto complete rank-one sets by the frame
-map, and one stabilizing step x3 = F of it. A row takes x3 where both frames
-pass and x3's objective is no lower than x2's, and x2 otherwise, so the plain
-ascent is the fallback of every outer step.
+map and scored once there. A row takes that point where its frame passes and
+its objective is no lower than x2's, and x2 otherwise, so the plain ascent is
+the fallback of every outer step: three frame maps and three objective
+evaluations per outer step.
 
 All restarts advance in lockstep as rows of one batch. A row stops once an
 outer step moves none of its terms by more than STOP, or when a plain step's
@@ -51,7 +52,7 @@ from .errors import OptimizationError, check_instance, check_integer
 from .fidelity import (FidelityReport, Strategy, _retransmission, fidelity_of_strategy,
                        optimal_retransmission)
 from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
-from .tolerances import IDENTITY_SUM, NEGLIGIBLE, PSEUDO_INVERSE
+from .tolerances import IDENTITY_SUM, PSEUDO_INVERSE
 
 SPOT_EVERY = 5  # outer steps between spot checks
 STOP = 1e-12  # an outer step that moves no term of a row by more than this ends the row
@@ -124,7 +125,7 @@ class SearchTrace:
     Recorded values are always the maximized objective: the fidelity itself,
     or the correct-decision probability (1 - error) for the error search.
     evaluations counts objective evaluations of single rows: one per start,
-    then four per live row in each outer step. spot_checks holds
+    then three per live row in each outer step. spot_checks holds
     min(ceil(accepted / SPOT_EVERY), iterations // SPOT_EVERY) samples of each
     restart (SpotCheck).
     """
@@ -141,10 +142,12 @@ def _fidelity_objective(e: SymmetricEnsemble, t, r):
     already optimized outcome by outcome (top eigenvalue of each score
     operator), and the terms (g0, g) of 2/p times its gradient operators,
     sum_j (1 + n_j.v_k) |psi_j><psi_j| with v_k the unit direction of
-    outcome k's score vector."""
+    outcome k's score vector: from the ensemble's moments (mu, M),
+    g0 = (1 + v_k.mu) / 2p and g = (mu + M v_k) / 2p."""
     values, v = _retransmission(e, t, r)
-    q = bloch.born(np.ones_like(values), v, e.vectors)
-    return (values.sum(axis=-1), *bloch.score(q, e.vectors))
+    mu, M = e.moments
+    half_m = 0.5 / e.prior
+    return values.sum(axis=-1), half_m * (1.0 + v @ mu), half_m * (mu + v @ M)
 
 
 def _correct_objective(e: SymmetricEnsemble, t, r):
@@ -158,9 +161,11 @@ def _correct_objective(e: SymmetricEnsemble, t, r):
 
 def _merged(t: np.ndarray, r: np.ndarray):
     """One row with elements whose unit vectors coincide merged into the first
-    of them, weights summed and the rest zeroed, then frame-normalized again."""
+    of them, weights summed and the rest zeroed, then frame-normalized again.
+    Vectors coincide within IDENTITY_SUM entrywise: merging them moves the
+    measurement by no more than the completeness slack validate_pom grants."""
     n = bloch.unit(r)
-    first = (np.abs(n[:, None] - n[None]).max(axis=-1) <= NEGLIGIBLE).argmax(axis=0)
+    first = (np.abs(n[:, None] - n[None]).max(axis=-1) <= IDENTITY_SUM).argmax(axis=0)
     return _frame_map(np.bincount(first, weights=t, minlength=len(t)), n)[:2]
 
 
@@ -179,6 +184,7 @@ def _extrapolated(x0, x1, x2):
 
 def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
                 name: str) -> tuple[Pom, SearchTrace]:
+    check_instance(e, "ensemble", SymmetricEnsemble)
     check_instance(cfg, "cfg", OptimizerConfig)
     n, restarts = cfg.n_elements, cfg.restarts
     v = np.random.default_rng(np.random.SeedSequence([cfg.seed, n])).standard_normal((restarts, n, 3))
@@ -205,14 +211,14 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         t2, r2, ok2, VAL2, g0, g = plain(t1, r1, g0, g)
         step = live & ok1 & ok2
         tx, rx, resid = _frame_map(*_extrapolated((t, r), (t1, r1), (t2, r2)))
-        t3, r3, ok3, VAL3, g03, g3 = plain(tx, rx, *objective(e, tx, rx)[1:])
-        fast = ok3 & (resid <= IDENTITY_SUM) & (VAL3 >= VAL2)
-        for kept, extrapolated in ((t2, t3), (r2, r3), (VAL2, VAL3), (g0, g03), (g, g3)):
+        VALx, g0x, gx = objective(e, tx, rx)
+        fast = (resid <= IDENTITY_SUM) & (VALx >= VAL2)
+        for kept, extrapolated in ((t2, tx), (r2, rx), (VAL2, VALx), (g0, g0x), (g, gx)):
             kept[fast] = extrapolated[fast]
         moved = np.maximum(np.abs(t2 - t).max(axis=-1), np.abs(r2 - r).max(axis=(-2, -1)))
         t[step], r[step], VAL[step] = t2[step], r2[step], VAL2[step]
         applied += step
-        evaluations += 4 * int(live.sum())
+        evaluations += 3 * int(live.sum())
         live = step & (moved > STOP)
         if iterations % SPOT_EVERY == 0:
             # rows step from the first outer step until they stop, so these are

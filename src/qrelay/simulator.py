@@ -144,7 +144,7 @@ def _fidelity_hits(e: SymmetricEnsemble, s: Strategy, seed: int) -> Callable:
 
 def _error_hits(e: SymmetricEnsemble, p: Pom, a: Assignment) -> Callable:
     """Counter of trials whose outcome is read as a signal other than the one sent."""
-    read_as = np.array(_signal_indices(p, a, e.m), dtype=np.int64)
+    read_as = np.array(_signal_indices(e, p, a), dtype=np.int64)
     return lambda start, stop, signal, outcome: int((read_as[outcome] != signal).sum())
 
 
@@ -156,7 +156,8 @@ def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
     Born distribution, retransmits the outcome's state and accepts with
     probability |<signal|retransmitted>|^2.
     """
-    return _estimate(e, s.pom, trials, seed, _fidelity_hits(e, s, seed))[0]
+    hits = _fidelity_hits(e, s, seed)  # checks the records' types before s.pom is read
+    return _estimate(e, s.pom, trials, seed, hits)[0]
 
 
 def simulate_error(e: SymmetricEnsemble, p: Pom, a: Assignment, trials: int,
@@ -173,5 +174,5 @@ def simulate_strategy(e: SymmetricEnsemble, s: Strategy, a: Assignment, trials: 
     trials, seed) and simulate_error(e, s.pom, a, trials, seed), but draws
     each trial's signal and outcome once.
     """
-    return _estimate(e, s.pom, trials, seed, _fidelity_hits(e, s, seed),
-                     _error_hits(e, s.pom, a))
+    hits = _fidelity_hits(e, s, seed)  # checks the records' types before s.pom is read
+    return _estimate(e, s.pom, trials, seed, hits, _error_hits(e, s.pom, a))

@@ -10,14 +10,14 @@ NORM = 1e-9
 """Largest allowed deviation of a state's squared norm from 1 at construction."""
 
 NEGLIGIBLE = 1e-12
-"""Amplitude magnitude treated as exactly zero by the phase convention, and largest
-entrywise gap at which the search merges two unit Bloch vectors as one."""
+"""Amplitude magnitude treated as exactly zero by the phase convention."""
 
 PSD = 1e-12
 """An eigenvalue >= -PSD still counts as positive semidefinite."""
 
 IDENTITY_SUM = 1e-9
-"""Entrywise slack when measurement elements must sum to the identity."""
+"""Entrywise slack when measurement elements must sum to the identity, and largest
+entrywise gap at which the search merges two unit Bloch vectors as one."""
 
 DEGENERATE = 1e-12
 """Eigenvalue gap below which a 2x2 spectrum is treated as a tie."""

@@ -9,6 +9,7 @@ import helpers
 from qrelay import (DomainError, Hermitian2, Pom, bloch, error_probability, greedy_assignment,
                     optimal_retransmission, square_root_measurement, symmetric_ensemble,
                     validate_pom)
+from qrelay.fidelity import _retransmission
 from qrelay.optimizer import _correct_objective, _fidelity_objective, _frame_map, _pom
 
 
@@ -95,6 +96,33 @@ def test_objective_gradients_match_central_differences(objective, m, theta):
                - objective(e, t - step * dt, r - step * dr)[0]) / (2 * step)
     analytic = e.prior * ((g0 * dt).sum(axis=-1) + np.einsum("ikc,ikc->i", g, dr))
     assert np.abs(numeric - analytic).max() <= 1e-6
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 8, 0.7, math.pi / 2])
+def test_moments_give_the_state_sums(m, theta):
+    """The fidelity objective reads the moments (mu, M); each of its outputs
+    equals the sum over the states that bloch.born and bloch.score form."""
+    e = symmetric_ensemble(m, theta)
+    n, p = e.vectors, e.prior
+    mu, M = e.moments
+    assert np.abs(mu - sum(p * nj for nj in n)).max() <= 1e-15
+    assert np.abs(M - sum(p * np.outer(nj, nj) for nj in n)).max() <= 1e-15
+    rng = np.random.default_rng(60 + m)
+    t, r, _ = _frame_map(rng.dirichlet(np.ones(5), size=16), rng.standard_normal((16, 5, 3)))
+    t[:, 0], r[:, 0] = 0.0, 0.0  # a zero element: its score vector is zero
+    s0, s = bloch.score(p * bloch.born(t, r, n), n)
+    values, v = _retransmission(e, t, r)
+    assert np.abs(values - bloch.top(s0, s)).max() <= 1e-15
+    # the direction is compared as the score vector |s| v, whose error is absolute
+    norm = np.linalg.norm(s, axis=-1, keepdims=True)
+    assert np.abs(norm * v - s).max() <= 1e-15
+    assert np.array_equal(v[:, 0], np.tile([0.0, 0.0, 1.0], (16, 1))) and not values[:, 0].any()
+    # gradient operators p/2 (g0, g): state sums of (1 + n_j.v_k) |psi_j><psi_j| at the same v
+    g0_sum, g_sum = bloch.score(bloch.born(np.ones_like(values), v, n), n)
+    _, g0, g = _fidelity_objective(e, t, r)
+    assert np.abs(0.5 * p * (g0 - g0_sum)).max() <= 1e-15
+    assert np.abs(0.5 * p * (g - g_sum)).max() <= 1e-15
 
 
 def test_sandwich_matches_matrix_products():

@@ -18,7 +18,7 @@ Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
 
 
 def score_operator(e, element: Hermitian2) -> Hermitian2:
-    """sum_j p_j <psi_j|pi|psi_j> |psi_j><psi_j| through the kernel, as optimal_retransmission forms it."""
+    """sum_j p_j <psi_j|pi|psi_j> |psi_j><psi_j| through the kernel's sum over the states."""
     q = e.prior * bloch.born(*bloch.terms((element,)), e.vectors)
     return bloch.operators(*bloch.score(q, e.vectors))[0]
 

@@ -142,6 +142,29 @@ def first_rows(e, cfg):
     return seen[0]
 
 
+def test_outer_step_evaluates_the_objective_three_times(monkeypatch):
+    """One call for the starts, then x1, x2 and the extrapolated point per outer
+    step; the fidelity objective reads the moments, never the state sums."""
+    def state_sum(*args):
+        raise AssertionError("the fidelity objective formed a sum over the states")
+
+    monkeypatch.setattr(bloch, "born", state_sum)
+    monkeypatch.setattr(bloch, "score", state_sum)
+    calls = []
+
+    def counting(e, t, r):
+        calls.append(len(t))
+        return _fidelity_objective(e, t, r)
+
+    cfg = OptimizerConfig(restarts=4, max_iterations=10, seed=0)
+    _, trace = optimizer._run_search(symmetric_ensemble(5, math.pi / 8), cfg, counting, "fidelity")
+    iterations = trace.records[0].iterations
+    assert calls == [cfg.restarts] * (1 + 3 * iterations)
+    # every row applied every step, so every row counts three evaluations in each
+    assert [rec.accepted for rec in trace.records] == [iterations] * cfg.restarts
+    assert trace.evaluations == cfg.restarts * (1 + 3 * iterations)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_starts_are_complete_rank_one_sets(n):
     e = symmetric_ensemble(3, 0.6)
@@ -216,6 +239,16 @@ def test_optimize_fidelity_two_signal_support(m2_concentration):
     assert abs(value - max_fidelity_analytic(2, math.pi / 4)) <= 1e-4
     weights = sorted((0.5 * (el.a + el.d) for el in strategy.pom.elements), reverse=True)
     assert weights[0] + weights[1] >= 0.999 * sum(weights)
+
+
+def test_two_signal_support_at_every_seed():
+    """Criterion 6's search at 30 seeds: elements left a few 1e-12 apart on one
+    side are merged, so the weight always sits on the antipodal pair."""
+    e = symmetric_ensemble(2, math.pi / 4)
+    for seed in range(30):
+        strategy = optimize_fidelity(e, OptimizerConfig(n_elements=4, restarts=16, seed=seed))[0]
+        weights = sorted(strategy.pom.terms[0], reverse=True)
+        assert weights[0] + weights[1] >= 0.999 * sum(weights), seed
 
 
 def test_optimize_fidelity_trace_contract(m2_concentration):

@@ -1,0 +1,26 @@
+"""The research scripts' verdicts."""
+
+import functools
+import importlib.util
+from pathlib import Path
+
+import qrelay
+
+
+def verify_bounds():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verify_bounds.py"
+    spec = importlib.util.spec_from_file_location("verify_bounds", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_bounds_fails_a_search_stopped_at_the_cap(monkeypatch, capsys):
+    script = verify_bounds()
+    argv = ["--m", "3", "--steps", "2", "--restarts", "2"]
+    assert script.main(argv) == 0
+    assert "searches stopped at max_iterations: 0" in capsys.readouterr().out
+    monkeypatch.setattr(script, "OptimizerConfig",
+                        functools.partial(qrelay.OptimizerConfig, max_iterations=1))
+    assert script.main(argv) == 1
+    assert "searches stopped at max_iterations: 2" in capsys.readouterr().out
