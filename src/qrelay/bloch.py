@@ -4,8 +4,8 @@ An operator [[a, b], [conj(b), d]] is t I + r.sigma with t = (a + d)/2 and
 r = (Re b, -Im b, (a - d)/2), so its eigenvalues are t +- |r|; a pure state
 is (I + n.sigma)/2. Elements come as terms t[..., K], r[..., K, 3] and states
 as Bloch vectors n[J, 3], with leading batch axes broadcasting. The package's
-Born probabilities, score operators and square-root (frame) normalization
-(Hausladen and Wootters, J. Mod. Opt. 41, 2385, 1994) are written here once.
+Born probabilities and square-root (frame) normalization (Hausladen and
+Wootters, J. Mod. Opt. 41, 2385, 1994) are written here once.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ def born(t: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
     return t[..., None, :] + n @ np.swapaxes(r, -1, -2)
 
 
-def score(q: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Terms of the score operators O_k = sum_j q[..., j, k] |psi_j><psi_j|, summed over
-    the states; fidelity._retransmission forms the same terms from the ensemble's moments."""
-    return 0.5 * q.sum(axis=-2), 0.5 * (np.swapaxes(q, -1, -2) @ n)
-
-
 def sandwich(g0: np.ndarray, g: np.ndarray, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Terms of G E G for G = g0 I + g.sigma and E = t I + r.sigma:
     t (g0^2 + |g|^2) + 2 g0 g.r and 2 t g0 g + (g0^2 - |g|^2) r + 2 (g.r) g."""
@@ -67,11 +61,6 @@ def sandwich(g0: np.ndarray, g: np.ndarray, t: np.ndarray, r: np.ndarray) -> tup
     gg = np.einsum("...c,...c->...", g, g)
     return (t * (g0 * g0 + gg) + 2.0 * g0 * gr,
             (2.0 * t * g0 + 2.0 * gr)[..., None] * g + (g0 * g0 - gg)[..., None] * r)
-
-
-def top(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue t + |r|; its eigenvector points along r."""
-    return t + np.sqrt(np.einsum("...c,...c->...", r, r))
 
 
 def lowest(t: np.ndarray, r: np.ndarray) -> np.ndarray:

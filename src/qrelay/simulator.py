@@ -5,10 +5,11 @@ is a pure function of the seed, so any partition of the trial range into
 chunks reproduces bit-identical results and no generator state is carried
 between calls. Each trial spends one slot on the transmitted signal, one on
 the measurement outcome and, for fidelity estimates, one on the accept/reject
-test of the retransmitted state against the original. When both estimates
-come from one run (simulate_strategy), the signal and outcome slots are drawn
-once per trial and shared, so a trial spends three slots, not five, and each
-estimate is bit for bit the one its own run would give.
+test of the retransmitted state against the original. A block of trials is
+one index per trial, signal * K + outcome for K outcomes: its histogram gives
+the outcome tallies and the error count, and the accept test looks up its
+probability by it. simulate_strategy draws the index once for both estimates,
+three slots a trial, not five, each bit for bit as its own run would give.
 
 Estimates are plain frequencies with the binomial standard error
 sqrt(est (1 - est) / trials).
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,11 +30,12 @@ from .measurements import Assignment, Pom, _signal_indices, validate_pom
 from .tolerances import PROBABILITY
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# slot 3 is unused, but the slot count fixes each stream's counters, so it stays 4
 N_SLOTS = 4
 # counter step from one trial to the next within a slot's stream, mod 2**64
 _STRIDE = np.uint64(N_SLOTS * int(GOLDEN) % (1 << 64))
-# trials per block: a block's few live arrays of 8-byte values stay within a
-# per-core L2 cache, so memory does not grow with the trial count
+# trials per block: a block's index and uniforms, a few arrays of 8-byte values,
+# stay within a per-core L2 cache, so memory does not grow with the trial count
 CHUNK = 1 << 16
 
 
@@ -90,62 +91,56 @@ def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     return cum
 
 
-def _draw(e: SymmetricEnsemble, cum: np.ndarray, seed: int, start: int, stop: int):
-    """Transmitted signal index and outcome position for trials start..stop-1.
+def _draw(e: SymmetricEnsemble, cum: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
+    """Index signal * K + outcome of trials start..stop-1, for cum[m, K].
 
-    The outcome counts the thresholds of the signal's cumulative row at or
-    below the uniform, one column at a time; the last, 1, never counts.
+    The outcome counts the thresholds of the signal's row at or below the
+    uniform. Rows do not decrease, so each pass moves the index one column on
+    where the uniform reaches the threshold it points at; the last, 1, never counts.
     """
-    u_signal = counter_uniforms(seed, 0, start, stop)
+    index = np.minimum((counter_uniforms(seed, 0, start, stop) * e.m).astype(np.int64), e.m - 1)
+    index *= cum.shape[1]
     u_outcome = counter_uniforms(seed, 1, start, stop)
-    signal = np.minimum((u_signal * e.m).astype(np.int64), e.m - 1)
-    outcome = np.zeros(stop - start, dtype=np.int64)
-    for column in np.ascontiguousarray(cum[:, :-1].T):
-        outcome += u_outcome >= column.take(signal)
-    return signal, outcome
+    flat = cum.ravel()
+    for _ in range(cum.shape[1] - 1):
+        index += u_outcome >= flat.take(index)
+    return index
 
 
 def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
-              *hits_in: Callable) -> tuple[SimResult, ...]:
-    """Frequency of hits over the trials for each counter, all from one draw per chunk.
-
-    Each hits_in(start, stop, signal, outcome) counts one chunk's hits; the
-    outcome tallies are shared by every result.
-    """
+              accept: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """counts[j, k] of the trials that sent signal j and saw outcome k, and the trials
+    that pass the accept test on slot 2, drawn only when an accept table is given."""
     trials = check_integer(trials, "trials", 1)
     cum = _outcome_table(e, p)
-    hits = [0] * len(hits_in)
-    tallies = np.zeros(len(p), dtype=np.int64)
+    counts = np.zeros(cum.size, dtype=np.int64)
+    hits = 0
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
-        signal, outcome = _draw(e, cum, seed, start, stop)
-        for k, count in enumerate(hits_in):
-            hits[k] += count(start, stop, signal, outcome)
-        tallies += np.bincount(outcome, minlength=len(p))
-    results = []
-    for h in hits:
-        estimate = h / trials
-        results.append(SimResult(
-            trials=trials,
-            estimate=estimate,
-            std_error=math.sqrt(estimate * (1.0 - estimate) / trials),
-            counts=dict(enumerate(tallies.tolist())),
-        ))
-    return tuple(results)
+        index = _draw(e, cum, seed, start, stop)
+        counts += np.bincount(index, minlength=cum.size)
+        if accept is not None:
+            hits += int((counter_uniforms(seed, 2, start, stop) < accept.take(index)).sum())
+    return counts.reshape(cum.shape), hits
 
 
-def _fidelity_hits(e: SymmetricEnsemble, s: Strategy, seed: int) -> Callable:
-    """Counter of trials whose retransmitted state passes the accept test on slot 2."""
-    accept = np.clip(_overlaps(e, s), 0.0, 1.0)
-    flat, width = accept.ravel(), accept.shape[1]
-    return lambda start, stop, signal, outcome: int(
-        (counter_uniforms(seed, 2, start, stop) < flat.take(signal * width + outcome)).sum())
+def _result(counts: np.ndarray, hits: int) -> SimResult:
+    """Frequency of hits over the trials counted in counts[j, k], with their outcome tallies."""
+    trials = int(counts.sum())
+    estimate = hits / trials
+    return SimResult(trials=trials, estimate=estimate,
+                     std_error=math.sqrt(estimate * (1.0 - estimate) / trials),
+                     counts=dict(enumerate(counts.sum(axis=0).tolist())))
 
 
-def _error_hits(e: SymmetricEnsemble, p: Pom, a: Assignment) -> Callable:
-    """Counter of trials whose outcome is read as a signal other than the one sent."""
-    read_as = np.array(_signal_indices(e, p, a), dtype=np.int64)
-    return lambda start, stop, signal, outcome: int((read_as[outcome] != signal).sum())
+def _accept(e: SymmetricEnsemble, s: Strategy) -> np.ndarray:
+    """|<signal|retransmitted>|^2 by index; it checks the records' types, so it runs before s.pom is read."""
+    return np.clip(_overlaps(e, s), 0.0, 1.0).ravel()
+
+
+def _errors(counts: np.ndarray, read_as: list[int]) -> int:
+    """Trials counted in counts[j, k] whose outcome k is read as a signal other than j."""
+    return int(counts[np.arange(counts.shape[0])[:, None] != np.array(read_as)].sum())
 
 
 def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
@@ -156,14 +151,16 @@ def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
     Born distribution, retransmits the outcome's state and accepts with
     probability |<signal|retransmitted>|^2.
     """
-    hits = _fidelity_hits(e, s, seed)  # checks the records' types before s.pom is read
-    return _estimate(e, s.pom, trials, seed, hits)[0]
+    accept = _accept(e, s)
+    return _result(*_estimate(e, s.pom, trials, seed, accept))
 
 
 def simulate_error(e: SymmetricEnsemble, p: Pom, a: Assignment, trials: int,
                    seed: int = 0) -> SimResult:
     """Estimate the identification error of a measurement with an assignment."""
-    return _estimate(e, p, trials, seed, _error_hits(e, p, a))[0]
+    read_as = _signal_indices(e, p, a)
+    counts, _ = _estimate(e, p, trials, seed)
+    return _result(counts, _errors(counts, read_as))
 
 
 def simulate_strategy(e: SymmetricEnsemble, s: Strategy, a: Assignment, trials: int,
@@ -172,7 +169,9 @@ def simulate_strategy(e: SymmetricEnsemble, s: Strategy, a: Assignment, trials: 
 
     Returns the same two results, bit for bit, as simulate_fidelity(e, s,
     trials, seed) and simulate_error(e, s.pom, a, trials, seed), but draws
-    each trial's signal and outcome once.
+    each trial's index once.
     """
-    hits = _fidelity_hits(e, s, seed)  # checks the records' types before s.pom is read
-    return _estimate(e, s.pom, trials, seed, hits, _error_hits(e, s.pom, a))
+    accept = _accept(e, s)
+    read_as = _signal_indices(e, s.pom, a)
+    counts, hits = _estimate(e, s.pom, trials, seed, accept)
+    return _result(counts, hits), _result(counts, _errors(counts, read_as))

@@ -102,7 +102,7 @@ def test_objective_gradients_match_central_differences(objective, m, theta):
 @pytest.mark.parametrize("theta", [0.0, math.pi / 8, 0.7, math.pi / 2])
 def test_moments_give_the_state_sums(m, theta):
     """The fidelity objective reads the moments (mu, M); each of its outputs
-    equals the sum over the states that bloch.born and bloch.score form."""
+    equals the sum over the states, formed here from bloch.born."""
     e = symmetric_ensemble(m, theta)
     n, p = e.vectors, e.prior
     mu, M = e.moments
@@ -111,15 +111,17 @@ def test_moments_give_the_state_sums(m, theta):
     rng = np.random.default_rng(60 + m)
     t, r, _ = _frame_map(rng.dirichlet(np.ones(5), size=16), rng.standard_normal((16, 5, 3)))
     t[:, 0], r[:, 0] = 0.0, 0.0  # a zero element: its score vector is zero
-    s0, s = bloch.score(p * bloch.born(t, r, n), n)
+    q = p * bloch.born(t, r, n)  # score terms: sums over j of q[j, k] (1, n_j) / 2
+    s0, s = 0.5 * q.sum(axis=-2), 0.5 * (np.swapaxes(q, -1, -2) @ n)
     values, v = _retransmission(e, t, r)
-    assert np.abs(values - bloch.top(s0, s)).max() <= 1e-15
-    # the direction is compared as the score vector |s| v, whose error is absolute
     norm = np.linalg.norm(s, axis=-1, keepdims=True)
+    assert np.abs(values - (s0 + norm[..., 0])).max() <= 1e-15
+    # the direction is compared as the score vector |s| v, whose error is absolute
     assert np.abs(norm * v - s).max() <= 1e-15
     assert np.array_equal(v[:, 0], np.tile([0.0, 0.0, 1.0], (16, 1))) and not values[:, 0].any()
     # gradient operators p/2 (g0, g): state sums of (1 + n_j.v_k) |psi_j><psi_j| at the same v
-    g0_sum, g_sum = bloch.score(bloch.born(np.ones_like(values), v, n), n)
+    q = bloch.born(np.ones_like(values), v, n)
+    g0_sum, g_sum = 0.5 * q.sum(axis=-2), 0.5 * (np.swapaxes(q, -1, -2) @ n)
     _, g0, g = _fidelity_objective(e, t, r)
     assert np.abs(0.5 * p * (g0 - g0_sum)).max() <= 1e-15
     assert np.abs(0.5 * p * (g - g_sum)).max() <= 1e-15

@@ -18,9 +18,9 @@ Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
 
 
 def score_operator(e, element: Hermitian2) -> Hermitian2:
-    """sum_j p_j <psi_j|pi|psi_j> |psi_j><psi_j| through the kernel's sum over the states."""
+    """sum_j p_j <psi_j|pi|psi_j> |psi_j><psi_j|, summed over the states' Bloch terms (1, n_j) / 2."""
     q = e.prior * bloch.born(*bloch.terms((element,)), e.vectors)
-    return bloch.operators(*bloch.score(q, e.vectors))[0]
+    return bloch.operators(0.5 * q.sum(axis=0), 0.5 * (q.T @ e.vectors))[0]
 
 
 def test_strategy_requires_matching_lengths():
@@ -106,7 +106,8 @@ def test_score_operator_top_eigenvalue_equatorial_element():
     element = Hermitian2(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)  # (2/3)|mu_0><mu_0| on the equator
     op = score_operator(e, element)
     # weight 1/3 element: top eigenvalue w (1 - sin^2/4) = 1/4
-    assert bloch.top(*bloch.terms((op,)))[0] == pytest.approx(0.25, abs=1e-12)
+    t, r = bloch.terms((op,))
+    assert t[0] + np.linalg.norm(r[0]) == pytest.approx(0.25, abs=1e-12)
     assert np.linalg.eigvalsh(helpers.matrix(op))[1] == pytest.approx(0.25, abs=1e-12)
 
 
@@ -178,7 +179,7 @@ def test_optimal_retransmission_points_along_the_score_vectors():
         e = symmetric_ensemble(m, theta)
         for _ in range(10):
             pom = helpers.random_pom(rng, size)
-            _, s = bloch.score(e.prior * bloch.born(*pom.terms, e.vectors), e.vectors)
+            s = 0.5 * ((e.prior * bloch.born(*pom.terms, e.vectors)).T @ e.vectors)
             got = bloch.vectors(optimal_retransmission(e, pom).states)
             assert np.abs(got - bloch.unit(s)).max() <= 1e-15
 

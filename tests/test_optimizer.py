@@ -149,7 +149,6 @@ def test_outer_step_evaluates_the_objective_three_times(monkeypatch):
         raise AssertionError("the fidelity objective formed a sum over the states")
 
     monkeypatch.setattr(bloch, "born", state_sum)
-    monkeypatch.setattr(bloch, "score", state_sum)
     calls = []
 
     def counting(e, t, r):

@@ -1,5 +1,6 @@
 """Monte Carlo estimates and the counter-based randomness contract."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 import helpers
 import property_suites
 import qrelay.simulator as simulator
-from qrelay import (DomainError, Hermitian2, Pom, SimResult, Strategy,
+from qrelay import (Assignment, DomainError, Hermitian2, Pom, SimResult, Strategy,
                     counter_uniforms, error_probability, greedy_assignment,
                     optimal_strategy_analytic, simulate_error, simulate_fidelity,
                     simulate_strategy, square_root_measurement, symmetric_ensemble)
@@ -159,18 +160,52 @@ def test_shared_pass_matches_separate_estimates(monkeypatch, trials, chunk):
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     separate = (simulate_fidelity(e, s, trials, seed=21),
                 simulate_error(e, s.pom, assignment, trials, seed=21))
-    drawn = []
+    calls = []
 
     def counted(*args):
-        u = counter_uniforms(*args)
-        drawn.append(len(u))
-        return u
+        calls.append(args)
+        return counter_uniforms(*args)
 
     monkeypatch.setattr(simulator, "counter_uniforms", counted)
-    assert simulate_strategy(e, s, assignment, trials, seed=21) == separate
-    # signal, outcome and accept slots, each drawn once per trial
-    assert sum(drawn) == 3 * trials
-    assert len(drawn) == 3 * -(-trials // chunk)
+    for run, expected, slots in (
+            (lambda: simulate_strategy(e, s, assignment, trials, seed=21), separate, 3),
+            (lambda: simulate_fidelity(e, s, trials, seed=21), separate[0], 3),
+            (lambda: simulate_error(e, s.pom, assignment, trials, seed=21), separate[1], 2)):
+        calls.clear()
+        assert run() == expected
+        # signal and outcome slots, and the accept slot for a fidelity, each drawn
+        # once per trial in one call per block
+        drawn = collections.Counter()
+        for _, slot, start, stop in calls:
+            drawn[slot] += stop - start
+        assert drawn == dict.fromkeys(range(slots), trials)
+        assert len(calls) == slots * -(-trials // chunk)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_histogram_matches_the_per_trial_oracle(monkeypatch, seed):
+    """The error hits and tallies read from the index histogram equal those of
+    reading each trial's outcome, for many-to-one assignments that never read
+    some signals, with the draw split across the block boundaries."""
+    rng = np.random.default_rng(seed)
+    m, outcomes = int(rng.integers(2, 9)), int(rng.integers(2, 11))
+    e = symmetric_ensemble(m, float(rng.uniform(0.0, math.pi / 2)))
+    pom = helpers.random_pom(rng, outcomes)
+    read = rng.choice(m, size=int(rng.integers(1, m)), replace=False)  # never all signals
+    read_as = rng.choice(read, size=outcomes)
+    assignment = Assignment(outcome_to_signal=dict(enumerate(read_as.tolist())))
+    chunk = int(rng.integers(300, 1000))
+    trials = 3 * chunk + int(rng.integers(1, chunk))
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    result = simulate_error(e, pom, assignment, trials, seed=seed)
+    cum = simulator._outcome_table(e, pom)
+    cuts = [0, chunk // 2, chunk + 1, 3 * chunk - 1, trials]
+    index = np.concatenate([simulator._draw(e, cum, seed, a, b) for a, b in zip(cuts, cuts[1:])])
+    signal, outcome = np.divmod(index, outcomes)
+    assert np.array_equal(signal, np.minimum(
+        (counter_uniforms(seed, 0, 0, trials) * m).astype(np.int64), m - 1))
+    assert result.estimate == np.count_nonzero(read_as[outcome] != signal) / trials
+    assert result.counts == dict(enumerate(np.bincount(outcome, minlength=outcomes).tolist()))
 
 
 def test_block_size_does_not_change_results(monkeypatch):
@@ -188,15 +223,19 @@ def test_memory_is_bounded_by_the_block_not_the_trials():
     s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
     assignment = greedy_assignment(e, s.pom)
     trials = (1 << 20) + 5
-    tracemalloc.start()
-    try:
-        simulate_strategy(e, s, assignment, trials, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # about seven live block arrays of 8-byte values; one array of a double
-    # per trial would take 8 * trials bytes
-    assert peak < 10 * 8 * simulator.CHUNK < 8 * trials
+    for run in (lambda: simulate_strategy(e, s, assignment, trials, seed=1),
+                lambda: simulate_fidelity(e, s, trials, seed=1),
+                lambda: simulate_error(e, s.pom, assignment, trials, seed=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about four live block arrays of 8-byte values, while the signal is
+        # turned into the index; one array of a double per trial would take
+        # 8 * trials bytes
+        assert peak < 10 * 8 * simulator.CHUNK < 8 * trials
 
 
 # SimResults recorded with the earlier sampler, which compared each uniform
@@ -218,7 +257,7 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
     s = optimal_strategy_analytic(m, theta, outputs, alpha)
     cum = simulator._outcome_table(e, s.pom)
     for start, stop in ((0, 3000), (1 << 20, (1 << 20) + 2000)):
-        signal, outcome = simulator._draw(e, cum, 17, start, stop)
+        signal, outcome = np.divmod(simulator._draw(e, cum, 17, start, stop), cum.shape[1])
         u = counter_uniforms(17, 1, start, stop)
         assert np.array_equal(outcome, (u[:, None] >= cum[signal]).sum(axis=1))
     monkeypatch.setattr(simulator, "CHUNK", chunk)
