@@ -11,6 +11,13 @@ the outcome tallies and the error count, and the accept test looks up its
 probability by it. simulate_strategy draws the index once for both estimates,
 three slots a trial, not five, each bit for bit as its own run would give.
 
+Every block of a simulation is drawn into one workspace of buffers, so only
+the splitmix temporary is allocated per block. The outcome is found by the
+guide-table (indexed search) method of Chen & Asau (1974): a table of each
+signal's threshold counts at equal bins of [0, 1) starts the inverse-CDF walk
+at the uniform's bin, so a few passes finish it however many outcomes there
+are. Every uniform picks the same outcome as counting all the thresholds.
+
 Estimates are plain frequencies with the binomial standard error
 sqrt(est (1 - est) / trials).
 """
@@ -24,7 +31,7 @@ import numpy as np
 
 from . import bloch
 from .ensembles import SymmetricEnsemble
-from .errors import ValidationError, check_integer
+from .errors import DomainError, ValidationError, check_integer
 from .fidelity import Strategy, _overlaps
 from .measurements import Assignment, Pom, _signal_indices, validate_pom
 from .tolerances import PROBABILITY
@@ -34,9 +41,13 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 N_SLOTS = 4
 # counter step from one trial to the next within a slot's stream, mod 2**64
 _STRIDE = np.uint64(N_SLOTS * int(GOLDEN) % (1 << 64))
-# trials per block: a block's index and uniforms, a few arrays of 8-byte values,
-# stay within a per-core L2 cache, so memory does not grow with the trial count
+# trials per block: the workspace every block reuses (two uniform buffers, the
+# index and a step mask) and the splitmix temporary, about four arrays of 8-byte
+# values, stay within a per-core L2 cache, so memory does not grow with the trials
 CHUNK = 1 << 16
+# most entries of a guide table, 64 KiB of int64, so that it stays cache-resident;
+# one a signal where there are more signals
+GUIDE_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -47,32 +58,45 @@ class SimResult:
     counts: dict[int, int]
 
 
-def _mix(x: np.ndarray) -> None:
-    """splitmix64 output stage, in place on a uint64 buffer; the arithmetic wraps
-    modulo 2**64 on purpose."""
-    x ^= x >> np.uint64(30)
+def _mix(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 output stage, in place on a uint64 buffer, with each shift held
+    in tmp, as long, so that it allocates nothing; the arithmetic wraps modulo
+    2**64 on purpose."""
+    x ^= np.right_shift(x, np.uint64(30), out=tmp)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=tmp)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
 
 
-def counter_uniforms(seed: int, slot: int, start: int, stop: int) -> np.ndarray:
+def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Uniform doubles in [0, 1) for trials start..stop-1 of one slot's stream.
 
     The value at (trial, slot) depends only on the seed, never on how the
-    range is split across calls.
+    range is split across calls. Given out, a contiguous float64 array of at
+    least stop - start values, it writes them into out[:stop - start] and
+    returns that view.
     """
     seed = check_integer(seed, "seed", 0, 2 ** 64)
     slot = check_integer(slot, "slot", 0, N_SLOTS)
     start = check_integer(start, "start", 0)
     stop = check_integer(stop, "stop", start)
-    x = np.arange(stop - start, dtype=np.uint64)
-    x *= _STRIDE
+    n = stop - start
+    if out is None:
+        out = np.empty(n)
+    elif (not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.ndim != 1
+          or not out.flags.c_contiguous or out.size < n):
+        raise DomainError(f"out must be a contiguous 1-d float64 array of at least {n} values")
+    out = out[:n]
+    x = out.view(np.uint64)
+    tmp = np.arange(n, dtype=np.uint64)
+    np.multiply(tmp, _STRIDE, out=x)
     x += np.uint64(((start * N_SLOTS + slot + 1) * int(GOLDEN) + seed) % (1 << 64))
-    _mix(x)
-    x >>= np.uint64(11)
-    return np.multiply(x, 1.0 / (1 << 53))
+    _mix(x, tmp)
+    # the top 53 bits, exact as a signed integer, into the doubles' own memory
+    np.right_shift(x, np.uint64(11), out=tmp)
+    return np.multiply(tmp.view(np.int64), 1.0 / (1 << 53), out=out)
 
 
 def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
@@ -91,19 +115,66 @@ def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     return cum
 
 
-def _draw(e: SymmetricEnsemble, cum: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
-    """Index signal * K + outcome of trials start..stop-1, for cum[m, K].
+@dataclass(frozen=True)
+class _Workspace:
+    """What every block of one simulation reuses: the outcome table, its guide
+    table and the block buffers.
 
-    The outcome counts the thresholds of the signal's row at or below the
-    uniform. Rows do not decrease, so each pass moves the index one column on
-    where the uniform reaches the threshold it points at; the last, 1, never counts.
+    The guide table (Chen & Asau 1974) cuts [0, 1) into bins equal parts:
+    first[j * bins + b] is j * K plus the count of row j's thresholds at or below
+    b / bins, and passes is the most thresholds strictly inside any one bin.
     """
-    index = np.minimum((counter_uniforms(seed, 0, start, stop) * e.m).astype(np.int64), e.m - 1)
-    index *= cum.shape[1]
-    u_outcome = counter_uniforms(seed, 1, start, stop)
-    flat = cum.ravel()
-    for _ in range(cum.shape[1] - 1):
-        index += u_outcome >= flat.take(index)
+    flat: np.ndarray
+    bins: int
+    first: np.ndarray
+    passes: int
+    u0: np.ndarray
+    u1: np.ndarray
+    index: np.ndarray
+    step: np.ndarray
+
+
+def _workspace(cum: np.ndarray, size: int) -> _Workspace:
+    """Workspace for cum[m, K] and blocks of up to size trials; the guide table has
+    at most GUIDE_ENTRIES entries, or one a row where m is larger."""
+    m, k = cum.shape
+    # the largest power of two with m * bins <= GUIDE_ENTRIES, and at least 1
+    bins = max(1, 1 << (GUIDE_ENTRIES // m).bit_length() >> 1)
+    edges = np.arange(bins + 1) / bins
+    rows = cum[:, None, :]
+    at_or_below = (rows <= edges[:-1, None]).sum(axis=2)
+    passes = int(((rows < edges[1:, None]).sum(axis=2) - at_or_below).max())
+    first = (np.arange(m)[:, None] * k + at_or_below).ravel()
+    return _Workspace(cum.ravel(), bins, first, passes, np.empty(size), np.empty(size),
+                      np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
+
+
+def _draw(e: SymmetricEnsemble, work: _Workspace, seed: int, start: int, stop: int) -> np.ndarray:
+    """Index signal * K + outcome of trials start..stop-1, as a view into work's
+    buffers.
+
+    The outcome counts the thresholds of the signal's row at or below the uniform
+    u. The guide table gives that count up to the lower edge of u's bin. Rows do
+    not decrease, so each pass then moves the index one column on where u
+    reaches the threshold it points at; the last, 1, never counts.
+    """
+    n = stop - start
+    index, step = work.index[:n], work.step[:n]
+    u0 = counter_uniforms(seed, 0, start, stop, out=work.u0)
+    np.multiply(u0, e.m, out=index, casting="unsafe")
+    np.minimum(index, e.m - 1, out=index)
+    u = counter_uniforms(seed, 1, start, stop, out=work.u1)
+    # u * bins is exact, as bins is a power of two; u0's memory is free.
+    # Indices are always in range, and mode="wrap" writes out in place where
+    # mode="raise" would buffer it.
+    cell = u0.view(np.int64)
+    np.multiply(u, work.bins, out=cell, casting="unsafe")
+    index *= work.bins
+    cell += index
+    np.take(work.first, cell, out=index, mode="wrap")
+    for _ in range(work.passes):
+        np.greater_equal(u, np.take(work.flat, index, out=u0, mode="wrap"), out=step)
+        index += step
     return index
 
 
@@ -113,14 +184,19 @@ def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
     that pass the accept test on slot 2, drawn only when an accept table is given."""
     trials = check_integer(trials, "trials", 1)
     cum = _outcome_table(e, p)
+    work = _workspace(cum, min(CHUNK, trials))
     counts = np.zeros(cum.size, dtype=np.int64)
     hits = 0
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
-        index = _draw(e, cum, seed, start, stop)
+        index = _draw(e, work, seed, start, stop)
         counts += np.bincount(index, minlength=cum.size)
         if accept is not None:
-            hits += int((counter_uniforms(seed, 2, start, stop) < accept.take(index)).sum())
+            n = stop - start
+            u = counter_uniforms(seed, 2, start, stop, out=work.u0)
+            passed = np.less(u, np.take(accept, index, out=work.u1[:n], mode="wrap"),
+                             out=work.step[:n])
+            hits += int(np.count_nonzero(passed))
     return counts.reshape(cum.shape), hits
 
 

@@ -64,6 +64,19 @@ def test_counter_uniforms_domain_checks():
                           counter_uniforms(5, 1, 2, 9))
 
 
+def test_counter_uniforms_write_into_a_given_buffer():
+    out = np.full(5000, -1.0)
+    view = counter_uniforms(3, 2, 100, 4100, out=out)
+    assert view.size == 4000 and view.ctypes.data == out.ctypes.data
+    assert np.array_equal(view, counter_uniforms(3, 2, 100, 4100))
+    assert np.all(out[4000:] == -1.0)
+    assert counter_uniforms(3, 2, 100, 100, out=out).size == 0
+    for bad in (np.empty(3999), np.empty(4000, dtype=np.float32), np.empty(8000)[::2],
+                np.empty((2, 2000)), [0.0] * 4000):
+        with pytest.raises(DomainError):
+            counter_uniforms(3, 2, 100, 4100, out=bad)
+
+
 def _splitmix64_uniform(seed: int, slot: int, trial: int) -> float:
     """The stream's value at (trial, slot), in plain Python integers mod 2**64."""
     mask = (1 << 64) - 1
@@ -162,9 +175,9 @@ def test_shared_pass_matches_separate_estimates(monkeypatch, trials, chunk):
                 simulate_error(e, s.pom, assignment, trials, seed=21))
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return counter_uniforms(*args)
+        return counter_uniforms(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "counter_uniforms", counted)
     for run, expected, slots in (
@@ -200,7 +213,8 @@ def test_histogram_matches_the_per_trial_oracle(monkeypatch, seed):
     result = simulate_error(e, pom, assignment, trials, seed=seed)
     cum = simulator._outcome_table(e, pom)
     cuts = [0, chunk // 2, chunk + 1, 3 * chunk - 1, trials]
-    index = np.concatenate([simulator._draw(e, cum, seed, a, b) for a, b in zip(cuts, cuts[1:])])
+    index = np.concatenate([simulator._draw(e, simulator._workspace(cum, b - a), seed, a, b)
+                            for a, b in zip(cuts, cuts[1:])])
     signal, outcome = np.divmod(index, outcomes)
     assert np.array_equal(signal, np.minimum(
         (counter_uniforms(seed, 0, 0, trials) * m).astype(np.int64), m - 1))
@@ -232,10 +246,55 @@ def test_memory_is_bounded_by_the_block_not_the_trials():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about four live block arrays of 8-byte values, while the signal is
-        # turned into the index; one array of a double per trial would take
-        # 8 * trials bytes
+        # about 4.3 block arrays of 8-byte values: the workspace's two uniform
+        # buffers, index and step, and the splitmix temporary; one array of a
+        # double per trial would take 8 * trials bytes
         assert peak < 10 * 8 * simulator.CHUNK < 8 * trials
+
+
+@pytest.mark.parametrize("outputs", [3, 8])
+def test_memory_is_bounded_for_many_signals(outputs):
+    """The guide table stays within its budget of entries however many signals
+    there are: a table of 1024 bins per signal would alone take 16 MB here."""
+    e = symmetric_ensemble(2000, 0.9)
+    s = optimal_strategy_analytic(2000, 0.9, outputs, 0.3)
+    assignment = greedy_assignment(e, s.pom)
+    tracemalloc.start()
+    try:
+        simulate_strategy(e, s, assignment, 3 * simulator.CHUNK + 5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * simulator.CHUNK
+
+
+def test_blocks_after_the_first_allocate_only_the_splitmix_temporary(monkeypatch):
+    e = symmetric_ensemble(5, 0.9)
+    s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
+    assignment = greedy_assignment(e, s.pom)
+    marks = []   # traced (current, peak) bytes as each block starts, the peak reset there
+
+    def watched(seed, slot, start, stop, **kwargs):
+        if slot == 0:
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        return counter_uniforms(seed, slot, start, stop, **kwargs)
+
+    monkeypatch.setattr(simulator, "counter_uniforms", watched)
+    for run in (lambda: simulate_strategy(e, s, assignment, 4 * simulator.CHUNK, seed=1),
+                lambda: simulate_fidelity(e, s, 4 * simulator.CHUNK, seed=1),
+                lambda: simulate_error(e, s.pom, assignment, 4 * simulator.CHUNK, seed=1)):
+        marks.clear()
+        tracemalloc.start()
+        try:
+            run()
+            marks.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 5
+        for (current, _), (_, peak) in zip(marks[1:], marks[2:]):
+            # one uint64 array of the block's length, and numpy's casting buffers
+            assert peak - current < 1.25 * 8 * simulator.CHUNK
 
 
 # SimResults recorded with the earlier sampler, which compared each uniform
@@ -257,13 +316,50 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
     s = optimal_strategy_analytic(m, theta, outputs, alpha)
     cum = simulator._outcome_table(e, s.pom)
     for start, stop in ((0, 3000), (1 << 20, (1 << 20) + 2000)):
-        signal, outcome = np.divmod(simulator._draw(e, cum, 17, start, stop), cum.shape[1])
+        index = simulator._draw(e, simulator._workspace(cum, stop - start), 17, start, stop)
+        signal, outcome = np.divmod(index, cum.shape[1])
         u = counter_uniforms(17, 1, start, stop)
         assert np.array_equal(outcome, (u[:, None] >= cum[signal]).sum(axis=1))
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     assignment = greedy_assignment(e, s.pom)
     assert simulate_fidelity(e, s, 2500, seed=17) == RECORDED[m][0]
     assert simulate_error(e, s.pom, assignment, 2500, seed=17) == RECORDED[m][1]
+
+
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize("budget,m,rows,bins,passes", [
+    # 8 bins: zero-probability outcomes, thresholds repeated on bin edges, an
+    # interior threshold one ulp above 1, and three thresholds inside bin 1
+    (16, 2, [[0.0, 0.0, 3 / 8, 3 / 8, 0.5, _ABOVE_ONE, 1.0],
+             [1 / 8, 5 / 32, 6 / 32, 7 / 32, 0.6, 0.9, 1.0]], 8, 3),
+    # the same rows at the module's own budget
+    (None, 2, [[0.0, 0.0, 3 / 8, 3 / 8, 0.5, _ABOVE_ONE, 1.0],
+               [1 / 8, 5 / 32, 6 / 32, 7 / 32, 0.6, 0.9, 1.0]], 4096, 1),
+    # three outcomes, one threshold inside a bin
+    (16, 2, [[0.3, 0.7, 1.0], [0.0, _ABOVE_ONE, 1.0]], 8, 1),
+    # one bin per row, at the budget and with more signals than the budget
+    (16, 12, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
+    (16, 17, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
+    (None, 5000, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
+])
+def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, rows, bins, passes):
+    if budget is not None:
+        monkeypatch.setattr(simulator, "GUIDE_ENTRIES", budget)
+    cum = np.resize(np.array(rows), (m, len(rows[0])))
+    e = symmetric_ensemble(m, 0.5)
+    trials = 5000
+    work = simulator._workspace(cum, 2000)
+    assert work.bins == bins and work.passes == passes
+    assert work.first.size == m * bins <= max(m, simulator.GUIDE_ENTRIES)
+    cuts = [0, 1999, 2000, 3999, trials]
+    index = np.concatenate([simulator._draw(e, work, 4, a, b).copy()
+                            for a, b in zip(cuts, cuts[1:])])
+    signal = np.minimum((counter_uniforms(4, 0, 0, trials) * m).astype(np.int64), m - 1)
+    u = counter_uniforms(4, 1, 0, trials)
+    assert np.array_equal(index, signal * cum.shape[1] + (u[:, None] >= cum[signal]).sum(axis=1))
+    assert np.array_equal(index, simulator._draw(e, simulator._workspace(cum, trials), 4, 0, trials))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
