@@ -4,8 +4,8 @@ the closed-form optima.
 A candidate is held as the element terms (t[K], r[K, 3]) the rest of the
 package uses (bloch.py): element k is t_k I + r_k.sigma with |r_k| = t_k,
 rank one and positive semidefinite by construction. The search hands out only
-measurements (Pom), the best row realized once at the end and sampled rows as
-element terms.
+measurements (Pom), the best row realized once at the end and each row's final
+candidate as element terms.
 
 Both objectives are maxima of functions linear in each element, so each has a
 gradient operator G_k at element E_k: for the fidelity
@@ -35,8 +35,9 @@ evaluations per outer step.
 All restarts advance in lockstep as rows of one batch. A row stops once an
 outer step moves none of its terms by more than STOP, or when a plain step's
 frame is singular or misses the completeness residual validate_pom allows; it
-then keeps its candidate. In the best row, elements that point the same way
-are merged, their weights summed, before it is realized as a measurement.
+then keeps its candidate, which the trace holds with the row's value curve. In
+the best row, elements that point the same way are merged, their weights
+summed, before it is realized as a measurement.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .fidelity import (FidelityReport, Strategy, _retransmission, fidelity_of_st
 from .measurements import Assignment, Pom, error_probability, greedy_assignment, validate_pom
 from .tolerances import IDENTITY_SUM, PSEUDO_INVERSE
 
-SPOT_EVERY = 5  # outer steps between spot checks
 STOP = 1e-12  # an outer step that moves no term of a row by more than this ends the row
 
 
@@ -90,13 +90,10 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class SpotCheck:
-    """A row's candidate sampled mid-search, as element terms (t[K], r[K, 3]),
-    so audits can replay the objective on its measurement. The search samples
-    every SPOT_EVERY outer steps, each row that applied a step since the last
-    sample, so a stopped row's final candidate is kept once."""
+    """A restart's final candidate, as element terms (t[K], r[K, 3]), so
+    audits can replay the objective on its measurement."""
 
     restart: int
-    iteration: int
     t: np.ndarray
     r: np.ndarray
     value: float
@@ -108,14 +105,24 @@ class SpotCheck:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One restart's values; iterations counts the batch's outer steps,
-    accepted the outer steps this row applied."""
+    """One restart's value curve: its value at the start, then after each
+    outer step it applied. iterations counts the batch's outer steps."""
 
     restart: int
-    start_value: float
-    final_value: float
+    values: tuple[float, ...]
     iterations: int
-    accepted: int
+
+    @property
+    def start_value(self) -> float:
+        return self.values[0]
+
+    @property
+    def final_value(self) -> float:
+        return self.values[-1]
+
+    @property
+    def accepted(self) -> int:
+        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -125,9 +132,8 @@ class SearchTrace:
     Recorded values are always the maximized objective: the fidelity itself,
     or the correct-decision probability (1 - error) for the error search.
     evaluations counts objective evaluations of single rows: one per start,
-    then three per live row in each outer step. spot_checks holds
-    min(ceil(accepted / SPOT_EVERY), iterations // SPOT_EVERY) samples of each
-    restart (SpotCheck).
+    then three per live row in each outer step. spot_checks holds each
+    restart's final candidate, in restart order (SpotCheck).
     """
 
     objective: str
@@ -192,10 +198,9 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     r = v / np.linalg.norm(v, axis=-1).sum(axis=1)[:, None, None]
     t = np.linalg.norm(r, axis=-1)
     VAL, g0, g = objective(e, t, r)
-    start_vals = VAL.copy()
+    history = [VAL.copy()]
     live = np.ones(restarts, dtype=bool)
     applied = np.zeros(restarts, dtype=np.int64)
-    spots: list[SpotCheck] = []
     evaluations = restarts
     iterations = 0
 
@@ -220,24 +225,17 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         applied += step
         evaluations += 3 * int(live.sum())
         live = step & (moved > STOP)
-        if iterations % SPOT_EVERY == 0:
-            # rows step from the first outer step until they stop, so these are
-            # the rows whose candidate changed since the last sample
-            for row in np.where(applied > iterations - SPOT_EVERY)[0]:
-                # t[row] and r[row] are views of the live state, which later steps overwrite
-                spots.append(SpotCheck(restart=int(row), iteration=iterations, t=t[row].copy(),
-                                       r=r[row].copy(), value=float(VAL[row])))
+        history.append(VAL.copy())
     best = int(np.argmax(VAL))
     pom = _pom(*_merged(t[best], r[best]))
     violations = validate_pom(pom)
     if violations:
         raise OptimizationError(f"best candidate is not a valid measurement: {violations[0]}")
-    records = tuple(
-        RestartRecord(restart=k, start_value=float(start_vals[k]),
-                      final_value=float(VAL[k]), iterations=iterations,
-                      accepted=int(applied[k]))
-        for k in range(restarts))
-    trace = SearchTrace(objective=name, records=records, spot_checks=tuple(spots),
+    curves = np.array(history).T  # rows step from the first outer step until they stop
+    records = tuple(RestartRecord(restart=k, values=tuple(curves[k, :applied[k] + 1].tolist()),
+                                  iterations=iterations) for k in range(restarts))
+    finals = tuple(SpotCheck(restart=k, t=t[k], r=r[k], value=float(VAL[k])) for k in range(restarts))
+    trace = SearchTrace(objective=name, records=records, spot_checks=finals,
                         best_restart=best, evaluations=evaluations)
     return pom, trace
 

@@ -112,6 +112,10 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
         raise ValidationError('"generator" must be a string')
     if not isinstance(doc["parameters"], dict):
         raise ValidationError('"parameters" must be an object')
+    try:  # json.loads takes NaN and Infinity, which saving the strategy again would reject
+        _ENCODER.encode(doc["parameters"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f'"parameters": {exc}') from exc
     ens = doc["ensemble"]
     if not isinstance(ens, dict) or "m" not in ens or "theta" not in ens:
         raise ValidationError('"ensemble" must be an object with "m" and "theta"')

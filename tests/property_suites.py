@@ -197,7 +197,7 @@ def optimizer_bound_suite(sweep) -> int:
 
 
 def optimizer_soundness_suite(traces) -> int:
-    """Every candidate sampled mid-search realizes a valid measurement."""
+    """Every restart's final candidate realizes a valid measurement."""
     checked = 0
     for trace in traces:
         for spot in trace.spot_checks:

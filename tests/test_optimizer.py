@@ -12,7 +12,8 @@ from qrelay import (DomainError, Hermitian2, OptimizationError, OptimizerConfig,
                     max_fidelity_analytic, min_error_analytic, optimal_retransmission,
                     optimize_error, optimize_fidelity, optimizer,
                     square_root_measurement, symmetric_ensemble, validate_pom)
-from qrelay.optimizer import _fidelity_objective, _frame_map, _pom
+from qrelay.optimizer import _correct_objective, _fidelity_objective, _frame_map, _pom
+from qrelay.tolerances import IDENTITY_SUM
 
 
 def row(weights, colatitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
@@ -259,14 +260,8 @@ def test_optimize_fidelity_trace_contract(m2_concentration):
     assert validate_pom(strategy.pom) == []
 
 
-def expected_spot_checks(trace) -> int:
-    """One sample every SPOT_EVERY outer steps of each restart that applied a step since the last."""
-    return sum(min(math.ceil(rec.accepted / optimizer.SPOT_EVERY),
-                   rec.iterations // optimizer.SPOT_EVERY) for rec in trace.records)
-
-
 def test_spot_checks_replay_their_values():
-    """Each sampled candidate's measurement gives back the objective value recorded with it."""
+    """Each restart's final candidate gives back the final value of its curve."""
     e = symmetric_ensemble(3, 0.2)
     cfg = OptimizerConfig(n_elements=3, restarts=4, max_iterations=300, seed=1)
     fidelity_trace = optimize_fidelity(e, cfg)[2]
@@ -274,7 +269,9 @@ def test_spot_checks_replay_their_values():
     for trace in (fidelity_trace, error_trace):
         assert [rec.restart for rec in trace.records] == list(range(cfg.restarts))
         assert trace.records[0].iterations < cfg.max_iterations
-        assert len(trace.spot_checks) == expected_spot_checks(trace) > 0
+        assert [spot.restart for spot in trace.spot_checks] == list(range(cfg.restarts))
+        assert [spot.value for spot in trace.spot_checks] == [rec.final_value
+                                                              for rec in trace.records]
     for spot in fidelity_trace.spot_checks:
         assert abs(optimal_retransmission(e, spot.pom).fidelity - spot.value) <= 1e-12
     for spot in error_trace.spot_checks:
@@ -356,27 +353,45 @@ def test_default_sweep_converges_before_the_cap(default_fidelity_sweep):
         assert point.bound - point.achieved <= 1e-12
 
 
-def assert_spot_values_never_fall(trace):
-    """From one spot check of a restart to its next, the value falls by rounding at most."""
-    last = {}
-    for spot in trace.spot_checks:
-        assert spot.value >= last.get(spot.restart, -math.inf) - 1e-12
-        last[spot.restart] = spot.value
+def assert_values_never_fall(trace):
+    """From one outer step of a restart to its next, the value falls by rounding at most."""
+    for rec in trace.records:
+        assert 1 <= len(rec.values) <= rec.iterations + 1
+        assert all(b >= a - 1e-12 for a, b in zip(rec.values, rec.values[1:]))
 
 
 def test_spot_check_values_never_fall(default_fidelity_sweep):
+    """On the sweep, each restart's curve never falls and its spot check is the curve's end."""
     for point in default_fidelity_sweep.results.values():
-        assert_spot_values_never_fall(point.trace)
+        assert_values_never_fall(point.trace)
+        assert [spot.value for spot in point.trace.spot_checks] == [
+            rec.final_value for rec in point.trace.records]
 
 
-def test_every_outer_step_ascends(monkeypatch):
-    """Sampled at every outer step, the slowest point still ascends: the
-    safeguard rejects each extrapolation that would lower a restart's value."""
-    monkeypatch.setattr(optimizer, "SPOT_EVERY", 1)
-    trace = optimize_fidelity(symmetric_ensemble(5, math.pi / 8))[2]
-    assert len(trace.spot_checks) == expected_spot_checks(trace) == sum(
-        rec.accepted for rec in trace.records)
-    assert_spot_values_never_fall(trace)
+def test_every_outer_step_ascends(default_fidelity_sweep):
+    """Recorded at every outer step, the slowest point (5, pi/8) still ascends:
+    the safeguard rejects each extrapolation that would lower a restart's value."""
+    trace = default_fidelity_sweep.results[5, math.pi / 8].trace
+    assert sum(rec.accepted for rec in trace.records) > len(trace.records)
+    assert_values_never_fall(trace)
+
+
+@pytest.mark.parametrize("m,theta", [(5, math.pi / 8), (2, math.pi / 4), (3, math.pi / 4)])
+@pytest.mark.parametrize("objective", [_fidelity_objective, _correct_objective])
+def test_every_complete_scored_row_is_a_valid_measurement(m, theta, objective):
+    """Each row the search scores with a completeness residual within
+    IDENTITY_SUM (starts, plain steps and extrapolations alike) realizes a
+    measurement validate_pom accepts."""
+    audited = []
+
+    def auditing(e, t, r):
+        for k in np.flatnonzero(bloch.residual(t, r) <= IDENTITY_SUM):
+            assert validate_pom(_pom(t[k], r[k])) == []
+            audited.append(k)
+        return objective(e, t, r)
+
+    optimizer._run_search(symmetric_ensemble(m, theta), OptimizerConfig(), auditing, "audit")
+    assert audited
 
 
 def test_search_soundness_property(default_fidelity_sweep):

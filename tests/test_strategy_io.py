@@ -291,6 +291,19 @@ def test_parse_rejects_structural_problems():
         parse_strategy_document({**good, "ensemble": {"m": 1, "theta": 1.0}})
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "[1.0, NaN]", '{"x": Infinity}'])
+def test_load_rejects_parameters_saving_would_reject(tmp_path, token):
+    """json reads the NaN and Infinity tokens, which the writer refuses to emit."""
+    text = render_document(strategy_document(symmetric_ensemble(3, 0.4),
+                                             optimal_strategy_analytic(3, 0.4), "analytic",
+                                             {"alpha": 0.0}))
+    path = tmp_path / "nan.strategy.json"
+    path.write_text(text.replace('"alpha": 0.0', f'"alpha": {token}'))
+    assert "alpha" in json.loads(path.read_text())["parameters"]
+    with pytest.raises(ValidationError, match="parameters"):
+        load_strategy(path)
+
+
 def test_integer_theta_loads_as_a_float():
     good = json.loads(render_document(strategy_document(
         symmetric_ensemble(3, 1.0), optimal_strategy_analytic(3, 1.0), generator="analytic")))
