@@ -50,8 +50,10 @@ def unit(v: np.ndarray, norm: np.ndarray | None = None) -> np.ndarray:
 
 
 def born(t: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """P[..., j, k] = t_k + r_k.n_j."""
-    return t[..., None, :] + n @ np.swapaxes(r, -1, -2)
+    """P[..., j, k] = t_k + r_k.n_j, added into the product so only P is allocated."""
+    p = n @ np.swapaxes(r, -1, -2)
+    p += t[..., None, :]
+    return p
 
 
 def sandwich(g0: np.ndarray, g: np.ndarray, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

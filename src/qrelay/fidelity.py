@@ -94,8 +94,9 @@ def _overlaps(e: SymmetricEnsemble, s: Strategy) -> np.ndarray:
 
 def fidelity_of_strategy(e: SymmetricEnsemble, s: Strategy) -> float:
     """Average fidelity of the strategy on the ensemble, by the exact double sum."""
-    overlaps = _overlaps(e, s)
-    return e.prior * float((bloch.born(*s.pom.terms, e.vectors) * overlaps).sum())
+    joint = _overlaps(e, s)
+    joint *= bloch.born(*s.pom.terms, e.vectors)
+    return e.prior * float(joint.sum())
 
 
 def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:

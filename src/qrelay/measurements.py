@@ -122,8 +122,8 @@ def error_probability(e: SymmetricEnsemble, p: Pom, a: Assignment) -> float:
     measurement is otherwise taken on trust here.
     """
     read_as = _signal_indices(e, p, a)
-    probs = bloch.born(*p.terms, e.vectors).tolist()
-    return 1.0 - e.prior * sum(probs[j][k] for k, j in enumerate(read_as))
+    correct = bloch.born(*p.terms, e.vectors)[read_as, range(len(read_as))]
+    return 1.0 - e.prior * sum(correct.tolist())
 
 
 def greedy_assignment(e: SymmetricEnsemble, p: Pom) -> Assignment:

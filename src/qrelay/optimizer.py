@@ -5,7 +5,7 @@ A candidate is held as the element terms (t[K], r[K, 3]) the rest of the
 package uses (bloch.py): element k is t_k I + r_k.sigma with |r_k| = t_k,
 rank one and positive semidefinite by construction. The search hands out only
 measurements (Pom), the best row realized once at the end and each row's final
-candidate as element terms.
+candidate as element terms in its RestartRecord.
 
 Both objectives are maxima of functions linear in each element, so each has a
 gradient operator G_k at element E_k: for the fidelity
@@ -35,7 +35,7 @@ evaluations per outer step.
 All restarts advance in lockstep as rows of one batch. A row stops once an
 outer step moves none of its terms by more than STOP, or when a plain step's
 frame is singular or misses the completeness residual validate_pom allows; it
-then keeps its candidate, which the trace holds with the row's value curve. In
+then keeps its candidate, which its RestartRecord holds with its value curve. In
 the best row, elements that point the same way are merged, their weights
 summed, before it is realized as a measurement.
 """
@@ -89,40 +89,25 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SpotCheck:
-    """A restart's final candidate, as element terms (t[K], r[K, 3]), so
-    audits can replay the objective on its measurement."""
-
-    restart: int
-    t: np.ndarray
-    r: np.ndarray
-    value: float
-
-    @property
-    def pom(self) -> Pom:
-        return _pom(self.t, self.r)
-
-
-@dataclass(frozen=True)
 class RestartRecord:
-    """One restart's value curve: its value at the start, then after each
-    outer step it applied. iterations counts the batch's outer steps."""
+    """One restart: its value curve (the value at its start, then after each
+    outer step it applied) and its final candidate as element terms
+    (t[K], r[K, 3]), so audits can replay the objective on its measurement.
+    iterations counts the batch's outer steps."""
 
     restart: int
     values: tuple[float, ...]
     iterations: int
-
-    @property
-    def start_value(self) -> float:
-        return self.values[0]
-
-    @property
-    def final_value(self) -> float:
-        return self.values[-1]
+    t: np.ndarray
+    r: np.ndarray
 
     @property
     def accepted(self) -> int:
         return len(self.values) - 1
+
+    @property
+    def pom(self) -> Pom:
+        return _pom(self.t, self.r)
 
 
 @dataclass(frozen=True)
@@ -131,16 +116,20 @@ class SearchTrace:
 
     Recorded values are always the maximized objective: the fidelity itself,
     or the correct-decision probability (1 - error) for the error search.
+    records holds one RestartRecord per restart, in restart order.
     evaluations counts objective evaluations of single rows: one per start,
-    then three per live row in each outer step. spot_checks holds each
-    restart's final candidate, in restart order (SpotCheck).
+    then three per live row in each outer step.
     """
 
     objective: str
     records: tuple[RestartRecord, ...]
-    spot_checks: tuple[SpotCheck, ...]
     best_restart: int
     evaluations: int
+
+    @property
+    def spot_checks(self) -> tuple[RestartRecord, ...]:
+        """The records, under the name bench/tracer.py counts them by."""
+        return self.records
 
 
 def _fidelity_objective(e: SymmetricEnsemble, t, r):
@@ -233,10 +222,8 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         raise OptimizationError(f"best candidate is not a valid measurement: {violations[0]}")
     curves = np.array(history).T  # rows step from the first outer step until they stop
     records = tuple(RestartRecord(restart=k, values=tuple(curves[k, :applied[k] + 1].tolist()),
-                                  iterations=iterations) for k in range(restarts))
-    finals = tuple(SpotCheck(restart=k, t=t[k], r=r[k], value=float(VAL[k])) for k in range(restarts))
-    trace = SearchTrace(objective=name, records=records, spot_checks=finals,
-                        best_restart=best, evaluations=evaluations)
+                                  iterations=iterations, t=t[k], r=r[k]) for k in range(restarts))
+    trace = SearchTrace(objective=name, records=records, best_restart=best, evaluations=evaluations)
     return pom, trace
 
 

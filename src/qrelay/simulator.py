@@ -41,9 +41,10 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 N_SLOTS = 4
 # counter step from one trial to the next within a slot's stream, mod 2**64
 _STRIDE = np.uint64(N_SLOTS * int(GOLDEN) % (1 << 64))
-# trials per block: the workspace every block reuses (two uniform buffers, the
-# index and a step mask) and the splitmix temporary, about four arrays of 8-byte
-# values, stay within a per-core L2 cache, so memory does not grow with the trials
+# trials per block: the workspace every block reuses (two uniform buffers and the
+# index, 8 bytes a trial, and a 1-byte step mask) and the splitmix temporary take
+# 4 x 512 KiB + 64 KiB, about one 2 MiB per-core L2 cache, so memory does not grow
+# with the trials
 CHUNK = 1 << 16
 # most entries of a guide table, 64 KiB of int64, so that it stays cache-resident;
 # one a signal where there are more signals
@@ -108,9 +109,9 @@ def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     born = bloch.born(*p.terms, e.vectors)
     if born.min() < -PROBABILITY:
         raise ValidationError(f"outcome probability {born.min():.3e} below the clamping window")
-    born = np.clip(born, 0.0, 1.0)
-    born = born / born.sum(axis=1, keepdims=True)
-    cum = np.cumsum(born, axis=1)
+    cum = np.clip(born, 0.0, 1.0, out=born)
+    cum /= cum.sum(axis=1, keepdims=True)
+    np.cumsum(cum, axis=1, out=cum)
     cum[:, -1] = 1.0
     return cum
 
@@ -161,8 +162,8 @@ def _draw(e: SymmetricEnsemble, work: _Workspace, seed: int, start: int, stop: i
     n = stop - start
     index, step = work.index[:n], work.step[:n]
     u0 = counter_uniforms(seed, 0, start, stop, out=work.u0)
+    # u0 <= 1 - 2**-53, so u0 * m rounds below m for every m up to 2**52
     np.multiply(u0, e.m, out=index, casting="unsafe")
-    np.minimum(index, e.m - 1, out=index)
     u = counter_uniforms(seed, 1, start, stop, out=work.u1)
     # u * bins is exact, as bins is a power of two; u0's memory is free.
     # Indices are always in range, and mode="wrap" writes out in place where
@@ -210,8 +211,9 @@ def _result(counts: np.ndarray, hits: int) -> SimResult:
 
 
 def _accept(e: SymmetricEnsemble, s: Strategy) -> np.ndarray:
-    """|<signal|retransmitted>|^2 by index; it checks the records' types, so it runs before s.pom is read."""
-    return np.clip(_overlaps(e, s), 0.0, 1.0).ravel()
+    """|<signal|retransmitted>|^2 by index; it checks the records' types, so it runs before s.pom is read.
+    Unclipped: a uniform u in [0, 1 - 2**-53] passes u < a alike for a rounded a hair past 0 or 1."""
+    return _overlaps(e, s).ravel()
 
 
 def _errors(counts: np.ndarray, read_as: list[int]) -> int:

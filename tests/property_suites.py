@@ -200,8 +200,8 @@ def optimizer_soundness_suite(traces) -> int:
     """Every restart's final candidate realizes a valid measurement."""
     checked = 0
     for trace in traces:
-        for spot in trace.spot_checks:
-            assert validate_pom(spot.pom) == []
+        for rec in trace.records:
+            assert validate_pom(rec.pom) == []
             checked += 1
     assert checked > 0
     return checked

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ def test_error_probability_rejects_an_assignment_that_is_not_an_assignment():
     e = symmetric_ensemble(3, 0.5)
     with pytest.raises(DomainError, match="assignment is a dict, not a Assignment"):
         error_probability(e, square_root_measurement(e), {0: 0, 1: 1, 2: 2})
+
+
+def test_error_probability_reads_only_the_assigned_entries():
+    """The Born table is indexed, not listed: the peak stays under twice its bytes."""
+    m, outcomes = 200_000, 8
+    e = symmetric_ensemble(m, 0.9)
+    s = optimal_strategy_analytic(m, 0.9, outcomes)
+    assignment = greedy_assignment(e, s.pom)
+    tracemalloc.start()
+    try:
+        error_probability(e, s.pom, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * m * outcomes
 
 
 def test_greedy_assignment_recovers_natural_labels():

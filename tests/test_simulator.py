@@ -252,6 +252,34 @@ def test_memory_is_bounded_by_the_block_not_the_trials():
         assert peak < 10 * 8 * simulator.CHUNK < 8 * trials
 
 
+def test_signal_index_stays_below_m_at_the_largest_uniform():
+    """The largest uniform, 1 - 2**-53, times every m below 2**20 and at each
+    2**k - 1, 2**k and 2**k + 1 up to 2**52 truncates to m - 1, so the signal
+    index needs no clamp."""
+    top = (2 ** 53 - 1) * (1.0 / (1 << 53))
+    assert top == np.nextafter(1.0, 0.0)
+    powers = 2 ** np.arange(20, 53, dtype=np.int64)
+    m = np.concatenate([np.arange(1, 1 << 20), powers - 1, powers, powers + 1])
+    index = np.empty_like(m)
+    np.multiply(np.full(m.shape, top), m, out=index, casting="unsafe")
+    assert np.array_equal(index, m - 1)
+
+
+def test_accept_table_a_hair_outside_the_unit_interval_passes_the_same_trials():
+    """Every uniform lies in [0, 1 - 2**-53], so an accept probability rounded
+    2**-52 below 0 or above 1 passes the trials that 0 or 1 would."""
+    e = symmetric_ensemble(5, 0.9)
+    s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
+    accept = np.random.default_rng(3).choice([0.0, 0.3, 1.0], size=5 * 8)
+    pushed = accept + np.where(accept == 0.0, -2.0 ** -52, np.where(accept == 1.0, 2.0 ** -52, 0.0))
+    assert pushed.min() < 0.0 and pushed.max() > 1.0
+    counts, hits = simulator._estimate(e, s.pom, 20_000, 7, accept)
+    pushed_counts, pushed_hits = simulator._estimate(e, s.pom, 20_000, 7, pushed)
+    assert np.array_equal(pushed_counts, counts) and pushed_hits == hits
+    counts = counts.ravel()
+    assert counts[accept == 1.0].sum() < hits < counts[accept > 0.0].sum()
+
+
 @pytest.mark.parametrize("outputs", [3, 8])
 def test_memory_is_bounded_for_many_signals(outputs):
     """The guide table stays within its budget of entries however many signals
