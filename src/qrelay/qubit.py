@@ -48,7 +48,7 @@ class PureQubit:
             if cp.imag != 0.0 or cp.real < 0.0:
                 cp, cm = complex(abs(cp), 0.0), cm * abs(cp) / cp
                 nsq = abs(cp) ** 2 + abs(cm) ** 2
-        elif abs(cm) > NEGLIGIBLE and (cm.imag != 0.0 or cm.real < 0.0):
+        elif cm.imag != 0.0 or cm.real < 0.0:
             cp, cm = cp * abs(cm) / cm, complex(abs(cm), 0.0)
             nsq = abs(cp) ** 2 + abs(cm) ** 2
         if abs(nsq - 1.0) > NORM_ROUNDING:

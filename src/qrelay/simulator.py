@@ -34,7 +34,6 @@ from .ensembles import SymmetricEnsemble
 from .errors import DomainError, ValidationError, check_integer
 from .fidelity import Strategy, _overlaps
 from .measurements import Assignment, Pom, _signal_indices, validate_pom
-from .tolerances import PROBABILITY
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # slot 3 is unused, but the slot count fixes each stream's counters, so it stays 4
@@ -101,15 +100,14 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
 
 
 def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
-    """Cumulative outcome distribution per signal of a validated measurement, rows
-    clipped into [0, 1] and renormalized for sampling."""
+    """Cumulative outcome distribution per signal of a measurement validate_pom
+    accepts, its only check: the rows are clipped into [0, 1], which moves the
+    Born entries t + r.n by at most PSD and rounding, and renormalized."""
     violations = validate_pom(p)
     if violations:
         raise ValidationError("; ".join(violations))
-    born = bloch.born(*p.terms, e.vectors)
-    if born.min() < -PROBABILITY:
-        raise ValidationError(f"outcome probability {born.min():.3e} below the clamping window")
-    cum = np.clip(born, 0.0, 1.0, out=born)
+    cum = bloch.born(*p.terms, e.vectors)
+    np.clip(cum, 0.0, 1.0, out=cum)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     cum[:, -1] = 1.0
@@ -218,7 +216,7 @@ def _accept(e: SymmetricEnsemble, s: Strategy) -> np.ndarray:
 
 def _errors(counts: np.ndarray, read_as: list[int]) -> int:
     """Trials counted in counts[j, k] whose outcome k is read as a signal other than j."""
-    return int(counts[np.arange(counts.shape[0])[:, None] != np.array(read_as)].sum())
+    return int(counts.sum() - counts[read_as, range(len(read_as))].sum())
 
 
 def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,

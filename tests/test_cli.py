@@ -9,8 +9,11 @@ import sys
 import pytest
 
 import qrelay.cli
-from qrelay import OptimizationError, bloch, load_strategy, measurements, min_error_analytic
+from qrelay import (Hermitian2, OptimizationError, Pom, Strategy, bloch, load_strategy,
+                    measurements, min_error_analytic, optimal_retransmission, save_strategy,
+                    symmetric_ensemble)
 from qrelay.cli import main
+from qrelay.tolerances import PSD
 
 
 def run_cli(capsys, *argv):
@@ -286,6 +289,24 @@ def test_simulate_rejects_tampered_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "100")
     assert code == 3
     assert "invalid:" in err and "identity" in err and out == ""
+
+
+def test_validate_and_simulate_agree_on_a_boundary_measurement(capsys, tmp_path):
+    """Element 0's lowest eigenvalue is just inside -PSD and its Born probability
+    of signal 4 just outside it: both commands take the file."""
+    e = symmetric_ensemble(8, 0.6301157748724883)
+    rows = [[0.07313276680616232, 0.2243931947372632, 2.1426036897050586e-10, 0.6885054134091766],
+            [0.9268672331938377, -0.2243931947372632, -2.1426036897050586e-10, 0.3114945865908234]]
+    pom = Pom(elements=tuple(Hermitian2(a, d, complex(re_b, im_b)) for a, re_b, im_b, d in rows))
+    assert bloch.lowest(*pom.terms).min() >= -PSD > bloch.born(*pom.terms, e.vectors).min()
+    path = tmp_path / "boundary.strategy.json"
+    save_strategy(path, e, Strategy(pom=pom, retransmit=optimal_retransmission(e, pom).states),
+                  "optimizer")
+    code, out, _ = run_cli(capsys, "validate", "--strategy_file", str(path))
+    assert code == 0 and out.startswith("valid:")
+    code, out, err = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "10000")
+    assert code == 0 and err == ""
+    assert parsed_lines(out)["trials"] == "10000"
 
 
 @pytest.mark.parametrize("parameters,code", [

@@ -11,11 +11,13 @@ import pytest
 import helpers
 import property_suites
 import qrelay.simulator as simulator
-from qrelay import (Assignment, DomainError, Hermitian2, Pom, SimResult, Strategy,
+from qrelay import (Assignment, DomainError, Hermitian2, Pom, SimResult, Strategy, bloch,
                     counter_uniforms, error_probability, greedy_assignment,
-                    optimal_strategy_analytic, simulate_error, simulate_fidelity,
-                    simulate_strategy, square_root_measurement, symmetric_ensemble)
+                    optimal_retransmission, optimal_strategy_analytic, simulate_error,
+                    simulate_fidelity, simulate_strategy, square_root_measurement,
+                    symmetric_ensemble, validate_pom)
 from qrelay.qubit import PLUS
+from qrelay.tolerances import PSD
 
 Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
 
@@ -388,6 +390,39 @@ def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, ro
     u = counter_uniforms(4, 1, 0, trials)
     assert np.array_equal(index, signal * cum.shape[1] + (u[:, None] >= cum[signal]).sum(axis=1))
     assert np.array_equal(index, simulator._draw(e, simulator._workspace(cum, trials), 4, 0, trials))
+
+
+def _boundary_measurements(rng: np.random.Generator, m: int, count: int):
+    """Ensembles of m signals with two-element measurements t0 I + r.sigma and
+    (1 - t0) I - r.sigma, |r| = t0 + PSD, r anti-aligned within about 1e-9 with
+    one signal: element 0's lowest eigenvalue and its Born probability of that
+    signal sit at -PSD, on either side of it by rounding."""
+    for _ in range(count):
+        e = symmetric_ensemble(m, float(rng.uniform(0.0, math.pi / 2)))
+        n = e.vectors[rng.integers(m)] + 1e-9 * rng.standard_normal(3)
+        t0 = float(rng.uniform(0.05, 0.5))
+        r = -(t0 + PSD) * n / np.linalg.norm(n)
+        yield e, Pom(elements=bloch.operators(np.array([t0, 1.0 - t0]), np.stack([r, -r])))
+
+
+def test_every_measurement_validate_pom_accepts_is_simulated():
+    """validate_pom is the one validity rule: a measurement it accepts runs through
+    all three entry points, also where a Born probability lies below -PSD."""
+    rng = np.random.default_rng(5)
+    accepted = below = 0
+    for m in range(2, 9):
+        for e, pom in _boundary_measurements(rng, m, 60):
+            if validate_pom(pom):
+                continue
+            accepted += 1
+            below += bloch.born(*pom.terms, e.vectors).min() < -PSD
+            s = Strategy(pom=pom, retransmit=optimal_retransmission(e, pom).states)
+            assignment = greedy_assignment(e, pom)
+            for result in (simulate_fidelity(e, s, 50, seed=1),
+                           simulate_error(e, pom, assignment, 50, seed=1),
+                           *simulate_strategy(e, s, assignment, 50, seed=1)):
+                assert result.trials == 50
+    assert accepted > 100 and below > 5
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
