@@ -24,12 +24,13 @@ from qrelay import OptimizerConfig, max_fidelity_analytic, optimize_fidelity, sy
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    defaults = OptimizerConfig()
     ap.add_argument("--m", type=int, nargs="+", default=[2, 3, 4, 5, 8])
     ap.add_argument("--steps", type=int, default=5,
                     help="colatitude grid points from 0 to pi/2 inclusive")
-    ap.add_argument("--elements", type=int, default=4)
-    ap.add_argument("--restarts", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--elements", type=int, default=defaults.n_elements)
+    ap.add_argument("--restarts", type=int, default=defaults.restarts)
+    ap.add_argument("--seed", type=int, default=defaults.seed)
     args = ap.parse_args(argv)
     if args.steps < 2 or any(m < 2 for m in args.m):
         ap.error("need steps >= 2 and every m >= 2")

@@ -70,16 +70,10 @@ def lowest(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return t - np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
 
 
-def completeness(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How far the sum T I + R.sigma of the elements is from I: (|T - 1|, |R_z|, |R_x + i R_y|)."""
-    x, y, z = r.sum(axis=-2).T
-    return np.abs(t.sum(axis=-1) - 1.0), np.abs(z), np.hypot(x, y)
-
-
 def residual(t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Largest entrywise deviation of the element sum from I: max(|T - 1| + |R_z|, |R_x + i R_y|)."""
-    total, polar, azimuthal = completeness(t, r)
-    return np.maximum(total + polar, azimuthal)
+    """Largest entrywise deviation of the element sum T I + R.sigma from I: max(|T - 1| + |R_z|, |R_x + i R_y|)."""
+    r_sum = r.sum(axis=-2)
+    return np.maximum(np.abs(t.sum(axis=-1) - 1.0) + np.abs(r_sum[..., 2]), np.hypot(r_sum[..., 0], r_sum[..., 1]))
 
 
 def frame_normalize(w: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

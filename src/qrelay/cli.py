@@ -93,7 +93,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = OptimizerConfig(n_elements=n_elements, restarts=args.restarts, seed=args.seed)
     strategy, achieved, trace = optimize_fidelity(e, cfg)
     bound = max_fidelity_analytic(args.m, theta)
-    residuals = bloch.completeness(*strategy.pom.terms)
     print(f"m = {args.m}")
     print(f"theta = {_fmt(theta)}")
     print(f"n_elements = {n_elements}")
@@ -102,7 +101,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print(f"achieved_f = {_fmt(achieved)}")
     print(f"analytic_f_max = {_fmt(bound)}")
     print(f"gap = {_fmt(bound - achieved)}")
-    print(f"residuals = ({_fmt(residuals[0])}, {_fmt(residuals[1])}, {_fmt(residuals[2])})")
+    print(f"identity_residual = {_fmt(identity_sum_residual(strategy.pom))}")
     print(f"best_restart = {trace.best_restart}")
     print(f"evaluations = {trace.evaluations}")
     _print_strategy(strategy)
@@ -163,8 +162,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     low = float(bloch.lowest(*strategy.pom.terms).min())
     print(f"valid: m = {e.m}, theta = {_fmt(e.theta)}, "
           f"{len(strategy.pom.elements)} outcomes, "
-          f"identity_residual = {identity_sum_residual(strategy.pom):.3e}, "
-          f"min_eigenvalue = {low:.3e}, generator = {meta['generator']}")
+          f"identity_residual = {_fmt(identity_sum_residual(strategy.pom))}, "
+          f"min_eigenvalue = {_fmt(low)}, generator = {meta['generator']}")
     return 0
 
 
@@ -199,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--theta", type=float, required=True)
     optimize.add_argument("--n_elements", type=int, default=None,
                           help="measurement elements to search over (default m)")
-    optimize.add_argument("--restarts", type=int, default=16)
-    optimize.add_argument("--seed", type=int, default=0)
+    optimize.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    optimize.add_argument("--seed", type=int, default=OptimizerConfig.seed)
     optimize.add_argument("--degrees", action="store_true",
                           help="interpret theta in degrees")
     optimize.add_argument("--output_path", default=None)
@@ -236,7 +235,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

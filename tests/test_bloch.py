@@ -127,6 +127,15 @@ def test_moments_give_the_state_sums(m, theta):
     assert np.abs(0.5 * p * (g - g_sum)).max() <= 1e-15
 
 
+def test_residual_rows_match_each_row_alone():
+    """Leading shapes (), (B,) and (B1, B2) give each row exactly its own residual."""
+    rng = np.random.default_rng(44)
+    t, r = rng.uniform(0.0, 0.5, (2, 3, 4)), rng.standard_normal((2, 3, 4, 3))
+    rows = [bloch.residual(t[i, j], r[i, j]) for i in range(2) for j in range(3)]
+    for batch in (bloch.residual(t.reshape(6, 4), r.reshape(6, 4, 3)), bloch.residual(t, r).ravel()):
+        assert np.array_equal(batch, rows)
+
+
 def test_sandwich_matches_matrix_products():
     """bloch.sandwich gives the terms of G E G, against 2x2 matrix products."""
     rng = np.random.default_rng(17)

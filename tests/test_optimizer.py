@@ -27,10 +27,9 @@ LOPSIDED = row((0.6, 0.4), (math.pi / 2, math.pi / 2), (0.0, math.pi))
 
 
 def test_completeness_on_known_candidate():
-    r_sum, r_polar, r_azimuthal = bloch.completeness(*LOPSIDED)
-    assert r_sum == pytest.approx(0.0, abs=1e-15)
-    assert r_polar == pytest.approx(0.0, abs=1e-15)
-    assert r_azimuthal == pytest.approx(0.2, abs=1e-12)
+    # the weights sum to one and R has no z part: the residual is |R_x + i R_y|,
+    # R_x = 0.6 - 0.4 in doubles (0.19999999999999996) and R_y below its last bit
+    assert bloch.residual(*LOPSIDED) == 0.6 - 0.4
 
 
 def test_row_pom_x_basis():
@@ -92,7 +91,7 @@ def test_repair_random_infeasible_candidate():
                     rng.uniform(0.0, 2 * math.pi, size=4))
     fixed, resid = frame_map(*candidate)
     assert resid <= 1e-9
-    assert max(bloch.completeness(*fixed)) <= 1e-8
+    assert bloch.residual(*fixed) <= 1e-8
     assert float(fixed[0].min()) >= 0.0
     assert validate_pom(_pom(*fixed)) == []
 
@@ -121,7 +120,7 @@ def test_frame_map_matches_matrix_oracle(n):
     t, r, resid = _frame_map(W, helpers.unit_vectors(TH, PH))
     assert float(resid.max()) <= 1e-14
     assert float(t.min()) >= 0.0
-    assert max(float(c.max()) for c in bloch.completeness(t, r)) <= 1e-14
+    assert float(bloch.residual(t, r).max()) <= 1e-14
     for i in range(32):
         expected = helpers.frame_normalized(
             [helpers.bloch_element(*args) for args in zip(W[i], TH[i], PH[i])])

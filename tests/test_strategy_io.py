@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import helpers
 import qrelay.ensembles
-from qrelay import (DomainError, ValidationError, fidelity_of_strategy, load_strategy, make_qubit,
-                    optimal_strategy_analytic, parse_strategy_document,
-                    save_strategy, symmetric_ensemble, validate_pom)
+from qrelay import (DomainError, OptimizerConfig, Strategy, ValidationError, fidelity_of_strategy,
+                    identity_sum_residual, load_strategy, make_qubit, optimal_retransmission,
+                    optimal_strategy_analytic, optimize_fidelity, parse_strategy_document,
+                    save_strategy, square_root_measurement, symmetric_ensemble, validate_pom)
 from qrelay.strategy_io import FORMAT_VERSION, render_document, strategy_document
 
 CASES = (
@@ -23,30 +24,46 @@ CASES = (
 )
 
 
-def roundtrip(tmp_path, m, theta, n, alpha):
-    e = symmetric_ensemble(m, theta)
-    s = optimal_strategy_analytic(m, theta, n_outputs=n, alpha=alpha)
-    path = tmp_path / f"case_{m}.strategy.json"
-    save_strategy(path, e, s, generator="analytic",
-                  parameters={"m": m, "theta": theta, "n_outputs": n, "alpha": alpha})
-    return e, s, load_strategy(path)
+def assert_lossless(tmp_path, e, s, generator, parameters):
+    path = tmp_path / "case.strategy.json"
+    save_strategy(path, e, s, generator, parameters)
+    e2, s2, meta = load_strategy(path)
+    assert e2.m == e.m and e2.theta == e.theta
+    # elements and states rebuild from the parsed doubles exactly, so every
+    # figure derived from them reads the same on the loaded strategy
+    assert s2.pom.elements == s.pom.elements
+    assert s2.retransmit == s.retransmit
+    for ours, ref in zip((*s2.pom.terms, s2.vectors), (*s.pom.terms, s.vectors)):
+        assert np.array_equal(ours, ref)
+    assert fidelity_of_strategy(e2, s2) == fidelity_of_strategy(e, s)
+    assert identity_sum_residual(s2.pom) == identity_sum_residual(s.pom)
+    assert meta == {"generator": generator, "parameters": parameters, "version": FORMAT_VERSION}
 
 
 @pytest.mark.parametrize("m,theta,n,alpha", CASES)
 def test_roundtrip_is_lossless(tmp_path, m, theta, n, alpha):
-    e, s, (e2, s2, meta) = roundtrip(tmp_path, m, theta, n, alpha)
-    assert e2.m == e.m and e2.theta == e.theta
-    # elements rebuild directly from the parsed doubles: exact
-    for ours, ref in zip(s2.pom.elements, s.pom.elements):
-        assert ours == ref
-    # states pass through normalization again, which may move the last bit
-    for ours, ref in zip(s2.retransmit, s.retransmit):
-        assert abs(ours.amp_plus - ref.amp_plus) <= 1e-15
-        assert abs(ours.amp_minus - ref.amp_minus) <= 1e-15
-    assert meta["generator"] == "analytic"
-    assert meta["version"] == FORMAT_VERSION
-    assert meta["parameters"]["m"] == m
-    assert fidelity_of_strategy(e2, s2) == pytest.approx(fidelity_of_strategy(e, s), abs=1e-15)
+    assert_lossless(tmp_path, symmetric_ensemble(m, theta),
+                    optimal_strategy_analytic(m, theta, n_outputs=n, alpha=alpha),
+                    "analytic", {"m": m, "theta": theta, "n_outputs": n, "alpha": alpha})
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_square_root_roundtrip_is_lossless(tmp_path, m):
+    for theta in (0.3, 1.2):
+        e = symmetric_ensemble(m, theta)
+        pom = square_root_measurement(e)
+        assert validate_pom(pom) == []
+        assert_lossless(tmp_path, e, Strategy(pom, optimal_retransmission(e, pom).states),
+                        "square_root", {"m": m, "theta": theta})
+
+
+@pytest.mark.parametrize("m,theta", [(3, math.pi / 4), (5, 0.9)])
+def test_search_roundtrip_is_lossless(tmp_path, m, theta):
+    e = symmetric_ensemble(m, theta)
+    for seed in (0, 1):
+        s, achieved, _ = optimize_fidelity(e, OptimizerConfig(seed=seed))
+        assert_lossless(tmp_path, e, s, "optimizer",
+                        {"m": m, "theta": theta, "seed": seed, "achieved_f": achieved})
 
 
 ROUNDTRIP_THETAS = helpers.THETA_GRID + (1.3932036158560628,)
