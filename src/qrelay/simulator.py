@@ -18,6 +18,14 @@ signal's threshold counts at equal bins of [0, 1) starts the inverse-CDF walk
 at the uniform's bin, so a few passes finish it however many outcomes there
 are. Every uniform picks the same outcome as counting all the thresholds.
 
+The simulator draws each slot as the integer k = u 2**53 < 2**53 of its
+uniform u and decides on k alone, each rule exact, so every result is bit for
+bit that of comparing the doubles:
+- signal: trunc(k0 (m 2**-53)) is trunc(u0 m), one rounding of the same exact product;
+- bin: k1 >> (53 - log2 bins) is floor(u1 bins), bins a power of two;
+- outcome step: k1 >= ceil(c 2**53) exactly when u1 >= c;
+- accept: k2 < ceil(a 2**53) exactly when u2 < a, also for a a hair outside [0, 1].
+
 Estimates are plain frequencies with the binomial standard error
 sqrt(est (1 - est) / trials).
 """
@@ -40,14 +48,18 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 N_SLOTS = 4
 # counter step from one trial to the next within a slot's stream, mod 2**64
 _STRIDE = np.uint64(N_SLOTS * int(GOLDEN) % (1 << 64))
-# trials per block: the workspace every block reuses (two uniform buffers and the
-# index, 8 bytes a trial, and a 1-byte step mask) and the splitmix temporary take
-# 4 x 512 KiB + 64 KiB, about one 2 MiB per-core L2 cache, so memory does not grow
-# with the trials
+# trials per block: the workspace every block reuses (two draw buffers and the
+# index, 8 bytes a trial, and a 1-byte step mask), the splitmix temporary and the
+# counter offsets below take 5 x 512 KiB + 64 KiB, a little over one 2 MiB per-core
+# L2 cache, so memory does not grow with the trials
 CHUNK = 1 << 16
 # most entries of a guide table, 64 KiB of int64, so that it stays cache-resident;
 # one a signal where there are more signals
 GUIDE_ENTRIES = 1 << 13
+# counter offsets of a block's trials from its first, t * _STRIDE for t < CHUNK,
+# built in place: a range is filled from it with one add a piece
+_OFFSETS = np.arange(CHUNK, dtype=np.uint64)
+_OFFSETS *= _STRIDE
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,8 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
     The value at (trial, slot) depends only on the seed, never on how the
     range is split across calls. Given out, a contiguous float64 array of at
     least stop - start values, it writes them into out[:stop - start] and
-    returns that view.
+    returns that view; a contiguous int64 out gets each value times 2**53,
+    the integer below 2**53 the double is made from.
     """
     seed = check_integer(seed, "seed", 0, 2 ** 64)
     slot = check_integer(slot, "slot", 0, N_SLOTS)
@@ -85,18 +98,37 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
     n = stop - start
     if out is None:
         out = np.empty(n)
-    elif (not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.ndim != 1
-          or not out.flags.c_contiguous or out.size < n):
-        raise DomainError(f"out must be a contiguous 1-d float64 array of at least {n} values")
+    elif (not isinstance(out, np.ndarray) or out.dtype not in (np.float64, np.int64)
+          or out.ndim != 1 or not out.flags.c_contiguous or out.size < n):
+        raise DomainError(
+            f"out must be a contiguous 1-d float64 or int64 array of at least {n} values")
     out = out[:n]
     x = out.view(np.uint64)
-    tmp = np.arange(n, dtype=np.uint64)
-    np.multiply(tmp, _STRIDE, out=x)
-    x += np.uint64(((start * N_SLOTS + slot + 1) * int(GOLDEN) + seed) % (1 << 64))
+    counter = (start * N_SLOTS + slot + 1) * int(GOLDEN) + seed   # of trial start
+    for i in range(0, n, _OFFSETS.size):
+        piece = x[i:i + _OFFSETS.size]
+        np.add(_OFFSETS[:piece.size], np.uint64((counter + i * int(_STRIDE)) % (1 << 64)),
+               out=piece)
+    tmp = np.empty(n, dtype=np.uint64)
     _mix(x, tmp)
-    # the top 53 bits, exact as a signed integer, into the doubles' own memory
+    # the top 53 bits, exact as a signed integer
+    if out.dtype == np.int64:
+        np.right_shift(x, np.uint64(11), out=x)
+        return out
     np.right_shift(x, np.uint64(11), out=tmp)
     return np.multiply(tmp.view(np.int64), 1.0 / (1 << 53), out=out)
+
+
+def _limits(p: np.ndarray) -> np.ndarray:
+    """ceil(p 2**53) as int64: a draw k = u 2**53 has u >= p exactly when k >= it, and
+    u < p exactly when k < it, as p 2**53 is exact and k an integer."""
+    return np.ceil(p * float(1 << 53)).astype(np.int64)
+
+
+def _signal(k: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """trunc(k (m 2**-53)) into out: one rounding of the exact product u m, as
+    trunc(u m) has for u = k 2**-53 <= 1 - 2**-53, so below m for every m up to 2**52."""
+    return np.multiply(k, m / (1 << 53), out=out, casting="unsafe")
 
 
 def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
@@ -116,35 +148,44 @@ def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Workspace:
-    """What every block of one simulation reuses: the outcome table, its guide
-    table and the block buffers.
+    """What every block of one simulation reuses: the outcome table as integer
+    thresholds, limits[j * K + k] = ceil(cum[j, k] 2**53), its guide table and the
+    block buffers.
 
     The guide table (Chen & Asau 1974) cuts [0, 1) into bins equal parts:
     first[j * bins + b] is j * K plus the count of row j's thresholds at or below
     b / bins, and passes is the most thresholds strictly inside any one bin.
     """
-    flat: np.ndarray
+    limits: np.ndarray
     bins: int
     first: np.ndarray
     passes: int
-    u0: np.ndarray
-    u1: np.ndarray
+    k0: np.ndarray
+    k1: np.ndarray
     index: np.ndarray
     step: np.ndarray
 
 
 def _workspace(cum: np.ndarray, size: int) -> _Workspace:
     """Workspace for cum[m, K] and blocks of up to size trials; the guide table has
-    at most GUIDE_ENTRIES entries, or one a row where m is larger."""
+    at most GUIDE_ENTRIES entries, or one a row where m is larger.
+
+    With c = cum * bins, exact, a threshold is at or below b / bins when ceil(c) <= b,
+    and strictly inside bin b when c is not an integer and floor(c) = b.
+    """
     m, k = cum.shape
     # the largest power of two with m * bins <= GUIDE_ENTRIES, and at least 1
     bins = max(1, 1 << (GUIDE_ENTRIES // m).bit_length() >> 1)
-    edges = np.arange(bins + 1) / bins
-    rows = cum[:, None, :]
-    at_or_below = (rows <= edges[:-1, None]).sum(axis=2)
-    passes = int(((rows < edges[1:, None]).sum(axis=2) - at_or_below).max())
-    first = (np.arange(m)[:, None] * k + at_or_below).ravel()
-    return _Workspace(cum.ravel(), bins, first, passes, np.empty(size), np.empty(size),
+    c = cum * bins
+    signal = np.arange(m)[:, None]
+    cells = signal * (bins + 1) + np.clip(np.ceil(c), 0, bins).astype(np.int64)
+    at_or_below = np.bincount(cells.ravel(), minlength=m * (bins + 1)).reshape(m, bins + 1)
+    floor = np.floor(c)
+    inside = (floor != c) & (floor < bins)
+    passes = int(np.bincount((signal * bins + floor.astype(np.int64))[inside], minlength=1).max())
+    first = (signal * k + np.cumsum(at_or_below[:, :bins], axis=1)).ravel()
+    return _Workspace(_limits(cum).ravel(), bins, first, passes,
+                      np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
                       np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
 
 
@@ -155,24 +196,25 @@ def _draw(e: SymmetricEnsemble, work: _Workspace, seed: int, start: int, stop: i
     The outcome counts the thresholds of the signal's row at or below the uniform
     u. The guide table gives that count up to the lower edge of u's bin. Rows do
     not decrease, so each pass then moves the index one column on where u
-    reaches the threshold it points at; the last, 1, never counts.
+    reaches the threshold it points at; the last, 1, never counts. Each rule
+    runs on the draw k = u 2**53, as exactly as on u:
+    - signal: trunc(k0 (m 2**-53)) rounds the product u0 m once, as trunc(u0 m) does;
+    - bin: k1 >> (53 - log2 bins) is floor(u1 bins);
+    - step: k1 >= ceil(c 2**53) exactly when u1 >= c.
     """
     n = stop - start
     index, step = work.index[:n], work.step[:n]
-    u0 = counter_uniforms(seed, 0, start, stop, out=work.u0)
-    # u0 <= 1 - 2**-53, so u0 * m rounds below m for every m up to 2**52
-    np.multiply(u0, e.m, out=index, casting="unsafe")
-    u = counter_uniforms(seed, 1, start, stop, out=work.u1)
-    # u * bins is exact, as bins is a power of two; u0's memory is free.
-    # Indices are always in range, and mode="wrap" writes out in place where
-    # mode="raise" would buffer it.
-    cell = u0.view(np.int64)
-    np.multiply(u, work.bins, out=cell, casting="unsafe")
+    k0 = counter_uniforms(seed, 0, start, stop, out=work.k0)
+    _signal(k0, e.m, out=index)
+    k1 = counter_uniforms(seed, 1, start, stop, out=work.k1)
+    # k0's memory is free. Indices are always in range, and mode="wrap" writes out
+    # in place where mode="raise" would buffer it.
+    cell = np.right_shift(k1, 54 - work.bins.bit_length(), out=k0)
     index *= work.bins
     cell += index
     np.take(work.first, cell, out=index, mode="wrap")
     for _ in range(work.passes):
-        np.greater_equal(u, np.take(work.flat, index, out=u0, mode="wrap"), out=step)
+        np.greater_equal(k1, np.take(work.limits, index, out=k0, mode="wrap"), out=step)
         index += step
     return index
 
@@ -180,20 +222,22 @@ def _draw(e: SymmetricEnsemble, work: _Workspace, seed: int, start: int, stop: i
 def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
               accept: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """counts[j, k] of the trials that sent signal j and saw outcome k, and the trials
-    that pass the accept test on slot 2, drawn only when an accept table is given."""
+    that pass the accept test on slot 2, drawn only when an accept table is given:
+    k2 < ceil(a 2**53) exactly when u2 < a."""
     trials = check_integer(trials, "trials", 1)
     cum = _outcome_table(e, p)
     work = _workspace(cum, min(CHUNK, trials))
     counts = np.zeros(cum.size, dtype=np.int64)
+    limits = None if accept is None else _limits(accept)
     hits = 0
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
         index = _draw(e, work, seed, start, stop)
         counts += np.bincount(index, minlength=cum.size)
-        if accept is not None:
+        if limits is not None:
             n = stop - start
-            u = counter_uniforms(seed, 2, start, stop, out=work.u0)
-            passed = np.less(u, np.take(accept, index, out=work.u1[:n], mode="wrap"),
+            k2 = counter_uniforms(seed, 2, start, stop, out=work.k0)
+            passed = np.less(k2, np.take(limits, index, out=work.k1[:n], mode="wrap"),
                              out=work.step[:n])
             hits += int(np.count_nonzero(passed))
     return counts.reshape(cum.shape), hits

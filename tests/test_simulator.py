@@ -73,9 +73,16 @@ def test_counter_uniforms_write_into_a_given_buffer():
     assert np.array_equal(view, counter_uniforms(3, 2, 100, 4100))
     assert np.all(out[4000:] == -1.0)
     assert counter_uniforms(3, 2, 100, 100, out=out).size == 0
+    # an int64 buffer gets the integers the doubles are made from
+    draws = np.full(5000, -1, dtype=np.int64)
+    view = counter_uniforms(3, 2, 100, 4100, out=draws)
+    assert view.size == 4000 and view.ctypes.data == draws.ctypes.data
+    assert np.array_equal(view, counter_uniforms(3, 2, 100, 4100) * 2.0 ** 53)
+    assert view.max() < 2 ** 53 and np.all(draws[4000:] == -1)
     for bad in (np.empty(3999), np.empty(4000, dtype=np.float32), np.empty(8000)[::2],
-                np.empty((2, 2000)), [0.0] * 4000):
-        with pytest.raises(DomainError):
+                np.empty((2, 2000)), [0.0] * 4000, np.empty(4000, dtype=np.int32),
+                np.empty(4000, dtype=np.uint64), np.empty(8000, dtype=np.int64)[::2]):
+        with pytest.raises(DomainError, match="contiguous 1-d float64 or int64 array"):
             counter_uniforms(3, 2, 100, 4100, out=bad)
 
 
@@ -95,6 +102,11 @@ def test_counter_uniforms_match_reference_splitmix64(seed, start):
     for slot in range(4):
         expected = [_splitmix64_uniform(seed, slot, t) for t in range(start, start + 6)]
         assert counter_uniforms(seed, slot, start, start + 6).tolist() == expected
+    # a range longer than a block is filled piece by piece: check each piece's ends
+    stop = start + 2 * simulator.CHUNK + 5
+    whole = counter_uniforms(seed, 3, start, stop)
+    for t in (0, 1, simulator.CHUNK - 1, simulator.CHUNK, 2 * simulator.CHUNK, stop - start - 1):
+        assert whole[t] == _splitmix64_uniform(seed, 3, start + t)
 
 
 def test_degenerate_ensemble_fidelity_is_exactly_one():
@@ -282,6 +294,60 @@ def test_accept_table_a_hair_outside_the_unit_interval_passes_the_same_trials():
     assert counts[accept == 1.0].sum() < hits < counts[accept > 0.0].sum()
 
 
+_DYADIC = [0.0, 2.0 ** -53, 2.0 ** -54, 3 * 2.0 ** -54, 1 / 8, 3 / 8, 0.5, 1.0]
+# dyadic probabilities, their neighbours one ulp off, and a hair outside [0, 1]
+_EDGES = (_DYADIC + np.nextafter(_DYADIC, -1.0).tolist() + np.nextafter(_DYADIC, 2.0).tolist()
+          + [5e-324, 0.3, 1 / 3, -2.0 ** -52, 1.0 + 2.0 ** -52])
+
+
+@pytest.mark.parametrize("a", _EDGES)
+def test_draws_on_the_limits_are_classified_as_their_doubles(monkeypatch, a):
+    """Outcome and accept draws k at C - 1, C and C + 1 for each limit C of the
+    outcome table and of an accept probability a give the outcomes and accepts
+    of comparing k 2**-53 with the doubles, over three blocks."""
+    e = symmetric_ensemble(5, 0.9)
+    s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
+    cum = simulator._outcome_table(e, s.pom)
+    limits = {1: simulator._limits(cum), 2: simulator._limits(np.array([a]))}
+    draws = {slot: np.clip(limit[..., None] + np.arange(-1, 2), 0, 2 ** 53 - 1).ravel()
+             for slot, limit in limits.items()}
+
+    def on_the_limits(seed, slot, start, stop, out):
+        if slot == 0:
+            return counter_uniforms(seed, slot, start, stop, out=out)
+        out[:stop - start] = np.take(draws[slot], np.arange(start, stop), mode="wrap")
+        return out[:stop - start]
+
+    trials = 2500
+    monkeypatch.setattr(simulator, "CHUNK", 1000)
+    monkeypatch.setattr(simulator, "counter_uniforms", on_the_limits)
+    counts, hits = simulator._estimate(e, s.pom, trials, 3, np.full(cum.size, a))
+    signal = (counter_uniforms(3, 0, 0, trials) * 5).astype(np.int64)
+    u1, u2 = (np.resize(draws[slot], trials) * 2.0 ** -53 for slot in (1, 2))
+    outcome = (u1[:, None] >= cum[signal]).sum(axis=1)
+    assert np.array_equal(counts.ravel(), np.bincount(signal * 8 + outcome, minlength=40))
+    assert hits == np.count_nonzero(u2 < a)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 2 ** 20 + 1, 2 ** 52 - 1])
+def test_one_multiply_signal_truncates_as_the_uniform_times_m(m):
+    """trunc(k (m 2**-53)), the signal rule of _draw, is trunc((k 2**-53) m) for
+    the draws within three of each boundary j 2**53 / m: every j up to 2**20 + 1,
+    and 30,000 of them, the first, the last and random ones, at 2**52 - 1."""
+    if m < 1 << 21:
+        j = np.arange(m + 1)
+    else:
+        j = np.concatenate([np.arange(10_000), m - np.arange(10_000),
+                            np.random.default_rng(m).integers(0, m, 10_000)])
+    near = np.rint(j * (2.0 ** 53 / m)).astype(np.int64)
+    for offset in range(-3, 4):
+        k = np.clip(near + offset, 0, 2 ** 53 - 1)
+        signal = simulator._signal(k, m, out=np.empty_like(k))
+        assert np.array_equal(signal, (k * 2.0 ** -53 * m).astype(np.int64))
+        assert signal.max() < m
+    assert signal[np.argmax(k)] == m - 1  # at the largest draw, 2**53 - 1
+
+
 @pytest.mark.parametrize("outputs", [3, 8])
 def test_memory_is_bounded_for_many_signals(outputs):
     """The guide table stays within its budget of entries however many signals
@@ -354,6 +420,36 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
     assignment = greedy_assignment(e, s.pom)
     assert simulate_fidelity(e, s, 2500, seed=17) == RECORDED[m][0]
     assert simulate_error(e, s.pom, assignment, 2500, seed=17) == RECORDED[m][1]
+
+
+# simulate_strategy over four blocks, 3 * CHUNK + 17 trials at seed 17, recorded
+# with the sampler that compared uniform doubles
+_FIVE_ON_EIGHT = dict(enumerate([24441, 24548, 24544, 24566, 24488, 24571, 24702, 24765]))
+_EIGHT_SQUARE_ROOT = dict(enumerate([24376, 24720, 24377, 24543, 24536, 24509, 24633, 24931]))
+RECORDED_BLOCKS = {
+    "pair": (SimResult(196625, 0.9447171010807375, 0.0005153792449103862, {0: 97969, 1: 98656}),
+             SimResult(196625, 0.07950667514303877, 0.000610088375413191, {0: 97969, 1: 98656})),
+    "five_on_eight": (
+        SimResult(196625, 0.8463877940241576, 0.0008131640889015565, _FIVE_ON_EIGHT),
+        SimResult(196625, 0.6543521932612841, 0.0010725148549566286, _FIVE_ON_EIGHT)),
+    "eight_square_root": (
+        SimResult(196625, 0.8463979656706929, 0.0008131420520688551, _EIGHT_SQUARE_ROOT),
+        SimResult(196625, 0.7776223776223776, 0.0009378006908492848, _EIGHT_SQUARE_ROOT)),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_BLOCKS)
+def test_results_across_blocks_match_the_recorded_ones(case):
+    if case == "eight_square_root":
+        e = symmetric_ensemble(8, 0.9)
+        pom = square_root_measurement(e)
+        s = Strategy(pom=pom, retransmit=optimal_retransmission(e, pom).states)
+    else:
+        e = symmetric_ensemble(*{"pair": (2, 1.0), "five_on_eight": (5, 0.9)}[case])
+        s = optimal_strategy_analytic(e.m, e.theta, 8, 0.3)   # m = 2 ignores 8 and 0.3
+    trials = 3 * simulator.CHUNK + 17
+    results = simulate_strategy(e, s, greedy_assignment(e, s.pom), trials, seed=17)
+    assert results == RECORDED_BLOCKS[case]
 
 
 _ABOVE_ONE = float(np.nextafter(1.0, 2.0))
