@@ -73,7 +73,8 @@ def render_document(doc: dict[str, Any]) -> str:
 
 def save_strategy(path: str | Path, e: SymmetricEnsemble, s: Strategy,
                   generator: str, parameters: dict[str, Any] | None = None) -> None:
-    Path(path).write_text(render_document(strategy_document(e, s, generator, parameters)))
+    Path(path).write_text(render_document(strategy_document(e, s, generator, parameters)),
+                          encoding="utf-8", newline="\n")
 
 
 def _quadruples(doc: dict[str, Any], key: str, make: Callable[..., Any]) -> tuple:

@@ -1,10 +1,11 @@
-"""Randomized invariant suites shared by the module tests and the acceptance gate.
+"""Randomized invariant suites, run once each by acceptance criterion 9.
 
 Each function checks one documented invariant over a fixed-seed random
 population and raises AssertionError on the first violation. Functions return
 the number of cases checked so callers can report coverage. The expensive
 optimizer sweeps are not rerun here; suites that need them take the cached
-results as an argument.
+results as an argument. ``pytest tests/test_acceptance.py -k criterion_9``
+runs them alone, and the criterion checks each suite's exact case count.
 """
 
 import math

@@ -4,6 +4,8 @@ Each test checks one release criterion at its stated tolerance and prints a
 single PASS/FAIL line directly to the terminal (bypassing capture), so a
 plain ``pytest -v`` run shows the verdict per criterion. Expensive optimizer
 sweeps come from the session fixtures, which record their own wall time.
+Criterion 9 is the only runner of the randomized invariant suites, each once;
+``pytest tests/test_acceptance.py -k criterion_9`` runs them alone.
 """
 
 import math
@@ -155,11 +157,42 @@ def test_criterion_8_monte_carlo_consistency(report):
            f"orthogonal-pair errors {r0.estimate}, {elapsed:.1f}s")
 
 
+# the exact case count of each suite property_suites.run_all runs
+SUITE_CASES = {
+    "qubit spectral": 10_000,
+    "qubit overlap": 10_000,
+    "ensemble generator period": 350,
+    "ensemble gram symmetry": 2030,
+    "measurement error floor": 70,
+    "measurement born sums": 10_000,
+    "measurement element traces": 280,
+    "fidelity bound": 4000,
+    "fidelity achievability": 150,
+    "fidelity dominance": 500,
+    "fidelity monotonicity": 800,
+    "retransmission latitude": 100,
+    "optimizer bound": 25,
+    "optimizer soundness": 400,
+    "optimizer determinism": 4,
+    "optimizer element-count invariance": 4,
+    "simulator consistency": 200,
+    "simulator determinism": 4,
+}
+
+
 def test_criterion_9_property_suites(report, default_fidelity_sweep):
     start = time.perf_counter()
     outcomes = property_suites.run_all(default_fidelity_sweep)
     elapsed = time.perf_counter() - start
     cases = sum(n for _, n in outcomes)
-    ok = elapsed < 120.0 and len(outcomes) == 18
-    report(9, "module invariants under randomized testing", ok,
-           f"{len(outcomes)} suites, {cases} cases, {elapsed:.1f}s")
+    # a suite left out of run_all would run nowhere
+    defined = [name for name in vars(property_suites) if name.endswith("_suite")]
+    wrong = sorted(set(outcomes) ^ set(SUITE_CASES.items()))
+    ok = (elapsed < 120.0 and len(outcomes) == 18 and not wrong
+          and len(defined) == len(SUITE_CASES))
+    detail = f"{len(outcomes)} suites, {cases} cases, {elapsed:.1f}s"
+    if wrong:
+        detail += f", unexpected (suite, cases): {wrong}"
+    if len(defined) != len(SUITE_CASES):
+        detail += f", {len(defined)} *_suite functions defined"
+    report(9, "module invariants under randomized testing", ok, detail)

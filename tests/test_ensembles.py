@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import helpers
-import property_suites
 import qrelay
 from qrelay import (DomainError, SymmetricEnsemble, bloch, error_probability,
                     fidelity_of_strategy, optimal_strategy_analytic, simulate_strategy,
@@ -116,11 +115,3 @@ def test_generator_steps_to_the_next_state():
     assert second.amp_plus == pytest.approx(first.amp_plus, abs=1e-12)
     assert second.amp_minus == pytest.approx(first.amp_minus * step, abs=1e-12)
     assert overlap(first, second) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_generator_period_property():
-    assert property_suites.ensemble_generator_suite() > 0
-
-
-def test_gram_symmetry_property():
-    assert property_suites.ensemble_gram_suite() > 0

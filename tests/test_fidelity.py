@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import helpers
-import property_suites
 from qrelay import (DomainError, Hermitian2, Pom, Strategy, bloch, fidelity_of_strategy,
                     max_fidelity_analytic, optimal_retransmission,
                     optimal_strategy_analytic, retransmission_colatitude, simulate_strategy,
@@ -269,23 +268,3 @@ def test_analytic_strategy_accepts_numpy_integer_outputs():
     for wrong in (True, 5.0, np.float64(5.0)):
         with pytest.raises(DomainError):
             optimal_strategy_analytic(3, 0.5, n_outputs=wrong)
-
-
-def test_bound_property_random_measurements():
-    assert property_suites.fidelity_bound_suite() == 4000
-
-
-def test_achievability_property_full_grid():
-    assert property_suites.fidelity_achievability_suite() > 0
-
-
-def test_dominance_property():
-    assert property_suites.fidelity_dominance_suite() == 500
-
-
-def test_monotonicity_property():
-    assert property_suites.fidelity_monotonicity_suite() > 0
-
-
-def test_latitude_ordering_property():
-    assert property_suites.fidelity_latitude_suite() == 100

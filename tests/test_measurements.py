@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import helpers
-import property_suites
 from qrelay import (Assignment, DomainError, Hermitian2, Pom, Strategy, ValidationError, bloch,
                     error_probability, fidelity_of_strategy, greedy_assignment,
                     identity_sum_residual, min_error_analytic, optimal_retransmission,
@@ -296,15 +295,3 @@ def test_min_error_analytic_domain():
         min_error_analytic(1, 0.3)
     with pytest.raises(DomainError):
         min_error_analytic(3, 1.8)
-
-
-def test_square_root_error_floor_property():
-    assert property_suites.measurement_optimality_suite() > 0
-
-
-def test_born_distribution_property():
-    assert property_suites.measurement_born_suite() == 10_000
-
-
-def test_element_trace_property():
-    assert property_suites.measurement_trace_suite() > 0

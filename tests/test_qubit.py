@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-import property_suites
 from qrelay import DomainError, Hermitian2, PureQubit, bloch, hermitian_eig2, make_qubit
 from qrelay.qubit import MINUS, PLUS, state_along
 
@@ -218,11 +217,3 @@ def test_projector_is_idempotent_rank_one():
     assert np.abs(p - np.outer(helpers.ket(q), helpers.ket(q).conj())).max() <= 1e-15
     assert np.abs(p @ p - p).max() <= 1e-15
     assert overlap(q, q) == pytest.approx(1.0)
-
-
-def test_spectral_invariants_random_population():
-    assert property_suites.qubit_spectral_suite() == 10_000
-
-
-def test_overlap_equals_bloch_dot_random_population():
-    assert property_suites.qubit_overlap_suite() == 10_000

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import helpers
-import property_suites
 import qrelay.simulator as simulator
 from qrelay import (Assignment, DomainError, Hermitian2, Pom, SimResult, Strategy, bloch,
                     counter_uniforms, error_probability, greedy_assignment,
@@ -267,15 +266,12 @@ def test_memory_is_bounded_by_the_block_not_the_trials():
 
 
 def test_signal_index_stays_below_m_at_the_largest_uniform():
-    """The largest uniform, 1 - 2**-53, times every m below 2**20 and at each
-    2**k - 1, 2**k and 2**k + 1 up to 2**52 truncates to m - 1, so the signal
-    index needs no clamp."""
-    top = (2 ** 53 - 1) * (1.0 / (1 << 53))
-    assert top == np.nextafter(1.0, 0.0)
+    """The signal rule of _draw at the largest draw, 2**53 - 1, gives m - 1 for
+    every m below 2**20 and at each 2**k - 1, 2**k and 2**k + 1 up to 2**52,
+    so the signal index needs no clamp."""
     powers = 2 ** np.arange(20, 53, dtype=np.int64)
     m = np.concatenate([np.arange(1, 1 << 20), powers - 1, powers, powers + 1])
-    index = np.empty_like(m)
-    np.multiply(np.full(m.shape, top), m, out=index, casting="unsafe")
+    index = simulator._signal(np.full(m.shape, 2 ** 53 - 1), m, out=np.empty_like(m))
     assert np.array_equal(index, m - 1)
 
 
@@ -567,11 +563,3 @@ def test_numpy_integer_trials_and_seed_are_accepted():
     result = simulate_fidelity(e, s, np.int64(1000), seed=np.uint64(4))
     assert result == simulate_fidelity(e, s, 1000, seed=4)
     assert type(result.trials) is int
-
-
-def test_consistency_property():
-    assert property_suites.simulator_consistency_suite() == 200
-
-
-def test_determinism_property():
-    assert property_suites.simulator_determinism_suite() == 4

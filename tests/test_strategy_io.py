@@ -250,6 +250,15 @@ def test_rendering_matches_the_golden_bytes(tmp_path):
     assert load_strategy(path)[2]["parameters"] == NESTED_PARAMETERS
 
 
+def test_saved_bytes_are_the_rendering_in_utf8_with_lf(tmp_path):
+    """A saved document does not depend on the platform's encoding or line ending."""
+    e, s = symmetric_ensemble(2, 0.5), optimal_strategy_analytic(2, 0.5)
+    path = tmp_path / "nested.strategy.json"
+    save_strategy(path, e, s, "search", NESTED_PARAMETERS)
+    expected = render_document(strategy_document(e, s, "search", NESTED_PARAMETERS))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, {1, 2}, np.int64(3)],
                          ids=["nan", "inf", "set", "int64"])
 @pytest.mark.parametrize("where", ["value", "row", "list"])
