@@ -25,7 +25,7 @@ from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
 from .measurements import (error_probability, greedy_assignment, identity_sum_residual,
                            min_error_analytic)
 from .optimizer import OptimizerConfig, optimize_fidelity
-from .simulator import simulate_strategy
+from .simulator import SimResult, simulate_strategy
 from .strategy_io import load_strategy, save_strategy
 
 
@@ -115,19 +115,20 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise DomainError("trials must be >= 1")
     e, strategy, meta = load_strategy(args.strategy_file)
     assignment = greedy_assignment(e, strategy.pom)
     exact_f = fidelity_of_strategy(e, strategy)
     exact_err = error_probability(e, strategy.pom, assignment)
     sim_f, sim_err = simulate_strategy(e, strategy, assignment, args.trials, args.seed)
 
-    def z_score(estimate: float, exact: float, se: float) -> float:
-        diff = estimate - exact
+    def z_score(sim: SimResult, exact: float) -> float:
+        """(estimate - p) in binomial standard errors of p = exact clipped into [0, 1]."""
+        p = min(max(exact, 0.0), 1.0)
+        diff = sim.estimate - p
+        se = math.sqrt(p * (1.0 - p) / sim.trials)
         if se > 0.0:
             return diff / se
-        return 0.0 if diff == 0.0 else math.inf
+        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
 
     print(f"file = {args.strategy_file}")
     print(f"generator = {meta['generator']}")
@@ -136,20 +137,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"trials = {args.trials}")
     print(f"seed = {args.seed}")
     print(f"fidelity_estimate = {_fmt(sim_f.estimate)}  std_error = {_fmt(sim_f.std_error)}  "
-          f"exact = {_fmt(exact_f)}  z = {z_score(sim_f.estimate, exact_f, sim_f.std_error):.3f}")
+          f"exact = {_fmt(exact_f)}  z = {z_score(sim_f, exact_f):.3f}")
     print(f"error_estimate = {_fmt(sim_err.estimate)}  std_error = {_fmt(sim_err.std_error)}  "
-          f"exact = {_fmt(exact_err)}  z = {z_score(sim_err.estimate, exact_err, sim_err.std_error):.3f}")
-    if meta["generator"] == "analytic":
-        bound = max_fidelity_analytic(e.m, e.theta)
-        print(f"analytic_f_max = {_fmt(bound)}  "
-              f"z = {z_score(sim_f.estimate, bound, sim_f.std_error):.3f}")
-        params = meta["parameters"]
-        srm_like = e.m == 2 or (params.get("n_outputs") == e.m
-                                and params.get("alpha", 0.0) == 0.0)
-        if srm_like:
-            floor = min_error_analytic(e.m, e.theta)
-            print(f"analytic_p_e_min = {_fmt(floor)}  "
-                  f"z = {z_score(sim_err.estimate, floor, sim_err.std_error):.3f}")
+          f"exact = {_fmt(exact_err)}  z = {z_score(sim_err, exact_err):.3f}")
     return 0
 
 

@@ -8,7 +8,10 @@ results as an argument. ``pytest tests/test_acceptance.py -k criterion_9``
 runs them alone, and the criterion checks each suite's exact case count.
 """
 
+import functools
 import math
+import os
+import traceback
 
 import numpy as np
 
@@ -263,26 +266,38 @@ def simulator_determinism_suite() -> int:
 
 
 def run_all(sweep) -> list[tuple[str, int]]:
-    """Every invariant suite, in module order; returns (name, cases) pairs."""
-    report = [
-        ("qubit spectral", qubit_spectral_suite()),
-        ("qubit overlap", qubit_overlap_suite()),
-        ("ensemble generator period", ensemble_generator_suite()),
-        ("ensemble gram symmetry", ensemble_gram_suite()),
-        ("measurement error floor", measurement_optimality_suite()),
-        ("measurement born sums", measurement_born_suite()),
-        ("measurement element traces", measurement_trace_suite()),
-        ("fidelity bound", fidelity_bound_suite()),
-        ("fidelity achievability", fidelity_achievability_suite()),
-        ("fidelity dominance", fidelity_dominance_suite()),
-        ("fidelity monotonicity", fidelity_monotonicity_suite()),
-        ("retransmission latitude", fidelity_latitude_suite()),
-        ("optimizer bound", optimizer_bound_suite(sweep)),
-        ("optimizer soundness", optimizer_soundness_suite(
-            [res.trace for res in sweep.results.values()])),
-        ("optimizer determinism", optimizer_determinism_suite()),
-        ("optimizer element-count invariance", optimizer_invariance_suite()),
-        ("simulator consistency", simulator_consistency_suite()),
-        ("simulator determinism", simulator_determinism_suite()),
+    """Every invariant suite, in module order; returns (name, cases) pairs.
+
+    A broken invariant raises AssertionError naming the suite and the failing check.
+    """
+    suites = [
+        ("qubit spectral", qubit_spectral_suite),
+        ("qubit overlap", qubit_overlap_suite),
+        ("ensemble generator period", ensemble_generator_suite),
+        ("ensemble gram symmetry", ensemble_gram_suite),
+        ("measurement error floor", measurement_optimality_suite),
+        ("measurement born sums", measurement_born_suite),
+        ("measurement element traces", measurement_trace_suite),
+        ("fidelity bound", fidelity_bound_suite),
+        ("fidelity achievability", fidelity_achievability_suite),
+        ("fidelity dominance", fidelity_dominance_suite),
+        ("fidelity monotonicity", fidelity_monotonicity_suite),
+        ("retransmission latitude", fidelity_latitude_suite),
+        ("optimizer bound", functools.partial(optimizer_bound_suite, sweep)),
+        ("optimizer soundness", functools.partial(
+            optimizer_soundness_suite, [res.trace for res in sweep.results.values()])),
+        ("optimizer determinism", optimizer_determinism_suite),
+        ("optimizer element-count invariance", optimizer_invariance_suite),
+        ("simulator consistency", simulator_consistency_suite),
+        ("simulator determinism", simulator_determinism_suite),
     ]
+    report = []
+    for name, suite in suites:
+        try:
+            report.append((name, suite()))
+        except AssertionError as exc:
+            # a bare assert has no message: name the check by its source line
+            check = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(check.filename)}:{check.lineno}"
+            raise AssertionError(f"{name} suite: {str(exc) or check.line} ({where})") from exc
     return report

@@ -181,8 +181,12 @@ SUITE_CASES = {
 
 
 def test_criterion_9_property_suites(report, default_fidelity_sweep):
+    title = "module invariants under randomized testing"
     start = time.perf_counter()
-    outcomes = property_suites.run_all(default_fidelity_sweep)
+    try:
+        outcomes = property_suites.run_all(default_fidelity_sweep)
+    except AssertionError as exc:
+        report(9, title, False, str(exc))
     elapsed = time.perf_counter() - start
     cases = sum(n for _, n in outcomes)
     # a suite left out of run_all would run nowhere
@@ -195,4 +199,4 @@ def test_criterion_9_property_suites(report, default_fidelity_sweep):
         detail += f", unexpected (suite, cases): {wrong}"
     if len(defined) != len(SUITE_CASES):
         detail += f", {len(defined)} *_suite functions defined"
-    report(9, "module invariants under randomized testing", ok, detail)
+    report(9, title, ok, detail)

@@ -200,7 +200,6 @@ def test_simulate_analytic_strategy(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--strategy_file", str(path),
                            "--trials", "200000", "--seed", "0")
     assert code == 0
-    assert "analytic_f_max" in out and "analytic_p_e_min" in out
     for line in out.splitlines():
         if "z =" in line:
             z = float(line.rsplit("z =", 1)[1])
@@ -227,7 +226,6 @@ def test_simulate_report_is_pinned(capsys, tmp_path):
         "  exact = 0.8465997381633642  z = -0.127",
         "error_estimate = 0.65437518437223441  std_error = 0.0010634023461897875"
         "  exact = 0.65359437081761906  z = 0.734",
-        "analytic_f_max = 0.84659973816336409  z = -0.127",
     ]
 
 
@@ -260,16 +258,6 @@ def test_simulate_orthogonal_pair_never_errs(capsys, tmp_path):
     assert code == 0
     values = parsed_lines(out)
     assert values["error_estimate"] == "0"
-
-
-def test_simulate_optimizer_file_has_no_analytic_reference(capsys, tmp_path):
-    path = tmp_path / "opt2.strategy.json"
-    run_cli(capsys, "optimize", "--m", "2", "--theta", "0.6", "--n_elements", "2",
-            "--restarts", "4", "--seed", "2", "--output_path", str(path))
-    code, out, _ = run_cli(capsys, "simulate", "--strategy_file", str(path),
-                           "--trials", "20000", "--seed", "1")
-    assert code == 0
-    assert "analytic_f_max" not in out
 
 
 def test_validate_rejects_tampered_file(capsys, tmp_path):
@@ -315,20 +303,48 @@ def test_validate_and_simulate_agree_on_a_boundary_measurement(capsys, tmp_path)
 
 @pytest.mark.parametrize("parameters,code", [
     ([], 3), ("p", 3),
-    ({"m": 3, "n_outputs": 3, "alpha": None}, 0), ({"m": 3, "n_outputs": 3, "alpha": "x"}, 0)])
+    ({"m": 3, "n_outputs": 3, "alpha": None}, 0), ({"m": 3, "n_outputs": 3, "alpha": "x"}, 0),
+    # None keeps the parameters and rewrites the generator instead
+    pytest.param(None, 0, id="generator")])
 def test_simulate_reads_any_parameters_value(capsys, tmp_path, parameters, code):
+    """generator and parameters are provenance: simulate echoes the generator and
+    interprets neither."""
     path = tmp_path / "three.strategy.json"
     run_cli(capsys, "analytic", "--m", "3", "--theta", "0.7", "--output_path", str(path))
+    _, unedited, _ = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "1000")
     doc = json.loads(path.read_text())
-    doc["parameters"] = parameters
+    if parameters is None:
+        doc["generator"] = "written by hand"
+    else:
+        doc["parameters"] = parameters
     path.write_text(json.dumps(doc))
     got, out, err = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "1000")
     assert got == code
     if code == 3:
         assert '"parameters" must be an object' in err and out == ""
+    elif parameters is None:
+        assert out == unedited.replace("generator = analytic\n",
+                                       "generator = written by hand\n")
     else:
-        # a value that is not a number only means "not the square-root family"
-        assert "analytic_f_max" in out and "analytic_p_e_min" not in out
+        assert out == unedited
+
+
+def test_simulate_scores_rounding_level_exact_values(capsys, tmp_path):
+    """At theta = 0 the exact fidelity can round just below 1 while every trial
+    succeeds: z is measured in standard errors of the exact value, so it stays finite."""
+    path = tmp_path / "zero.strategy.json"
+    for m in (2, 3, 4, 5, 8):
+        for n in (2, 3, m):
+            for alpha in ("0", "0.7"):
+                run_cli(capsys, "analytic", "--m", str(m), "--theta", "0", "--n_outputs", str(n),
+                        "--alpha", alpha, "--output_path", str(path))
+                code, out, _ = run_cli(capsys, "simulate", "--strategy_file", str(path),
+                                       "--trials", "100000", "--seed", "0")
+                assert code == 0
+                for line in out.splitlines():
+                    if "z =" in line:
+                        z = float(line.rsplit("z =", 1)[1])
+                        assert abs(z) <= 4.0, (m, n, alpha, line)
 
 
 def test_simulate_rejects_non_positive_trials(capsys, tmp_path):

@@ -60,14 +60,14 @@ def frame_map(t, r):
     return (t[0], r[0]), float(resid[0])
 
 
-def test_repair_is_identity_on_feasible_input():
+def test_frame_map_is_identity_on_feasible_input():
     fixed, resid = frame_map(*X_BASIS)
     assert resid <= 1e-15
     for ours, ref in zip(_pom(*fixed).elements, _pom(*X_BASIS).elements):
         assert helpers.entrywise_gap(ours, ref) <= 1e-15
 
 
-def test_repair_rebalances_forced_weights():
+def test_frame_map_rebalances_forced_weights():
     (t, r), _ = frame_map(*LOPSIDED)
     assert t[0] == pytest.approx(0.5, abs=1e-9)
     assert t[1] == pytest.approx(0.5, abs=1e-9)
@@ -84,7 +84,7 @@ def test_frame_map_rescales_direction_vectors():
     assert doubled[1] == unit[1]
 
 
-def test_repair_random_infeasible_candidate():
+def test_frame_map_random_infeasible_candidate():
     rng = np.random.default_rng(7)
     candidate = row(rng.uniform(0.05, 1.0, size=4), rng.uniform(0.0, math.pi, size=4),
                     rng.uniform(0.0, 2 * math.pi, size=4))
@@ -104,7 +104,7 @@ def test_feasibility_is_the_completeness_test_of_validate_pom():
     assert validate_pom(_pom(*fixed)) == []
 
 
-def test_repair_rejects_singular_frame():
+def test_frame_map_rejects_singular_frame():
     # every element along one axis: the frame has rank one and the row is discarded
     aligned = row((0.3, 0.5, 0.2), (0.4, 0.4, 0.4), (1.1, 1.1, 1.1))
     assert frame_map(*aligned)[1] == math.inf
