@@ -4,11 +4,11 @@ Runs the multi-start measurement optimizer on a grid of ensembles and prints
 one line per grid point with the analytic bound, the best value the search
 reached, the signed gap, the first outer step at which the best restart came
 within 1e-12 of its final value, and the search's outer-step count, marked
-"cap" when the search stopped at max_iterations rather than converging. A
-search that settles long before it stops spends its steps crawling. Every gap
-should sit within the optimizer tolerance below zero; a positive gap would
-falsify the bound. Exits 1 when a gap exceeds that tolerance or any search hit
-the cap.
+"cap" when the search stopped at qrelay.optimizer.MAX_ITERATIONS rather than
+converging. A search that settles long before it stops spends its steps
+crawling. Every gap should sit within the optimizer tolerance below zero; a
+positive gap would falsify the bound. Exits 1 when a gap exceeds that
+tolerance or any search hit the cap.
 
     python3 scripts/verify_bounds.py
     python3 scripts/verify_bounds.py --m 2 3 --steps 9 --restarts 32 --seed 7
@@ -19,6 +19,7 @@ import math
 import sys
 import time
 
+import qrelay.optimizer
 from qrelay import OptimizerConfig, max_fidelity_analytic, optimize_fidelity, symmetric_ensemble
 
 
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
             steps = trace.records[0].iterations
             curve = trace.records[trace.best_restart].values
             settled = next(i for i, v in enumerate(curve) if abs(curve[-1] - v) <= 1e-12)
-            cap = " cap" if steps >= cfg.max_iterations else ""
+            cap = " cap" if steps >= qrelay.optimizer.MAX_ITERATIONS else ""
             capped += bool(cap)
             print(f"{m:>3} {theta:>12.8f} {bound:>20.15f} {value:>20.15f} "
                   f"{gap:>12.2e} {settled:>7} {steps:>6} {elapsed:>7.2f}{cap}")

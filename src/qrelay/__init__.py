@@ -19,7 +19,7 @@ from .measurements import (Assignment, Pom, error_probability, greedy_assignment
                            identity_sum_residual, min_error_analytic,
                            square_root_measurement, validate_pom)
 from .optimizer import OptimizerConfig, SearchTrace, optimize_error, optimize_fidelity
-from .qubit import Hermitian2, PureQubit, hermitian_eig2, make_qubit
+from .qubit import Hermitian2, PureQubit, make_qubit
 from .simulator import (SimResult, counter_uniforms, simulate_error, simulate_fidelity,
                         simulate_strategy)
 from .strategy_io import load_strategy, parse_strategy_document, save_strategy
@@ -30,7 +30,7 @@ __all__ = [
     "Assignment", "DomainError", "FidelityReport", "Hermitian2", "OptimizationError",
     "OptimizerConfig", "Pom", "PureQubit", "SearchTrace", "SimResult", "Strategy",
     "SymmetricEnsemble", "ValidationError", "counter_uniforms", "error_probability",
-    "fidelity_of_strategy", "greedy_assignment", "hermitian_eig2", "identity_sum_residual",
+    "fidelity_of_strategy", "greedy_assignment", "identity_sum_residual",
     "load_strategy", "make_qubit", "max_fidelity_analytic", "min_error_analytic",
     "optimal_retransmission", "optimal_strategy_analytic", "optimize_error",
     "optimize_fidelity", "parse_strategy_document", "retransmission_colatitude",

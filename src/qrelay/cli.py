@@ -24,7 +24,7 @@ from .fidelity import (Strategy, fidelity_of_strategy, max_fidelity_analytic,
                        optimal_strategy_analytic, retransmission_colatitude)
 from .measurements import (error_probability, greedy_assignment, identity_sum_residual,
                            min_error_analytic)
-from .optimizer import OptimizerConfig, optimize_fidelity
+from .optimizer import MAX_ITERATIONS, OptimizerConfig, optimize_fidelity
 from .simulator import SimResult, simulate_strategy
 from .strategy_io import load_strategy, save_strategy
 
@@ -108,7 +108,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.output_path:
         save_strategy(args.output_path, e, strategy, "optimizer",
                       {"m": args.m, "theta": theta, "n_elements": n_elements,
-                       "restarts": cfg.restarts, "max_iterations": cfg.max_iterations,
+                       "restarts": cfg.restarts, "max_iterations": MAX_ITERATIONS,
                        "seed": cfg.seed, "achieved_f": achieved, "analytic_f_max": bound})
         print(f"saved: {args.output_path}")
     return 0

@@ -59,17 +59,12 @@ class Strategy:
 class FidelityReport:
     """Best achievable fidelity for a fixed measurement.
 
-    per_outcome holds, in outcome order, each outcome's fidelity contribution
-    (the top eigenvalue of its score operator) and the retransmission state
-    attaining it.
+    states holds, in outcome order, the retransmission state attaining each
+    outcome's fidelity contribution, the top eigenvalue of its score operator.
     """
 
     fidelity: float
-    per_outcome: tuple[tuple[float, PureQubit], ...]
-
-    @property
-    def states(self) -> tuple[PureQubit, ...]:
-        return tuple(s for _, s in self.per_outcome)
+    states: tuple[PureQubit, ...]
 
 
 def _retransmission(e: SymmetricEnsemble, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +104,8 @@ def optimal_retransmission(e: SymmetricEnsemble, p: Pom) -> FidelityReport:
     check_instance(e, "ensemble", SymmetricEnsemble)
     check_instance(p, "pom", Pom)
     values, v = _retransmission(e, *p.terms)
-    states = [state_along(*n) for n in v.tolist()]
     return FidelityReport(fidelity=float(values.sum()),
-                          per_outcome=tuple(zip(values.tolist(), states)))
+                          states=tuple(state_along(*n) for n in v.tolist()))
 
 
 def max_fidelity_analytic(m: int, theta: float) -> float:
@@ -155,18 +149,18 @@ def optimal_strategy_analytic(m: int, theta: float,
     m and any phase offset alpha is allowed.
 
     For m = 2 the optimum is unique up to outcome order, so n_outputs and
-    alpha are ignored: the two orthogonal projectors onto
-    (|+> +/- |->)/sqrt(2), retransmitting at longitudes 0 and pi.
+    alpha are checked as for m > 2 and then ignored: the two orthogonal
+    projectors onto (|+> +/- |->)/sqrt(2), retransmitting at longitudes 0 and pi.
     """
     check_domain(m, theta)
+    n = check_integer(m if n_outputs is None else n_outputs, "n_outputs", 2)
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
     colat = retransmission_colatitude(m, theta)
     if m == 2:
         elements = (Hermitian2(0.5, 0.5, 0.5 + 0.0j), Hermitian2(0.5, 0.5, -0.5 + 0.0j))
         retransmit = (make_qubit(colat, 0.0), make_qubit(colat, math.pi))
         return Strategy(pom=Pom(elements=elements), retransmit=retransmit)
-    n = check_integer(m if n_outputs is None else n_outputs, "n_outputs", 2)
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
     alpha = math.fmod(alpha, 2.0 * math.pi)  # exact, so a large offset keeps the spacing
     elements = []
     retransmit = []

@@ -35,7 +35,8 @@ evaluations per outer step.
 All restarts advance in lockstep as rows of one batch. A row stops once an
 outer step moves none of its terms by more than STOP, or when a plain step's
 frame is singular or misses the completeness residual validate_pom allows; it
-then keeps its candidate, which its RestartRecord holds with its value curve. In
+then keeps its candidate, which its RestartRecord holds with its value curve. The
+batch stops when no row is live, or after MAX_ITERATIONS outer steps. In
 the best row, elements that point the same way are merged, their weights
 summed, before it is realized as a measurement.
 """
@@ -56,6 +57,7 @@ from .measurements import Assignment, Pom, error_probability, greedy_assignment,
 from .tolerances import IDENTITY_SUM, PSEUDO_INVERSE
 
 STOP = 1e-12  # an outer step that moves no term of a row by more than this ends the row
+MAX_ITERATIONS = 2000  # outer steps after which the search stops, whatever its rows do
 
 
 def _pom(t: np.ndarray, r: np.ndarray) -> Pom:
@@ -79,12 +81,11 @@ def _frame_map(W: np.ndarray, N: np.ndarray):
 class OptimizerConfig:
     n_elements: int = 4
     restarts: int = 16
-    max_iterations: int = 2000
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name, low, high in (("n_elements", 2, None), ("restarts", 1, None),
-                                ("max_iterations", 1, None), ("seed", 0, 2 ** 64)):
+                                ("seed", 0, 2 ** 64)):
             object.__setattr__(self, name, check_integer(getattr(self, name), name, low, high))
 
 
@@ -95,7 +96,6 @@ class RestartRecord:
     (t[K], r[K, 3]), so audits can replay the objective on its measurement.
     iterations counts the batch's outer steps."""
 
-    restart: int
     values: tuple[float, ...]
     iterations: int
     t: np.ndarray
@@ -121,7 +121,6 @@ class SearchTrace:
     then three per live row in each outer step.
     """
 
-    objective: str
     records: tuple[RestartRecord, ...]
     best_restart: int
     evaluations: int
@@ -177,8 +176,8 @@ def _extrapolated(x0, x1, x2):
     return x[..., 0], x[..., 1:]
 
 
-def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
-                name: str) -> tuple[Pom, SearchTrace]:
+def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig,
+                objective: Callable) -> tuple[Pom, SearchTrace]:
     check_instance(e, "ensemble", SymmetricEnsemble)
     check_instance(cfg, "cfg", OptimizerConfig)
     n, restarts = cfg.n_elements, cfg.restarts
@@ -199,7 +198,7 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
         t, r, resid = _frame_map(*bloch.sandwich(g0, g, t, r))
         return (t, r, resid <= IDENTITY_SUM, *objective(e, t, r))
 
-    while live.any() and iterations < cfg.max_iterations:
+    while live.any() and iterations < MAX_ITERATIONS:
         iterations += 1
         t1, r1, ok1, _, g0, g = plain(t, r, g0, g)
         t2, r2, ok2, VAL2, g0, g = plain(t1, r1, g0, g)
@@ -221,9 +220,9 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     if violations:
         raise OptimizationError(f"best candidate is not a valid measurement: {violations[0]}")
     curves = np.array(history).T  # rows step from the first outer step until they stop
-    records = tuple(RestartRecord(restart=k, values=tuple(curves[k, :applied[k] + 1].tolist()),
+    records = tuple(RestartRecord(values=tuple(curves[k, :applied[k] + 1].tolist()),
                                   iterations=iterations, t=t[k], r=r[k]) for k in range(restarts))
-    trace = SearchTrace(objective=name, records=records, best_restart=best, evaluations=evaluations)
+    trace = SearchTrace(records=records, best_restart=best, evaluations=evaluations)
     return pom, trace
 
 
@@ -235,7 +234,7 @@ def optimize_fidelity(e: SymmetricEnsemble,
     states), its fidelity recomputed through the exact double sum, and the
     search trace. Deterministic for a fixed (ensemble, config).
     """
-    pom, trace = _run_search(e, cfg, _fidelity_objective, "fidelity")
+    pom, trace = _run_search(e, cfg, _fidelity_objective)
     report: FidelityReport = optimal_retransmission(e, pom)
     strategy = Strategy(pom=pom, retransmit=report.states)
     return strategy, fidelity_of_strategy(e, strategy), trace
@@ -249,6 +248,6 @@ def optimize_error(e: SymmetricEnsemble,
     signal of largest joint probability), both inside the search and in the
     returned assignment. The returned error is recomputed exactly.
     """
-    pom, trace = _run_search(e, cfg, _correct_objective, "error")
+    pom, trace = _run_search(e, cfg, _correct_objective)
     assignment = greedy_assignment(e, pom)
     return pom, assignment, error_probability(e, pom, assignment), trace

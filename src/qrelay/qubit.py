@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_number
+from .errors import DomainError, check_instance, check_number
 from .tolerances import DEGENERATE, NEGLIGIBLE, NORM
 
 NORM_ROUNDING = 8.0 * 2.0 ** -52  # 8 ulps of 1; rescaling lands a squared norm well inside it
@@ -103,7 +103,10 @@ class Hermitian2:
 
 def state_along(x: float, y: float, z: float) -> PureQubit:
     """The pure state whose Bloch vector points along (x, y, z), at any length; at the
-    origin the signs of the zeros pick the pole, so give a zero vector +z first."""
+    origin the signs of the zeros pick the pole, so give a zero vector +z first. DomainError
+    for a coordinate that is not a real number."""
+    for name, value in (("x", x), ("y", y), ("z", z)):
+        check_number(value, name)
     return make_qubit(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
 
 
@@ -118,8 +121,9 @@ def hermitian_eig2(h: Hermitian2) -> tuple[tuple[float, PureQubit], tuple[float,
     result favors maximal overlap with |+>.
 
     The thresholds are absolute, so operators are expected to be of order
-    unity as they are everywhere in this package.
+    unity as they are everywhere in this package. DomainError unless h is a Hermitian2.
     """
+    check_instance(h, "h", Hermitian2)
     mean = 0.5 * (h.a + h.d)
     x, y, z = h.b.real, -h.b.imag, 0.5 * (h.a - h.d)
     r = math.hypot(z, abs(h.b))

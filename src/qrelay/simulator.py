@@ -86,10 +86,10 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
     """Uniform doubles in [0, 1) for trials start..stop-1 of one slot's stream.
 
     The value at (trial, slot) depends only on the seed, never on how the
-    range is split across calls. Given out, a contiguous float64 array of at
-    least stop - start values, it writes them into out[:stop - start] and
-    returns that view; a contiguous int64 out gets each value times 2**53,
-    the integer below 2**53 the double is made from.
+    range is split across calls. Given out, a contiguous int64 array of at
+    least stop - start values, it writes each value times 2**53, the integer
+    below 2**53 the double is made from, into out[:stop - start] and returns
+    that view.
     """
     seed = check_integer(seed, "seed", 0, 2 ** 64)
     slot = check_integer(slot, "slot", 0, N_SLOTS)
@@ -98,10 +98,9 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
     n = stop - start
     if out is None:
         out = np.empty(n)
-    elif (not isinstance(out, np.ndarray) or out.dtype not in (np.float64, np.int64)
+    elif (not isinstance(out, np.ndarray) or out.dtype != np.int64
           or out.ndim != 1 or not out.flags.c_contiguous or out.size < n):
-        raise DomainError(
-            f"out must be a contiguous 1-d float64 or int64 array of at least {n} values")
+        raise DomainError(f"out must be a contiguous 1-d int64 array of at least {n} values")
     out = out[:n]
     x = out.view(np.uint64)
     counter = (start * N_SLOTS + slot + 1) * int(GOLDEN) + seed   # of trial start
@@ -252,12 +251,6 @@ def _result(counts: np.ndarray, hits: int) -> SimResult:
                      counts=dict(enumerate(counts.sum(axis=0).tolist())))
 
 
-def _accept(e: SymmetricEnsemble, s: Strategy) -> np.ndarray:
-    """|<signal|retransmitted>|^2 by index; it checks the records' types, so it runs before s.pom is read.
-    Unclipped: a uniform u in [0, 1 - 2**-53] passes u < a alike for a rounded a hair past 0 or 1."""
-    return _overlaps(e, s).ravel()
-
-
 def _errors(counts: np.ndarray, read_as: list[int]) -> int:
     """Trials counted in counts[j, k] whose outcome k is read as a signal other than j."""
     return int(counts.sum() - counts[read_as, range(len(read_as))].sum())
@@ -271,7 +264,7 @@ def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
     Born distribution, retransmits the outcome's state and accepts with
     probability |<signal|retransmitted>|^2.
     """
-    accept = _accept(e, s)
+    accept = _overlaps(e, s).ravel()  # checks e and s, so it runs before s.pom is read
     return _result(*_estimate(e, s.pom, trials, seed, accept))
 
 
@@ -291,7 +284,7 @@ def simulate_strategy(e: SymmetricEnsemble, s: Strategy, a: Assignment, trials: 
     trials, seed) and simulate_error(e, s.pom, a, trials, seed), but draws
     each trial's index once.
     """
-    accept = _accept(e, s)
+    accept = _overlaps(e, s).ravel()  # checks e and s, so it runs before s.pom is read
     read_as = _signal_indices(e, s.pom, a)
     counts, hits = _estimate(e, s.pom, trials, seed, accept)
     return _result(counts, hits), _result(counts, _errors(counts, read_as))

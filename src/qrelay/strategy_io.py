@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .ensembles import SymmetricEnsemble, symmetric_ensemble
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_instance
 from .fidelity import Strategy
 from .measurements import Pom, validate_pom
 from .qubit import Hermitian2, PureQubit
@@ -50,7 +50,10 @@ def _render(value: Any, indent: int) -> str:
 
 def strategy_document(e: SymmetricEnsemble, s: Strategy, generator: str,
                       parameters: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Plain-data document describing the strategy; DomainError where loading would reject it."""
+    """Plain-data document describing the strategy; DomainError where loading would reject it,
+    or naming the type of an ensemble or strategy that is not one."""
+    check_instance(e, "ensemble", SymmetricEnsemble)
+    check_instance(s, "strategy", Strategy)
     if not isinstance(generator, str):
         raise DomainError(f"generator must be a string, got {generator!r}")
     if not isinstance(parameters, (dict, type(None))):
@@ -135,8 +138,7 @@ def parse_strategy_document(doc: Any) -> tuple[SymmetricEnsemble, Strategy, dict
     violations = validate_pom(pom)
     if violations:
         raise ValidationError(f"pom: {violations[0]}")
-    meta = {"generator": doc["generator"], "parameters": doc["parameters"],
-            "version": doc["version"]}
+    meta = {"generator": doc["generator"], "parameters": doc["parameters"]}
     return ensemble, Strategy(pom=pom, retransmit=states), meta
 
 

@@ -12,16 +12,18 @@ import functools
 import math
 import os
 import traceback
+from unittest import mock
 
 import numpy as np
 
 import helpers
 from qrelay import (OptimizerConfig, Strategy, bloch, error_probability,
-                    fidelity_of_strategy, hermitian_eig2, max_fidelity_analytic,
+                    fidelity_of_strategy, max_fidelity_analytic,
                     min_error_analytic, optimal_retransmission, optimal_strategy_analytic,
-                    optimize_error, optimize_fidelity, retransmission_colatitude,
+                    optimize_error, optimize_fidelity, optimizer, retransmission_colatitude,
                     simulate_error, simulate_fidelity, square_root_measurement,
                     symmetric_ensemble, validate_pom)
+from qrelay.qubit import hermitian_eig2
 
 
 def qubit_spectral_suite(cases: int = 10_000) -> int:
@@ -214,13 +216,14 @@ def optimizer_soundness_suite(traces) -> int:
 def optimizer_determinism_suite() -> int:
     """Identical ensemble, config and seed reproduce results bit for bit."""
     e = symmetric_ensemble(3, 0.6)
-    cfg = OptimizerConfig(n_elements=3, restarts=4, max_iterations=600, seed=11)
-    f1 = optimize_fidelity(e, cfg)
-    f2 = optimize_fidelity(e, cfg)
-    assert f1[1] == f2[1]
-    p1 = optimize_error(e, cfg)
-    p2 = optimize_error(e, cfg)
-    assert p1[2] == p2[2]
+    cfg = OptimizerConfig(n_elements=3, restarts=4, seed=11)
+    with mock.patch.object(optimizer, "MAX_ITERATIONS", 600):
+        f1 = optimize_fidelity(e, cfg)
+        f2 = optimize_fidelity(e, cfg)
+        assert f1[1] == f2[1]
+        p1 = optimize_error(e, cfg)
+        p2 = optimize_error(e, cfg)
+        assert p1[2] == p2[2]
     return 4
 
 
@@ -228,9 +231,10 @@ def optimizer_invariance_suite() -> int:
     """For m > 2 the reachable optimum does not depend on the element budget."""
     e = symmetric_ensemble(4, 0.9)
     vals = []
-    for n in (2, 3, 4, 6):
-        cfg = OptimizerConfig(n_elements=n, restarts=12, max_iterations=2000, seed=3)
-        vals.append(optimize_fidelity(e, cfg)[1])
+    with mock.patch.object(optimizer, "MAX_ITERATIONS", 2000):
+        for n in (2, 3, 4, 6):
+            cfg = OptimizerConfig(n_elements=n, restarts=12, seed=3)
+            vals.append(optimize_fidelity(e, cfg)[1])
     assert max(vals) - min(vals) <= 2e-4
     return len(vals)
 

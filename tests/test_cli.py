@@ -103,6 +103,16 @@ def test_analytic_rejects_domain_violations(capsys):
     assert exc.value.code == 2
 
 
+def test_analytic_checks_outputs_and_phase_at_two_signals(capsys):
+    """m = 2 has one optimal strategy and ignores n_outputs and alpha, but not invalid ones."""
+    for flag, value in (("--alpha", "nan"), ("--alpha", "inf"), ("--n_outputs", "1")):
+        code, out, err = run_cli(capsys, "analytic", "--m", "2", "--theta", "0.5", flag, value)
+        assert code == 2 and out == "" and flag[2:] in err
+    code, out, _ = run_cli(capsys, "analytic", "--m", "2", "--theta", "0.5",
+                           "--n_outputs", "5", "--alpha", "1.3")
+    assert code == 0 and "n_outputs = 2\n" in out and "alpha = 0\n" in out
+
+
 def test_sweep_three_point_grid(capsys, tmp_path):
     path = tmp_path / "grid.csv"
     code, out, _ = run_cli(capsys, "sweep", "--m", "3", "--theta_steps", "3",

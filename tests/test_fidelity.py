@@ -147,8 +147,10 @@ def test_optimal_retransmission_two_signal_projective():
     report = optimal_retransmission(e, pom)
     expected = 0.5 * (1 + math.sqrt(0.25 + 9 / 16))
     assert report.fidelity == pytest.approx(expected, abs=1e-12)
-    # per-outcome contributions sum to the reported fidelity
-    assert report.fidelity == pytest.approx(sum(v for v, _ in report.per_outcome), abs=1e-12)
+    # one state per outcome, which attains the reported fidelity
+    assert len(report.states) == 2
+    assert report.fidelity == pytest.approx(fidelity_of_strategy(e, Strategy(pom, report.states)),
+                                            abs=1e-12)
 
 
 def test_optimal_retransmission_dominates_alternatives():
@@ -241,16 +243,18 @@ def test_analytic_strategy_two_signal_case():
 
 
 def test_analytic_strategy_rejects_single_output():
-    with pytest.raises(DomainError):
-        optimal_strategy_analytic(3, 0.5, n_outputs=1)
-    with pytest.raises(DomainError):
-        optimal_strategy_analytic(3, 0.5, n_outputs=2.0)
+    # m = 2 ignores n_outputs, but checks it as every m does
+    for m in (2, 3):
+        for n in (1, 1.5, 2.0, True):
+            with pytest.raises(DomainError, match="n_outputs"):
+                optimal_strategy_analytic(m, 0.5, n_outputs=n)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, "x", 1j, True, None])
 def test_analytic_strategy_rejects_non_finite_phase(alpha):
-    with pytest.raises(DomainError, match="alpha"):
-        optimal_strategy_analytic(3, 0.5, alpha=alpha)
+    for m in (2, 3):
+        with pytest.raises(DomainError, match="alpha"):
+            optimal_strategy_analytic(m, 0.5, alpha=alpha)
 
 
 @pytest.mark.parametrize("alpha", [1e9, 1e15, 1e17, 1e300])

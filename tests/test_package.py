@@ -5,6 +5,7 @@ import types
 import pytest
 
 import qrelay
+from qrelay.strategy_io import strategy_document
 
 
 def test_all_lists_every_public_name_once_in_order():
@@ -22,6 +23,7 @@ E = qrelay.symmetric_ensemble(3, 0.6)
 S = qrelay.optimal_strategy_analytic(3, 0.6)
 A = qrelay.Assignment({0: 0, 1: 1, 2: 2})
 ELEMENTS = S.pom.elements  # a measurement's elements as a bare tuple, not a Pom
+SAVED = "rejected.strategy.json"  # relative: each case runs in its own empty directory
 
 
 @pytest.mark.parametrize("call,message", [
@@ -43,13 +45,20 @@ ELEMENTS = S.pom.elements  # a measurement's elements as a bare tuple, not a Pom
     (lambda: qrelay.square_root_measurement(None), "ensemble is a NoneType, not a SymmetricEnsemble"),
     (lambda: qrelay.optimize_fidelity(None), "ensemble is a NoneType, not a SymmetricEnsemble"),
     (lambda: qrelay.optimize_error(None), "ensemble is a NoneType, not a SymmetricEnsemble"),
+    (lambda: qrelay.save_strategy(SAVED, None, S, "x"), "ensemble is a NoneType, not a SymmetricEnsemble"),
+    (lambda: qrelay.save_strategy(SAVED, E, S.pom, "x"), "strategy is a Pom, not a Strategy"),
+    (lambda: strategy_document((3, 0.6), S, "x"), "ensemble is a tuple, not a SymmetricEnsemble"),
+    (lambda: strategy_document(E, None, "x"), "strategy is a NoneType, not a Strategy"),
 ], ids=["error_probability-pom", "error_probability-ensemble", "greedy_assignment-pom",
         "greedy_assignment-ensemble", "validate_pom", "identity_sum_residual",
         "optimal_retransmission-pom", "optimal_retransmission-ensemble",
         "fidelity_of_strategy-strategy", "fidelity_of_strategy-ensemble",
         "simulate_fidelity-strategy", "simulate_fidelity-ensemble", "simulate_error-pom",
         "simulate_error-ensemble", "simulate_strategy", "square_root_measurement",
-        "optimize_fidelity", "optimize_error"])
-def test_entry_points_reject_ill_typed_records(call, message):
+        "optimize_fidelity", "optimize_error", "save_strategy-ensemble", "save_strategy-strategy",
+        "strategy_document-ensemble", "strategy_document-strategy"])
+def test_entry_points_reject_ill_typed_records(call, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(qrelay.DomainError, match=message):
         call()
+    assert list(tmp_path.iterdir()) == []  # a rejected record writes no file

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from qrelay import DomainError, Hermitian2, PureQubit, bloch, hermitian_eig2, make_qubit
-from qrelay.qubit import MINUS, PLUS, state_along
+from qrelay import DomainError, Hermitian2, PureQubit, bloch, make_qubit
+from qrelay.qubit import MINUS, PLUS, hermitian_eig2, state_along
 
 ANGLES = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 LONGITUDES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -173,6 +173,21 @@ def test_state_along_ignores_the_length(scale):
 @pytest.mark.parametrize("zero", list(itertools.product((0.0, -0.0), repeat=3)))
 def test_state_along_the_unit_of_a_zero_vector_is_plus(zero):
     assert state_along(*bloch.unit(np.array(zero))) == PLUS
+
+
+@pytest.mark.parametrize("coordinate", ["a", None, 1j, True])
+def test_state_along_rejects_a_coordinate_that_is_not_a_real_number(coordinate):
+    for position, name in enumerate("xyz"):
+        vector = [0.0, 0.0, 1.0]
+        vector[position] = coordinate
+        with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+            state_along(*vector)
+
+
+@pytest.mark.parametrize("h", [(1.0, 1.0, 0j), None, np.eye(2)])
+def test_eig_rejects_anything_but_a_hermitian2(h):
+    with pytest.raises(DomainError, match="h is a .*, not a Hermitian2"):
+        hermitian_eig2(h)
 
 
 def test_eig_identity_resolves_tie_toward_plus():

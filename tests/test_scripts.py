@@ -1,10 +1,9 @@
 """The research scripts' verdicts."""
 
-import functools
 import importlib.util
 from pathlib import Path
 
-import qrelay
+from qrelay import optimizer
 
 
 def verify_bounds():
@@ -20,8 +19,7 @@ def test_verify_bounds_fails_a_search_stopped_at_the_cap(monkeypatch, capsys):
     argv = ["--m", "3", "--steps", "2", "--restarts", "2"]
     assert script.main(argv) == 0
     assert "searches stopped at max_iterations: 0" in capsys.readouterr().out
-    monkeypatch.setattr(script, "OptimizerConfig",
-                        functools.partial(qrelay.OptimizerConfig, max_iterations=1))
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1)
     assert script.main(argv) == 1
     assert "searches stopped at max_iterations: 2" in capsys.readouterr().out
 

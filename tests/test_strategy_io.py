@@ -37,7 +37,7 @@ def assert_lossless(tmp_path, e, s, generator, parameters):
         assert np.array_equal(ours, ref)
     assert fidelity_of_strategy(e2, s2) == fidelity_of_strategy(e, s)
     assert identity_sum_residual(s2.pom) == identity_sum_residual(s.pom)
-    assert meta == {"generator": generator, "parameters": parameters, "version": FORMAT_VERSION}
+    assert meta == {"generator": generator, "parameters": parameters}
 
 
 @pytest.mark.parametrize("m,theta,n,alpha", CASES)
