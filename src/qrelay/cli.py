@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 bad parameters, 3 failed validation,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -157,6 +158,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache   # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrelay",
@@ -209,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

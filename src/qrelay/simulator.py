@@ -12,11 +12,15 @@ probability by it. simulate_strategy draws the index once for both estimates,
 three slots a trial, not five, each bit for bit as its own run would give.
 
 Every block of a simulation is drawn into one workspace of buffers, so only
-the splitmix temporary is allocated per block. The outcome is found by the
-guide-table (indexed search) method of Chen & Asau (1974): a table of each
-signal's threshold counts at equal bins of [0, 1) starts the inverse-CDF walk
-at the uniform's bin, so a few passes finish it however many outcomes there
-are. Every uniform picks the same outcome as counting all the thresholds.
+the splitmix temporary is allocated per block, and its indices are counted in
+place. A block of CHUNK = 2**15 trials spends 41 bytes a trial, 8 on each of
+the counter offsets, two draw buffers, the index and the splitmix temporary
+and 1 on the step mask: 1.3 MiB, within one 2 MiB per-core L2 cache. The
+outcome is found by the guide-table (indexed search) method of Chen & Asau
+(1974): a table of each signal's threshold counts at equal bins of [0, 1)
+starts the inverse-CDF walk at the uniform's bin, so a few passes finish it
+however many outcomes there are. Every uniform picks the same outcome as
+counting all the thresholds.
 
 The simulator draws each slot as the integer k = u 2**53 < 2**53 of its
 uniform u and decides on k alone, each rule exact, so every result is bit for
@@ -48,11 +52,11 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 N_SLOTS = 4
 # counter step from one trial to the next within a slot's stream, mod 2**64
 _STRIDE = np.uint64(N_SLOTS * int(GOLDEN) % (1 << 64))
-# trials per block: the workspace every block reuses (two draw buffers and the
-# index, 8 bytes a trial, and a 1-byte step mask), the splitmix temporary and the
-# counter offsets below take 5 x 512 KiB + 64 KiB, a little over one 2 MiB per-core
-# L2 cache, so memory does not grow with the trials
-CHUNK = 1 << 16
+# trials per block: the counter offsets below, the workspace every block reuses
+# (two draw buffers and the index) and the splitmix temporary take 8 bytes a trial
+# each, and the step mask 1, 41 bytes a trial: 1.3 MiB, which fits one 2 MiB
+# per-core L2 cache with the guide table, and memory does not grow with the trials
+CHUNK = 1 << 15
 # most entries of a guide table, 64 KiB of int64, so that it stays cache-resident;
 # one a signal where there are more signals
 GUIDE_ENTRIES = 1 << 13
@@ -232,7 +236,7 @@ def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
         index = _draw(e, work, seed, start, stop)
-        counts += np.bincount(index, minlength=cum.size)
+        np.add.at(counts, index, 1)
         if limits is not None:
             n = stop - start
             k2 = counter_uniforms(seed, 2, start, stop, out=work.k0)

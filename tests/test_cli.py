@@ -437,3 +437,32 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "f_max" in proc.stdout
+
+
+def test_main_builds_its_parser_once(capsys):
+    qrelay.cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "analytic", "--m", "3", "--theta", "1.0")
+        assert code == 0
+    info = qrelay.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_options_do_not_carry_over_between_calls(capsys):
+    _, out, _ = run_cli(capsys, "analytic", "--m", "4", "--theta", "60", "--degrees")
+    assert float(parsed_lines(out)["theta"]) == pytest.approx(math.pi / 3, abs=1e-12)
+    _, out, _ = run_cli(capsys, "analytic", "--m", "4", "--theta", "0.5")
+    assert float(parsed_lines(out)["theta"]) == 0.5
+
+
+def test_commands_in_one_process_print_what_each_prints_alone(capsys, tmp_path):
+    path = tmp_path / "five.strategy.json"
+    run_cli(capsys, "analytic", "--m", "5", "--theta", "0.9", "--n_outputs", "8",
+            "--output_path", str(path))
+    commands = (("simulate", "--strategy_file", str(path), "--trials", "70000", "--seed", "3"),
+                ("validate", "--strategy_file", str(path)))
+    together = [run_cli(capsys, *argv) for argv in commands]
+    alone = [subprocess.run([sys.executable, "-m", "qrelay", *argv],
+                            capture_output=True, text=True) for argv in commands]
+    assert together == [(proc.returncode, proc.stdout, proc.stderr) for proc in alone]
+    assert [code for code, _, _ in together] == [0, 0]

@@ -356,9 +356,6 @@ def test_memory_is_bounded_for_many_signals(outputs):
 
 
 def test_blocks_after_the_first_allocate_only_the_splitmix_temporary(monkeypatch):
-    e = symmetric_ensemble(5, 0.9)
-    s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
-    assignment = greedy_assignment(e, s.pom)
     marks = []   # traced (current, peak) bytes as each block starts, the peak reset there
 
     def watched(seed, slot, start, stop, **kwargs):
@@ -368,20 +365,25 @@ def test_blocks_after_the_first_allocate_only_the_splitmix_temporary(monkeypatch
         return counter_uniforms(seed, slot, start, stop, **kwargs)
 
     monkeypatch.setattr(simulator, "counter_uniforms", watched)
-    for run in (lambda: simulate_strategy(e, s, assignment, 4 * simulator.CHUNK, seed=1),
-                lambda: simulate_fidelity(e, s, 4 * simulator.CHUNK, seed=1),
-                lambda: simulate_error(e, s.pom, assignment, 4 * simulator.CHUNK, seed=1)):
-        marks.clear()
-        tracemalloc.start()
-        try:
-            run()
-            marks.append(tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        assert len(marks) == 5
-        for (current, _), (_, peak) in zip(marks[1:], marks[2:]):
-            # one uint64 array of the block's length, and numpy's casting buffers
-            assert peak - current < 1.25 * 8 * simulator.CHUNK
+    # at 20000 signals a histogram of the m * K indices, 1.25 MiB, would exceed the bound
+    for m in (5, 20_000):
+        e = symmetric_ensemble(m, 0.9)
+        s = optimal_strategy_analytic(m, 0.9, 8, 0.3)
+        assignment = greedy_assignment(e, s.pom)
+        for run in (lambda: simulate_strategy(e, s, assignment, 4 * simulator.CHUNK, seed=1),
+                    lambda: simulate_fidelity(e, s, 4 * simulator.CHUNK, seed=1),
+                    lambda: simulate_error(e, s.pom, assignment, 4 * simulator.CHUNK, seed=1)):
+            marks.clear()
+            tracemalloc.start()
+            try:
+                run()
+                marks.append(tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert len(marks) == 5
+            for (current, _), (_, peak) in zip(marks[1:], marks[2:]):
+                # one uint64 array of the block's length, and numpy's casting buffers
+                assert peak - current < 1.25 * 8 * simulator.CHUNK
 
 
 # SimResults recorded with the earlier sampler, which compared each uniform
@@ -413,8 +415,8 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
     assert simulate_error(e, s.pom, assignment, 2500, seed=17) == RECORDED[m][1]
 
 
-# simulate_strategy over four blocks, 3 * CHUNK + 17 trials at seed 17, recorded
-# with the sampler that compared uniform doubles
+# simulate_strategy over 3 * 2**16 + 17 trials at seed 17, seven blocks of CHUNK =
+# 2**15, recorded with the sampler that compared uniform doubles in four of 2**16
 _FIVE_ON_EIGHT = dict(enumerate([24441, 24548, 24544, 24566, 24488, 24571, 24702, 24765]))
 _EIGHT_SQUARE_ROOT = dict(enumerate([24376, 24720, 24377, 24543, 24536, 24509, 24633, 24931]))
 RECORDED_BLOCKS = {
@@ -438,8 +440,7 @@ def test_results_across_blocks_match_the_recorded_ones(case):
     else:
         e = symmetric_ensemble(*{"pair": (2, 1.0), "five_on_eight": (5, 0.9)}[case])
         s = optimal_strategy_analytic(e.m, e.theta, 8, 0.3)   # m = 2 ignores 8 and 0.3
-    trials = 3 * simulator.CHUNK + 17
-    results = simulate_strategy(e, s, greedy_assignment(e, s.pom), trials, seed=17)
+    results = simulate_strategy(e, s, greedy_assignment(e, s.pom), 196_625, seed=17)
     assert results == RECORDED_BLOCKS[case]
 
 
