@@ -32,6 +32,13 @@ its objective is no lower than x2's, and x2 otherwise, so the plain ascent is
 the fallback of every outer step: three frame maps and three objective
 evaluations per outer step.
 
+In the error search an element's weight can decay sublinearly towards 0 while
+the rest of its row has converged, so the row crawls to the step cap. So the
+error search, between x2 and the extrapolation, tries each live row holding
+an element of weight below PRUNE (but not 0) with those weights zeroed,
+frame-mapped and scored once; the pruned point replaces x2 where its frame
+passes and its value is no lower. A zero weight stays zero under F.
+
 All restarts advance in lockstep as rows of one batch. A row stops once an
 outer step moves none of its terms by more than STOP, or when a plain step's
 frame is singular or misses the completeness residual validate_pom allows; it
@@ -57,6 +64,7 @@ from .measurements import Assignment, Pom, error_probability, greedy_assignment,
 from .tolerances import IDENTITY_SUM, PSEUDO_INVERSE
 
 STOP = 1e-12  # an outer step that moves no term of a row by more than this ends the row
+PRUNE = 1e-5  # the error search tries each row with its elements of lower weight zeroed
 MAX_ITERATIONS = 2000  # outer steps after which the search stops, whatever its rows do
 
 
@@ -118,7 +126,8 @@ class SearchTrace:
     or the correct-decision probability (1 - error) for the error search.
     records holds one RestartRecord per restart, in restart order.
     evaluations counts objective evaluations of single rows: one per start,
-    then three per live row in each outer step.
+    then three per live row in each outer step, and one per row the error
+    search prunes.
     """
 
     records: tuple[RestartRecord, ...]
@@ -176,8 +185,8 @@ def _extrapolated(x0, x1, x2):
     return x[..., 0], x[..., 1:]
 
 
-def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig,
-                objective: Callable) -> tuple[Pom, SearchTrace]:
+def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
+                prune: bool = False) -> tuple[Pom, SearchTrace]:
     check_instance(e, "ensemble", SymmetricEnsemble)
     check_instance(cfg, "cfg", OptimizerConfig)
     n, restarts = cfg.n_elements, cfg.restarts
@@ -202,6 +211,15 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig,
         iterations += 1
         t1, r1, ok1, _, g0, g = plain(t, r, g0, g)
         t2, r2, ok2, VAL2, g0, g = plain(t1, r1, g0, g)
+        rows = np.flatnonzero(live & ((t2 > 0.0) & (t2 < PRUNE)).any(axis=-1)) if prune else []
+        if len(rows):
+            W = t2[rows]
+            tp, rp, resid = _frame_map(np.where(W < PRUNE, 0.0, W), r2[rows])
+            VALp, g0p, gp = objective(e, tp, rp)
+            kept = (resid <= IDENTITY_SUM) & (VALp >= VAL2[rows])
+            for x, pruned in ((t2, tp), (r2, rp), (VAL2, VALp), (g0, g0p), (g, gp)):
+                x[rows[kept]] = pruned[kept]
+            evaluations += len(rows)
         step = live & ok1 & ok2
         tx, rx, resid = _frame_map(*_extrapolated((t, r), (t1, r1), (t2, r2)))
         VALx, g0x, gx = objective(e, tx, rx)
@@ -248,6 +266,6 @@ def optimize_error(e: SymmetricEnsemble,
     signal of largest joint probability), both inside the search and in the
     returned assignment. The returned error is recomputed exactly.
     """
-    pom, trace = _run_search(e, cfg, _correct_objective)
+    pom, trace = _run_search(e, cfg, _correct_objective, prune=True)
     assignment = greedy_assignment(e, pom)
     return pom, assignment, error_probability(e, pom, assignment), trace

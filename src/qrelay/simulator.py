@@ -22,9 +22,9 @@ starts the inverse-CDF walk at the uniform's bin, so a few passes finish it
 however many outcomes there are. Every uniform picks the same outcome as
 counting all the thresholds.
 
-The simulator draws each slot as the integer k = u 2**53 < 2**53 of its
-uniform u and decides on k alone, each rule exact, so every result is bit for
-bit that of comparing the doubles:
+counter_uniforms gives each slot's draws as the integers k = u 2**53 < 2**53
+of its uniforms u, and the simulator decides on k alone, each rule exact, so
+every result is bit for bit that of comparing the doubles u:
 - signal: trunc(k0 (m 2**-53)) is trunc(u0 m), one rounding of the same exact product;
 - bin: k1 >> (53 - log2 bins) is floor(u1 bins), bins a power of two;
 - outcome step: k1 >= ceil(c 2**53) exactly when u1 >= c;
@@ -87,13 +87,13 @@ def _mix(x: np.ndarray, tmp: np.ndarray) -> None:
 
 def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform doubles in [0, 1) for trials start..stop-1 of one slot's stream.
+    """Draws k = u 2**53 < 2**53, as int64, of the uniforms u in [0, 1) for trials
+    start..stop-1 of one slot's stream.
 
-    The value at (trial, slot) depends only on the seed, never on how the
-    range is split across calls. Given out, a contiguous int64 array of at
-    least stop - start values, it writes each value times 2**53, the integer
-    below 2**53 the double is made from, into out[:stop - start] and returns
-    that view.
+    The draw at (trial, slot) depends only on the seed, never on how the range
+    is split across calls. Given out, a contiguous int64 array of at least
+    stop - start values, it writes the draws into out[:stop - start] and
+    returns that view; otherwise it allocates them.
     """
     seed = check_integer(seed, "seed", 0, 2 ** 64)
     slot = check_integer(slot, "slot", 0, N_SLOTS)
@@ -101,7 +101,7 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
     stop = check_integer(stop, "stop", start)
     n = stop - start
     if out is None:
-        out = np.empty(n)
+        out = np.empty(n, dtype=np.int64)
     elif (not isinstance(out, np.ndarray) or out.dtype != np.int64
           or out.ndim != 1 or not out.flags.c_contiguous or out.size < n):
         raise DomainError(f"out must be a contiguous 1-d int64 array of at least {n} values")
@@ -112,14 +112,10 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
         piece = x[i:i + _OFFSETS.size]
         np.add(_OFFSETS[:piece.size], np.uint64((counter + i * int(_STRIDE)) % (1 << 64)),
                out=piece)
-    tmp = np.empty(n, dtype=np.uint64)
-    _mix(x, tmp)
+    _mix(x, np.empty(n, dtype=np.uint64))
     # the top 53 bits, exact as a signed integer
-    if out.dtype == np.int64:
-        np.right_shift(x, np.uint64(11), out=x)
-        return out
-    np.right_shift(x, np.uint64(11), out=tmp)
-    return np.multiply(tmp.view(np.int64), 1.0 / (1 << 53), out=out)
+    np.right_shift(x, np.uint64(11), out=x)
+    return out
 
 
 def _limits(p: np.ndarray) -> np.ndarray:

@@ -364,6 +364,22 @@ def test_simulate_rejects_non_positive_trials(capsys, tmp_path):
     assert code == 2 and "trials" in err
 
 
+def test_simulate_out_of_memory_exits_2(capsys, tmp_path):
+    """A valid document of 10**17 signals cannot be simulated on any 64-bit
+    machine: its first m-long array is refused without touching memory."""
+    path = tmp_path / "huge.strategy.json"
+    run_cli(capsys, "analytic", "--m", "5", "--theta", "0.9", "--n_outputs", "8",
+            "--output_path", str(path))
+    doc = json.loads(path.read_text())
+    doc["ensemble"]["m"] = 10 ** 17
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "validate", "--strategy_file", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "simulate", "--strategy_file", str(path), "--trials", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_optimize_search_failure_exits_4(capsys, monkeypatch):
     def failing(e, cfg):
         raise OptimizationError("best candidate is not a valid measurement: residual 1e-3")

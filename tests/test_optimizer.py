@@ -331,6 +331,17 @@ def test_error_search_reaches_the_closed_form_before_the_cap(m, theta):
     assert abs(error - min_error_analytic(m, theta)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_error_search_stops_before_the_cap_on_the_acceptance_grid(seed):
+    """Near theta = pi/8 one element's weight of a row decays sublinearly towards 0;
+    pruning it ends the crawl, where unpruned rows reach the cap at (4, pi/8) and (8, pi/8)."""
+    for m in (2,) + helpers.M_GRID:
+        for theta in helpers.THETA_GRID:
+            _, _, error, trace = optimize_error(symmetric_ensemble(m, theta), OptimizerConfig(seed=seed))
+            assert trace.records[0].iterations < optimizer.MAX_ITERATIONS, (m, theta)
+            assert abs(error - min_error_analytic(m, theta)) <= 1e-12, (m, theta)
+
+
 def test_error_search_with_fewer_elements_than_signals_stops_every_row(monkeypatch):
     monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1000)
     cfg = OptimizerConfig(n_elements=3, restarts=4, seed=1)

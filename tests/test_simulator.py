@@ -21,13 +21,18 @@ from qrelay.tolerances import PSD
 Z_BASIS = Pom(elements=(Hermitian2(1.0, 0.0, 0j), Hermitian2(0.0, 1.0, 0j)))
 
 
+def uniforms(seed, slot, start, stop) -> np.ndarray:
+    """The uniforms u = k 2**-53 in [0, 1) the draws k stand for, each exact."""
+    return counter_uniforms(seed, slot, start, stop) * 2.0 ** -53
+
+
 def test_counter_uniforms_are_deterministic_and_bounded():
     a = counter_uniforms(123, 0, 0, 5000)
     b = counter_uniforms(123, 0, 0, 5000)
     assert np.array_equal(a, b)
-    assert float(a.min()) >= 0.0 and float(a.max()) < 1.0
+    assert a.dtype == np.int64 and int(a.min()) >= 0 and int(a.max()) < 2 ** 53
     # a uniform stream should cover the unit interval roughly evenly
-    assert abs(float(a.mean()) - 0.5) < 0.02
+    assert abs(float(uniforms(123, 0, 0, 5000).mean()) - 0.5) < 0.02
 
 
 def test_counter_uniforms_partition_invariance():
@@ -66,11 +71,11 @@ def test_counter_uniforms_domain_checks():
 
 
 def test_counter_uniforms_write_into_a_given_buffer():
-    # an int64 buffer gets the integers the doubles are made from
+    # an int64 buffer gets the draws counter_uniforms would allocate
     draws = np.full(5000, -1, dtype=np.int64)
     view = counter_uniforms(3, 2, 100, 4100, out=draws)
     assert view.size == 4000 and view.ctypes.data == draws.ctypes.data
-    assert np.array_equal(view, counter_uniforms(3, 2, 100, 4100) * 2.0 ** 53)
+    assert np.array_equal(view, counter_uniforms(3, 2, 100, 4100))
     assert view.max() < 2 ** 53 and np.all(draws[4000:] == -1)
     assert counter_uniforms(3, 2, 100, 100, out=draws).size == 0
     for bad in (np.empty(4000), np.empty(3999, dtype=np.int64), np.empty(4000, dtype=np.float32),
@@ -80,14 +85,14 @@ def test_counter_uniforms_write_into_a_given_buffer():
             counter_uniforms(3, 2, 100, 4100, out=bad)
 
 
-def _splitmix64_uniform(seed: int, slot: int, trial: int) -> float:
-    """The stream's value at (trial, slot), in plain Python integers mod 2**64."""
+def _splitmix64_uniform(seed: int, slot: int, trial: int) -> int:
+    """The stream's draw k = u 2**53 at (trial, slot), in plain Python integers mod 2**64."""
     mask = (1 << 64) - 1
     z = (seed + (trial * 4 + slot + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     z ^= z >> 31
-    return (z >> 11) / (1 << 53)
+    return z >> 11
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
@@ -225,7 +230,7 @@ def test_histogram_matches_the_per_trial_oracle(monkeypatch, seed):
                             for a, b in zip(cuts, cuts[1:])])
     signal, outcome = np.divmod(index, outcomes)
     assert np.array_equal(signal, np.minimum(
-        (counter_uniforms(seed, 0, 0, trials) * m).astype(np.int64), m - 1))
+        (uniforms(seed, 0, 0, trials) * m).astype(np.int64), m - 1))
     assert result.estimate == np.count_nonzero(read_as[outcome] != signal) / trials
     assert result.counts == dict(enumerate(np.bincount(outcome, minlength=outcomes).tolist()))
 
@@ -313,7 +318,7 @@ def test_draws_on_the_limits_are_classified_as_their_doubles(monkeypatch, a):
     monkeypatch.setattr(simulator, "CHUNK", 1000)
     monkeypatch.setattr(simulator, "counter_uniforms", on_the_limits)
     counts, hits = simulator._estimate(e, s.pom, trials, 3, np.full(cum.size, a))
-    signal = (counter_uniforms(3, 0, 0, trials) * 5).astype(np.int64)
+    signal = (uniforms(3, 0, 0, trials) * 5).astype(np.int64)
     u1, u2 = (np.resize(draws[slot], trials) * 2.0 ** -53 for slot in (1, 2))
     outcome = (u1[:, None] >= cum[signal]).sum(axis=1)
     assert np.array_equal(counts.ravel(), np.bincount(signal * 8 + outcome, minlength=40))
@@ -407,7 +412,7 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
     for start, stop in ((0, 3000), (1 << 20, (1 << 20) + 2000)):
         index = simulator._draw(e, simulator._workspace(cum, stop - start), 17, start, stop)
         signal, outcome = np.divmod(index, cum.shape[1])
-        u = counter_uniforms(17, 1, start, stop)
+        u = uniforms(17, 1, start, stop)
         assert np.array_equal(outcome, (u[:, None] >= cum[signal]).sum(axis=1))
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     assignment = greedy_assignment(e, s.pom)
@@ -474,8 +479,8 @@ def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, ro
     cuts = [0, 1999, 2000, 3999, trials]
     index = np.concatenate([simulator._draw(e, work, 4, a, b).copy()
                             for a, b in zip(cuts, cuts[1:])])
-    signal = np.minimum((counter_uniforms(4, 0, 0, trials) * m).astype(np.int64), m - 1)
-    u = counter_uniforms(4, 1, 0, trials)
+    signal = np.minimum((uniforms(4, 0, 0, trials) * m).astype(np.int64), m - 1)
+    u = uniforms(4, 1, 0, trials)
     assert np.array_equal(index, signal * cum.shape[1] + (u[:, None] >= cum[signal]).sum(axis=1))
     assert np.array_equal(index, simulator._draw(e, simulator._workspace(cum, trials), 4, 0, trials))
 
