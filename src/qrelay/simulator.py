@@ -17,14 +17,15 @@ place. A block of CHUNK = 2**15 trials spends 41 bytes a trial, 8 on each of
 the counter offsets, two draw buffers, the index and the splitmix temporary
 and 1 on the step mask: 1.3 MiB, within one 2 MiB per-core L2 cache. The
 outcome is found by the guide-table (indexed search) method of Chen & Asau
-(1974): a table of each signal's threshold counts at equal bins of [0, 1)
-starts the inverse-CDF walk at the uniform's bin, so a few passes finish it
-however many outcomes there are. Every uniform picks the same outcome as
-counting all the thresholds.
+(1974): a table of each signal's threshold counts at equal bins of the draw
+range [0, 2**53), built from the integer limits below, starts the inverse-CDF
+walk at the draw's bin, so a few passes finish it however many outcomes there
+are. Every uniform picks the same outcome as counting all the thresholds.
 
 counter_uniforms gives each slot's draws as the integers k = u 2**53 < 2**53
-of its uniforms u, and the simulator decides on k alone, each rule exact, so
-every result is bit for bit that of comparing the doubles u:
+of its uniforms u, and the simulator decides on k alone, against one table of
+integer limits ceil(c 2**53) a threshold c, each rule exact, so every result is
+bit for bit that of comparing the doubles u:
 - signal: trunc(k0 (m 2**-53)) is trunc(u0 m), one rounding of the same exact product;
 - bin: k1 >> (53 - log2 bins) is floor(u1 bins), bins a power of two;
 - outcome step: k1 >= ceil(c 2**53) exactly when u1 >= c;
@@ -91,8 +92,8 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
     start..stop-1 of one slot's stream.
 
     The draw at (trial, slot) depends only on the seed, never on how the range
-    is split across calls. Given out, a contiguous int64 array of at least
-    stop - start values, it writes the draws into out[:stop - start] and
+    is split across calls. Given out, a writable contiguous int64 array of at
+    least stop - start values, it writes the draws into out[:stop - start] and
     returns that view; otherwise it allocates them.
     """
     seed = check_integer(seed, "seed", 0, 2 ** 64)
@@ -103,8 +104,8 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
     if out is None:
         out = np.empty(n, dtype=np.int64)
     elif (not isinstance(out, np.ndarray) or out.dtype != np.int64
-          or out.ndim != 1 or not out.flags.c_contiguous or out.size < n):
-        raise DomainError(f"out must be a contiguous 1-d int64 array of at least {n} values")
+          or out.ndim != 1 or not (out.flags.c_contiguous and out.flags.writeable) or out.size < n):
+        raise DomainError(f"out must be a writable contiguous 1-d int64 array of at least {n} values")
     out = out[:n]
     x = out.view(np.uint64)
     counter = (start * N_SLOTS + slot + 1) * int(GOLDEN) + seed   # of trial start
@@ -119,9 +120,9 @@ def counter_uniforms(seed: int, slot: int, start: int, stop: int, *,
 
 
 def _limits(p: np.ndarray) -> np.ndarray:
-    """ceil(p 2**53) as int64: a draw k = u 2**53 has u >= p exactly when k >= it, and
-    u < p exactly when k < it, as p 2**53 is exact and k an integer."""
-    return np.ceil(p * float(1 << 53)).astype(np.int64)
+    """ceil(p 2**53) as int64, worked out in p, which it overwrites: a draw k = u 2**53
+    has u >= p exactly when k >= it, and u < p exactly when k < it, as p 2**53 is exact."""
+    return np.ceil(np.multiply(p, float(1 << 53), out=p), out=p).astype(np.int64)
 
 
 def _signal(k: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
@@ -130,10 +131,10 @@ def _signal(k: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     return np.multiply(k, m / (1 << 53), out=out, casting="unsafe")
 
 
-def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
-    """Cumulative outcome distribution per signal of a measurement validate_pom
-    accepts, its only check: the rows are clipped into [0, 1], which moves the
-    Born entries t + r.n by at most PSD and rounding, and renormalized."""
+def _outcome_limits(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
+    """Limits of the cumulative outcome distribution per signal of a measurement
+    validate_pom accepts, its only check: the rows are clipped into [0, 1], which
+    moves the Born entries t + r.n by at most PSD and rounding, and renormalized."""
     violations = validate_pom(p)
     if violations:
         raise ValidationError("; ".join(violations))
@@ -142,21 +143,20 @@ def _outcome_table(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
     cum[:, -1] = 1.0
-    return cum
+    return _limits(cum)
 
 
 @dataclass(frozen=True)
 class _Workspace:
-    """What every block of one simulation reuses: the outcome table as integer
-    thresholds, limits[j * K + k] = ceil(cum[j, k] 2**53), its guide table and the
-    block buffers.
+    """What every block of one simulation reuses: the outcome limits[j * K + k], their
+    guide table and the block buffers.
 
-    The guide table (Chen & Asau 1974) cuts [0, 1) into bins equal parts:
-    first[j * bins + b] is j * K plus the count of row j's thresholds at or below
-    b / bins, and passes is the most thresholds strictly inside any one bin.
+    The guide table (Chen & Asau 1974) cuts the draws [0, 2**53) into bins of
+    2**shift: first[j * bins + b] is j * K plus the count of row j's limits at or
+    below b 2**shift, and passes is the most limits strictly inside any one bin.
     """
     limits: np.ndarray
-    bins: int
+    shift: int
     first: np.ndarray
     passes: int
     k0: np.ndarray
@@ -165,25 +165,30 @@ class _Workspace:
     step: np.ndarray
 
 
-def _workspace(cum: np.ndarray, size: int) -> _Workspace:
-    """Workspace for cum[m, K] and blocks of up to size trials; the guide table has
+def _workspace(limits: np.ndarray, size: int) -> _Workspace:
+    """Workspace for limits[m, K] and blocks of up to size trials; the guide table has
     at most GUIDE_ENTRIES entries, or one a row where m is larger.
 
-    With c = cum * bins, exact, a threshold is at or below b / bins when ceil(c) <= b,
-    and strictly inside bin b when c is not an integer and floor(c) = b.
+    A limit in bin b = limit >> shift, capped at bins, lies on b's lower edge
+    b 2**shift when it is a multiple of 2**shift and strictly inside b otherwise;
+    the limits at or below b 2**shift are those of the bins before b and b's edge.
     """
-    m, k = cum.shape
+    m, k = limits.shape
     # the largest power of two with m * bins <= GUIDE_ENTRIES, and at least 1
     bins = max(1, 1 << (GUIDE_ENTRIES // m).bit_length() >> 1)
-    c = cum * bins
+    shift = 54 - bins.bit_length()
     signal = np.arange(m)[:, None]
-    cells = signal * (bins + 1) + np.clip(np.ceil(c), 0, bins).astype(np.int64)
-    at_or_below = np.bincount(cells.ravel(), minlength=m * (bins + 1)).reshape(m, bins + 1)
-    floor = np.floor(c)
-    inside = (floor != c) & (floor < bins)
-    passes = int(np.bincount((signal * bins + floor.astype(np.int64))[inside], minlength=1).max())
-    first = (signal * k + np.cumsum(at_or_below[:, :bins], axis=1)).ravel()
-    return _Workspace(_limits(cum).ravel(), bins, first, passes,
+    off_edge = (limits & ((1 << shift) - 1)) != 0
+    cells = limits >> shift
+    np.minimum(cells, bins, out=cells)
+    cells += signal * (bins + 1)
+    cells <<= 1
+    cells += off_edge
+    # count[j, b, 1] of row j's limits strictly inside bin b, count[j, b, 0] on its edge
+    count = np.bincount(cells.ravel(), minlength=2 * m * (bins + 1)).reshape(m, bins + 1, 2)[:, :bins]
+    first = (signal * k + np.cumsum(count.sum(axis=2), axis=1) - count[..., 1]).ravel()
+    passes = int(count[..., 1].max())
+    return _Workspace(limits.ravel(), shift, first, passes,
                       np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
                       np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
 
@@ -192,24 +197,20 @@ def _draw(e: SymmetricEnsemble, work: _Workspace, seed: int, start: int, stop: i
     """Index signal * K + outcome of trials start..stop-1, as a view into work's
     buffers.
 
-    The outcome counts the thresholds of the signal's row at or below the uniform
-    u. The guide table gives that count up to the lower edge of u's bin. Rows do
-    not decrease, so each pass then moves the index one column on where u
-    reaches the threshold it points at; the last, 1, never counts. Each rule
-    runs on the draw k = u 2**53, as exactly as on u:
-    - signal: trunc(k0 (m 2**-53)) rounds the product u0 m once, as trunc(u0 m) does;
-    - bin: k1 >> (53 - log2 bins) is floor(u1 bins);
-    - step: k1 >= ceil(c 2**53) exactly when u1 >= c.
+    The outcome counts the limits of the signal's row at or below the draw k1.
+    The guide table gives that count up to the lower edge of k1's bin. Rows do
+    not decrease, so each pass then moves the index one column on where k1
+    reaches the limit it points at; the last, 2**53, never counts. The signal,
+    bin and step rules are the module's, each exact.
     """
-    n = stop - start
-    index, step = work.index[:n], work.step[:n]
+    index, step = work.index[:stop - start], work.step[:stop - start]
     k0 = counter_uniforms(seed, 0, start, stop, out=work.k0)
     _signal(k0, e.m, out=index)
     k1 = counter_uniforms(seed, 1, start, stop, out=work.k1)
     # k0's memory is free. Indices are always in range, and mode="wrap" writes out
     # in place where mode="raise" would buffer it.
-    cell = np.right_shift(k1, 54 - work.bins.bit_length(), out=k0)
-    index *= work.bins
+    cell = np.right_shift(k1, work.shift, out=k0)
+    index <<= 53 - work.shift
     cell += index
     np.take(work.first, cell, out=index, mode="wrap")
     for _ in range(work.passes):
@@ -221,25 +222,23 @@ def _draw(e: SymmetricEnsemble, work: _Workspace, seed: int, start: int, stop: i
 def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
               accept: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """counts[j, k] of the trials that sent signal j and saw outcome k, and the trials
-    that pass the accept test on slot 2, drawn only when an accept table is given:
-    k2 < ceil(a 2**53) exactly when u2 < a."""
+    that pass the accept test on slot 2, drawn only when the accept limits
+    ceil(a 2**53) are given: k2 < ceil(a 2**53) exactly when u2 < a."""
     trials = check_integer(trials, "trials", 1)
-    cum = _outcome_table(e, p)
-    work = _workspace(cum, min(CHUNK, trials))
-    counts = np.zeros(cum.size, dtype=np.int64)
-    limits = None if accept is None else _limits(accept)
+    limits = _outcome_limits(e, p)
+    work = _workspace(limits, min(CHUNK, trials))
+    counts = np.zeros(limits.size, dtype=np.int64)
     hits = 0
     for start in range(0, trials, CHUNK):
         stop = min(start + CHUNK, trials)
         index = _draw(e, work, seed, start, stop)
         np.add.at(counts, index, 1)
-        if limits is not None:
-            n = stop - start
+        if accept is not None:
             k2 = counter_uniforms(seed, 2, start, stop, out=work.k0)
-            passed = np.less(k2, np.take(limits, index, out=work.k1[:n], mode="wrap"),
-                             out=work.step[:n])
+            passed = np.less(k2, np.take(accept, index, out=work.k1[:k2.size], mode="wrap"),
+                             out=work.step[:k2.size])
             hits += int(np.count_nonzero(passed))
-    return counts.reshape(cum.shape), hits
+    return counts.reshape(limits.shape), hits
 
 
 def _result(counts: np.ndarray, hits: int) -> SimResult:
@@ -264,7 +263,7 @@ def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
     Born distribution, retransmits the outcome's state and accepts with
     probability |<signal|retransmitted>|^2.
     """
-    accept = _overlaps(e, s).ravel()  # checks e and s, so it runs before s.pom is read
+    accept = _limits(_overlaps(e, s).ravel())  # checks e and s, so it runs before s.pom is read
     return _result(*_estimate(e, s.pom, trials, seed, accept))
 
 
@@ -284,7 +283,7 @@ def simulate_strategy(e: SymmetricEnsemble, s: Strategy, a: Assignment, trials: 
     trials, seed) and simulate_error(e, s.pom, a, trials, seed), but draws
     each trial's index once.
     """
-    accept = _overlaps(e, s).ravel()  # checks e and s, so it runs before s.pom is read
+    accept = _limits(_overlaps(e, s).ravel())  # checks e and s, so it runs before s.pom is read
     read_as = _signal_indices(e, s.pom, a)
     counts, hits = _estimate(e, s.pom, trials, seed, accept)
     return _result(counts, hits), _result(counts, _errors(counts, read_as))

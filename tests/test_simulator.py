@@ -26,6 +26,15 @@ def uniforms(seed, slot, start, stop) -> np.ndarray:
     return counter_uniforms(seed, slot, start, stop) * 2.0 ** -53
 
 
+def cumulative(e, pom) -> np.ndarray:
+    """The thresholds the uniforms are compared with, as doubles: each signal's Born
+    row clipped into [0, 1], renormalized and summed, its last entry set to 1."""
+    cum = np.clip(bloch.born(*pom.terms, e.vectors), 0.0, 1.0)
+    cum = np.cumsum(cum / cum.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+    return cum
+
+
 def test_counter_uniforms_are_deterministic_and_bounded():
     a = counter_uniforms(123, 0, 0, 5000)
     b = counter_uniforms(123, 0, 0, 5000)
@@ -80,7 +89,8 @@ def test_counter_uniforms_write_into_a_given_buffer():
     assert counter_uniforms(3, 2, 100, 100, out=draws).size == 0
     for bad in (np.empty(4000), np.empty(3999, dtype=np.int64), np.empty(4000, dtype=np.float32),
                 np.empty((2, 2000), dtype=np.int64), [0] * 4000, np.empty(4000, dtype=np.int32),
-                np.empty(4000, dtype=np.uint64), np.empty(8000, dtype=np.int64)[::2]):
+                np.empty(4000, dtype=np.uint64), np.empty(8000, dtype=np.int64)[::2],
+                np.frombuffer(bytes(8 * 4000), dtype=np.int64)):   # read-only
         with pytest.raises(DomainError, match="contiguous 1-d int64 array"):
             counter_uniforms(3, 2, 100, 4100, out=bad)
 
@@ -224,9 +234,9 @@ def test_histogram_matches_the_per_trial_oracle(monkeypatch, seed):
     trials = 3 * chunk + int(rng.integers(1, chunk))
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     result = simulate_error(e, pom, assignment, trials, seed=seed)
-    cum = simulator._outcome_table(e, pom)
+    limits = simulator._outcome_limits(e, pom)
     cuts = [0, chunk // 2, chunk + 1, 3 * chunk - 1, trials]
-    index = np.concatenate([simulator._draw(e, simulator._workspace(cum, b - a), seed, a, b)
+    index = np.concatenate([simulator._draw(e, simulator._workspace(limits, b - a), seed, a, b)
                             for a, b in zip(cuts, cuts[1:])])
     signal, outcome = np.divmod(index, outcomes)
     assert np.array_equal(signal, np.minimum(
@@ -283,8 +293,8 @@ def test_accept_table_a_hair_outside_the_unit_interval_passes_the_same_trials():
     accept = np.random.default_rng(3).choice([0.0, 0.3, 1.0], size=5 * 8)
     pushed = accept + np.where(accept == 0.0, -2.0 ** -52, np.where(accept == 1.0, 2.0 ** -52, 0.0))
     assert pushed.min() < 0.0 and pushed.max() > 1.0
-    counts, hits = simulator._estimate(e, s.pom, 20_000, 7, accept)
-    pushed_counts, pushed_hits = simulator._estimate(e, s.pom, 20_000, 7, pushed)
+    counts, hits = simulator._estimate(e, s.pom, 20_000, 7, simulator._limits(accept.copy()))
+    pushed_counts, pushed_hits = simulator._estimate(e, s.pom, 20_000, 7, simulator._limits(pushed))
     assert np.array_equal(pushed_counts, counts) and pushed_hits == hits
     counts = counts.ravel()
     assert counts[accept == 1.0].sum() < hits < counts[accept > 0.0].sum()
@@ -303,8 +313,8 @@ def test_draws_on_the_limits_are_classified_as_their_doubles(monkeypatch, a):
     of comparing k 2**-53 with the doubles, over three blocks."""
     e = symmetric_ensemble(5, 0.9)
     s = optimal_strategy_analytic(5, 0.9, 8, 0.3)
-    cum = simulator._outcome_table(e, s.pom)
-    limits = {1: simulator._limits(cum), 2: simulator._limits(np.array([a]))}
+    cum = cumulative(e, s.pom)
+    limits = {1: simulator._outcome_limits(e, s.pom), 2: simulator._limits(np.array([a]))}
     draws = {slot: np.clip(limit[..., None] + np.arange(-1, 2), 0, 2 ** 53 - 1).ravel()
              for slot, limit in limits.items()}
 
@@ -317,7 +327,7 @@ def test_draws_on_the_limits_are_classified_as_their_doubles(monkeypatch, a):
     trials = 2500
     monkeypatch.setattr(simulator, "CHUNK", 1000)
     monkeypatch.setattr(simulator, "counter_uniforms", on_the_limits)
-    counts, hits = simulator._estimate(e, s.pom, trials, 3, np.full(cum.size, a))
+    counts, hits = simulator._estimate(e, s.pom, trials, 3, simulator._limits(np.full(cum.size, a)))
     signal = (uniforms(3, 0, 0, trials) * 5).astype(np.int64)
     u1, u2 = (np.resize(draws[slot], trials) * 2.0 ** -53 for slot in (1, 2))
     outcome = (u1[:, None] >= cum[signal]).sum(axis=1)
@@ -358,6 +368,27 @@ def test_memory_is_bounded_for_many_signals(outputs):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 8 * simulator.CHUNK
+
+
+def test_memory_holds_few_signal_by_outcome_tables():
+    """With as many outcomes as signals the m x K tables outweigh the blocks: the
+    outcome and accept limits, the counts and what building the guide table
+    takes stay below five of them at once in every entry point."""
+    m = 1000
+    e = symmetric_ensemble(m, 0.9)
+    s = optimal_strategy_analytic(m, 0.9)
+    assert len(s.pom) == m
+    assignment = greedy_assignment(e, s.pom)
+    for run in (lambda: simulate_strategy(e, s, assignment, 1000, seed=1),
+                lambda: simulate_fidelity(e, s, 1000, seed=1),
+                lambda: simulate_error(e, s.pom, assignment, 1000, seed=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * m * m
 
 
 def test_blocks_after_the_first_allocate_only_the_splitmix_temporary(monkeypatch):
@@ -408,9 +439,10 @@ RECORDED = {
 def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, outputs, alpha, chunk):
     e = symmetric_ensemble(m, theta)
     s = optimal_strategy_analytic(m, theta, outputs, alpha)
-    cum = simulator._outcome_table(e, s.pom)
+    cum = cumulative(e, s.pom)
+    limits = simulator._outcome_limits(e, s.pom)
     for start, stop in ((0, 3000), (1 << 20, (1 << 20) + 2000)):
-        index = simulator._draw(e, simulator._workspace(cum, stop - start), 17, start, stop)
+        index = simulator._draw(e, simulator._workspace(limits, stop - start), 17, start, stop)
         signal, outcome = np.divmod(index, cum.shape[1])
         u = uniforms(17, 1, start, stop)
         assert np.array_equal(outcome, (u[:, None] >= cum[signal]).sum(axis=1))
@@ -473,8 +505,10 @@ def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, ro
     cum = np.resize(np.array(rows), (m, len(rows[0])))
     e = symmetric_ensemble(m, 0.5)
     trials = 5000
-    work = simulator._workspace(cum, 2000)
-    assert work.bins == bins and work.passes == passes
+    limits = simulator._limits(cum.copy())
+    work = simulator._workspace(limits, 2000)
+    # bins equal parts of the draw range [0, 2**53)
+    assert (1 << 53) >> work.shift == bins and work.passes == passes
     assert work.first.size == m * bins <= max(m, simulator.GUIDE_ENTRIES)
     cuts = [0, 1999, 2000, 3999, trials]
     index = np.concatenate([simulator._draw(e, work, 4, a, b).copy()
@@ -482,7 +516,7 @@ def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, ro
     signal = np.minimum((uniforms(4, 0, 0, trials) * m).astype(np.int64), m - 1)
     u = uniforms(4, 1, 0, trials)
     assert np.array_equal(index, signal * cum.shape[1] + (u[:, None] >= cum[signal]).sum(axis=1))
-    assert np.array_equal(index, simulator._draw(e, simulator._workspace(cum, trials), 4, 0, trials))
+    assert np.array_equal(index, simulator._draw(e, simulator._workspace(limits, trials), 4, 0, trials))
 
 
 def _boundary_measurements(rng: np.random.Generator, m: int, count: int):
