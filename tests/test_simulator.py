@@ -87,12 +87,27 @@ def test_counter_uniforms_write_into_a_given_buffer():
     assert np.array_equal(view, counter_uniforms(3, 2, 100, 4100))
     assert view.max() < 2 ** 53 and np.all(draws[4000:] == -1)
     assert counter_uniforms(3, 2, 100, 100, out=draws).size == 0
+    # a scratch buffer takes the splitmix shifts and leaves the draws unchanged
+    scratch = np.full(5000, -1, dtype=np.int64)
+    for given in ({}, {"out": draws}):
+        kept = counter_uniforms(3, 2, 100, 4100, scratch=scratch, **given)
+        assert np.array_equal(kept, view) and np.any(scratch[:4000] != -1)
+        assert np.all(scratch[4000:] == -1)
+    assert counter_uniforms(3, 2, 100, 100, out=draws, scratch=draws).size == 0
     for bad in (np.empty(4000), np.empty(3999, dtype=np.int64), np.empty(4000, dtype=np.float32),
                 np.empty((2, 2000), dtype=np.int64), [0] * 4000, np.empty(4000, dtype=np.int32),
                 np.empty(4000, dtype=np.uint64), np.empty(8000, dtype=np.int64)[::2],
                 np.frombuffer(bytes(8 * 4000), dtype=np.int64)):   # read-only
-        with pytest.raises(DomainError, match="contiguous 1-d int64 array"):
-            counter_uniforms(3, 2, 100, 4100, out=bad)
+        for name in ("out", "scratch"):
+            with pytest.raises(DomainError, match=f"{name} must be a writable contiguous 1-d int64 array"):
+                counter_uniforms(3, 2, 100, 4100, **{name: bad})
+    # scratch may not share memory with the draws, in whole or in part
+    for bad in (draws, draws[1000:], draws[:4000].view(np.uint64).view(np.int64)):
+        with pytest.raises(DomainError, match="scratch must not overlap out"):
+            counter_uniforms(3, 2, 100, 4100, out=draws, scratch=bad)
+    scratch = np.empty(8000, dtype=np.int64)
+    assert np.array_equal(counter_uniforms(3, 2, 100, 4100, out=scratch[:4000], scratch=scratch[4000:]),
+                          view)
 
 
 def _splitmix64_uniform(seed: int, slot: int, trial: int) -> int:
@@ -318,9 +333,9 @@ def test_draws_on_the_limits_are_classified_as_their_doubles(monkeypatch, a):
     draws = {slot: np.clip(limit[..., None] + np.arange(-1, 2), 0, 2 ** 53 - 1).ravel()
              for slot, limit in limits.items()}
 
-    def on_the_limits(seed, slot, start, stop, out):
+    def on_the_limits(seed, slot, start, stop, *, out, scratch=None):
         if slot == 0:
-            return counter_uniforms(seed, slot, start, stop, out=out)
+            return counter_uniforms(seed, slot, start, stop, out=out, scratch=scratch)
         out[:stop - start] = np.take(draws[slot], np.arange(start, stop), mode="wrap")
         return out[:stop - start]
 
@@ -391,7 +406,31 @@ def test_memory_holds_few_signal_by_outcome_tables():
         assert peak < 5 * 8 * m * m
 
 
-def test_blocks_after_the_first_allocate_only_the_splitmix_temporary(monkeypatch):
+def test_building_the_guide_table_holds_no_signal_by_outcome_temporaries():
+    """With many signals the m x K tables outweigh the blocks: the guide table is
+    built a chunk of limits at a time, so besides the outcome and accept limits,
+    the counts and the guide table, which has at most m K / 4 entries, what the
+    entry points hold at once stays within half a table."""
+    m, outputs = 100_000, 8
+    e = symmetric_ensemble(m, 0.9)
+    s = optimal_strategy_analytic(m, 0.9, outputs, 0.0)
+    assignment = greedy_assignment(e, s.pom)
+    table = 8 * m * outputs
+    for run, tables in ((lambda: simulate_strategy(e, s, assignment, 1000, seed=1), 3.5),
+                        (lambda: simulate_fidelity(e, s, 1000, seed=1), 3.5),
+                        (lambda: simulate_error(e, s.pom, assignment, 1000, seed=1), 2.5)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables * table
+
+
+def test_blocks_after_the_first_allocate_no_block_array(monkeypatch):
+    """Every block after the first draws into the workspace, the splitmix shifts
+    included, so it allocates no array of the block's length."""
     marks = []   # traced (current, peak) bytes as each block starts, the peak reset there
 
     def watched(seed, slot, start, stop, **kwargs):
@@ -418,8 +457,8 @@ def test_blocks_after_the_first_allocate_only_the_splitmix_temporary(monkeypatch
                 tracemalloc.stop()
             assert len(marks) == 5
             for (current, _), (_, peak) in zip(marks[1:], marks[2:]):
-                # one uint64 array of the block's length, and numpy's casting buffers
-                assert peak - current < 1.25 * 8 * simulator.CHUNK
+                # numpy's casting buffers only, half a block array at most
+                assert peak - current < 0.6 * 8 * simulator.CHUNK
 
 
 # SimResults recorded with the earlier sampler, which compared each uniform
@@ -498,6 +537,9 @@ _ABOVE_ONE = float(np.nextafter(1.0, 2.0))
     (16, 12, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
     (16, 17, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
     (None, 5000, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
+    # twelve thresholds inside bin 7, more than simulator.WALK_ALL, so the walk
+    # ends on the few trials still stepping, some of them to the last pass
+    (16, 2, [[0.5, *(7 / 8 + np.arange(1, 13) / 128), 1.0], [*(np.arange(1, 14) / 16), 1.0]], 8, 12),
 ])
 def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, rows, bins, passes):
     if budget is not None:
@@ -509,7 +551,7 @@ def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, ro
     work = simulator._workspace(limits, 2000)
     # bins equal parts of the draw range [0, 2**53)
     assert (1 << 53) >> work.shift == bins and work.passes == passes
-    assert work.first.size == m * bins <= max(m, simulator.GUIDE_ENTRIES)
+    assert work.first.size == m * bins <= max(m, simulator.GUIDE_ENTRIES, limits.size // 4)
     cuts = [0, 1999, 2000, 3999, trials]
     index = np.concatenate([simulator._draw(e, work, 4, a, b).copy()
                             for a, b in zip(cuts, cuts[1:])])
@@ -517,6 +559,22 @@ def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, ro
     u = uniforms(4, 1, 0, trials)
     assert np.array_equal(index, signal * cum.shape[1] + (u[:, None] >= cum[signal]).sum(axis=1))
     assert np.array_equal(index, simulator._draw(e, simulator._workspace(limits, trials), 4, 0, trials))
+
+
+def test_guide_table_grows_with_the_outcomes():
+    """With as many outcomes as signals the guide table gets m K / 4 entries, so
+    the walk takes a few dozen passes, not a scan of the row, and still picks the
+    outcome of counting every threshold."""
+    m = 1000
+    e = symmetric_ensemble(m, 0.9)
+    s = optimal_strategy_analytic(m, 0.9)
+    cum = cumulative(e, s.pom)
+    work = simulator._workspace(simulator._outcome_limits(e, s.pom), 2000)
+    assert work.first.size <= m * m // 4 and work.passes <= 40
+    for start, stop in ((0, 2000), (5 * simulator.CHUNK, 5 * simulator.CHUNK + 1500)):
+        index = simulator._draw(e, work, 9, start, stop)
+        signal, outcome = np.divmod(index, m)
+        assert np.array_equal(outcome, (uniforms(9, 1, start, stop)[:, None] >= cum[signal]).sum(axis=1))
 
 
 def _boundary_measurements(rng: np.random.Generator, m: int, count: int):
