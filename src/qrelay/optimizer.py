@@ -32,12 +32,12 @@ its objective is no lower than x2's, and x2 otherwise, so the plain ascent is
 the fallback of every outer step: three frame maps and three objective
 evaluations per outer step.
 
-In the error search an element's weight can decay sublinearly towards 0 while
-the rest of its row has converged, so the row crawls to the step cap. So the
-error search, between x2 and the extrapolation, tries each live row holding
-an element of weight below PRUNE (but not 0) with those weights zeroed,
-frame-mapped and scored once; the pruned point replaces x2 where its frame
-passes and its value is no lower. A zero weight stays zero under F.
+An element's weight can decay sublinearly towards 0 while the rest of its
+row has converged, so the row would crawl to the step cap. So the frame map
+zeroes every weight below PRUNE: the plain steps, the extrapolation and the
+merge at the end all treat such an element as absent, and a zero weight
+stays zero under F. Both searches run this one outer step; they differ only
+in their objective.
 
 All restarts advance in lockstep as rows of one batch. A row stops once an
 outer step moves none of its terms by more than STOP, or when a plain step's
@@ -64,7 +64,7 @@ from .measurements import Assignment, Pom, error_probability, greedy_assignment,
 from .tolerances import IDENTITY_SUM, PSEUDO_INVERSE
 
 STOP = 1e-12  # an outer step that moves no term of a row by more than this ends the row
-PRUNE = 1e-5  # the error search tries each row with its elements of lower weight zeroed
+PRUNE = 1e-5  # the frame map zeroes every weight below this, dropping its element
 MAX_ITERATIONS = 2000  # outer steps after which the search stops, whatever its rows do
 
 
@@ -77,11 +77,11 @@ def _frame_map(W: np.ndarray, N: np.ndarray):
     """Square-root normalization of candidates, over any leading shape (bloch.frame_normalize).
 
     N[..., k, :] is element k's Bloch vector at any length; the vectors are
-    rescaled to unit length (+z for a zero vector) and the weights W clipped
-    at zero. Returns the element terms (t, r) and bloch.residual, infinite
-    for rows whose frame is singular.
+    rescaled to unit length (+z for a zero vector) and every weight below
+    PRUNE, negative ones among them, is zeroed. Returns the element terms
+    (t, r) and bloch.residual, infinite for rows whose frame is singular.
     """
-    t, r, lam_minus = bloch.frame_normalize(np.maximum(W, 0.0), bloch.unit(N))
+    t, r, lam_minus = bloch.frame_normalize(np.where(W < PRUNE, 0.0, W), bloch.unit(N))
     return t, r, np.where(lam_minus > PSEUDO_INVERSE, bloch.residual(t, r), np.inf)
 
 
@@ -126,8 +126,7 @@ class SearchTrace:
     or the correct-decision probability (1 - error) for the error search.
     records holds one RestartRecord per restart, in restart order.
     evaluations counts objective evaluations of single rows: one per start,
-    then three per live row in each outer step, and one per row the error
-    search prunes.
+    then three per live row in each outer step.
     """
 
     records: tuple[RestartRecord, ...]
@@ -185,8 +184,8 @@ def _extrapolated(x0, x1, x2):
     return x[..., 0], x[..., 1:]
 
 
-def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
-                prune: bool = False) -> tuple[Pom, SearchTrace]:
+def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig,
+                objective: Callable) -> tuple[Pom, SearchTrace]:
     check_instance(e, "ensemble", SymmetricEnsemble)
     check_instance(cfg, "cfg", OptimizerConfig)
     n, restarts = cfg.n_elements, cfg.restarts
@@ -201,29 +200,19 @@ def _run_search(e: SymmetricEnsemble, cfg: OptimizerConfig, objective: Callable,
     evaluations = restarts
     iterations = 0
 
-    def plain(t, r, g0, g):
-        """The map F at (t, r), whose gradient terms are (g0, g): the stepped
-        terms, whether their frame passed, and the objective there."""
-        t, r, resid = _frame_map(*bloch.sandwich(g0, g, t, r))
+    def scored(W, N):
+        """The frame-mapped terms of (W, N), whether their frame passed, and
+        the objective there."""
+        t, r, resid = _frame_map(W, N)
         return (t, r, resid <= IDENTITY_SUM, *objective(e, t, r))
 
     while live.any() and iterations < MAX_ITERATIONS:
         iterations += 1
-        t1, r1, ok1, _, g0, g = plain(t, r, g0, g)
-        t2, r2, ok2, VAL2, g0, g = plain(t1, r1, g0, g)
-        rows = np.flatnonzero(live & ((t2 > 0.0) & (t2 < PRUNE)).any(axis=-1)) if prune else []
-        if len(rows):
-            W = t2[rows]
-            tp, rp, resid = _frame_map(np.where(W < PRUNE, 0.0, W), r2[rows])
-            VALp, g0p, gp = objective(e, tp, rp)
-            kept = (resid <= IDENTITY_SUM) & (VALp >= VAL2[rows])
-            for x, pruned in ((t2, tp), (r2, rp), (VAL2, VALp), (g0, g0p), (g, gp)):
-                x[rows[kept]] = pruned[kept]
-            evaluations += len(rows)
+        t1, r1, ok1, _, g0, g = scored(*bloch.sandwich(g0, g, t, r))
+        t2, r2, ok2, VAL2, g0, g = scored(*bloch.sandwich(g0, g, t1, r1))
         step = live & ok1 & ok2
-        tx, rx, resid = _frame_map(*_extrapolated((t, r), (t1, r1), (t2, r2)))
-        VALx, g0x, gx = objective(e, tx, rx)
-        fast = (resid <= IDENTITY_SUM) & (VALx >= VAL2)
+        tx, rx, okx, VALx, g0x, gx = scored(*_extrapolated((t, r), (t1, r1), (t2, r2)))
+        fast = okx & (VALx >= VAL2)
         for kept, extrapolated in ((t2, tx), (r2, rx), (VAL2, VALx), (g0, g0x), (g, gx)):
             kept[fast] = extrapolated[fast]
         moved = np.maximum(np.abs(t2 - t).max(axis=-1), np.abs(r2 - r).max(axis=(-2, -1)))
@@ -266,6 +255,6 @@ def optimize_error(e: SymmetricEnsemble,
     signal of largest joint probability), both inside the search and in the
     returned assignment. The returned error is recomputed exactly.
     """
-    pom, trace = _run_search(e, cfg, _correct_objective, prune=True)
+    pom, trace = _run_search(e, cfg, _correct_objective)
     assignment = greedy_assignment(e, pom)
     return pom, assignment, error_probability(e, pom, assignment), trace

@@ -11,7 +11,7 @@ from qrelay import (DomainError, Hermitian2, OptimizationError, OptimizerConfig,
                     max_fidelity_analytic, min_error_analytic, optimal_retransmission,
                     optimize_error, optimize_fidelity, optimizer,
                     square_root_measurement, symmetric_ensemble, validate_pom)
-from qrelay.optimizer import _correct_objective, _fidelity_objective, _frame_map, _pom
+from qrelay.optimizer import PRUNE, _correct_objective, _fidelity_objective, _frame_map, _pom
 from qrelay.tolerances import IDENTITY_SUM
 
 
@@ -82,6 +82,17 @@ def test_frame_map_rescales_direction_vectors():
     assert unit[1] <= 1e-15
     assert np.array_equal(doubled[0][0], unit[0][0]) and np.array_equal(doubled[0][1], unit[0][1])
     assert doubled[1] == unit[1]
+
+
+def test_frame_map_drops_elements_below_prune():
+    """A weight below PRUNE is zeroed before the square-root map, so its element
+    is absent from the mapped row; a weight of PRUNE itself is kept."""
+    n = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    (t, _), resid = frame_map(np.array([0.5, 0.5 - 1e-6, 1e-6]), n)
+    assert t.tolist() == [0.5, 0.5, 0.0]
+    assert resid <= IDENTITY_SUM
+    (t, _), _ = frame_map(np.array([0.5, 0.5 - PRUNE, PRUNE]), n)
+    assert t[2] > 0.0
 
 
 def test_frame_map_random_infeasible_candidate():
@@ -334,12 +345,15 @@ def test_error_search_reaches_the_closed_form_before_the_cap(m, theta):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_error_search_stops_before_the_cap_on_the_acceptance_grid(seed):
     """Near theta = pi/8 one element's weight of a row decays sublinearly towards 0;
-    pruning it ends the crawl, where unpruned rows reach the cap at (4, pi/8) and (8, pi/8)."""
+    the frame map prunes it (zeroes weights below PRUNE), which ends the crawl, where
+    unpruned rows reach the cap at (4, pi/8) and (8, pi/8). Pruning acts inside the
+    plain steps, with no accept rule of its own, so each value curve is checked too."""
     for m in (2,) + helpers.M_GRID:
         for theta in helpers.THETA_GRID:
             _, _, error, trace = optimize_error(symmetric_ensemble(m, theta), OptimizerConfig(seed=seed))
             assert trace.records[0].iterations < optimizer.MAX_ITERATIONS, (m, theta)
             assert abs(error - min_error_analytic(m, theta)) <= 1e-12, (m, theta)
+            assert_values_never_fall(trace)
 
 
 def test_error_search_with_fewer_elements_than_signals_stops_every_row(monkeypatch):
