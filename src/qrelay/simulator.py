@@ -6,32 +6,28 @@ chunks reproduces bit-identical results and no generator state is carried
 between calls. Each trial spends one slot on the transmitted signal, one on
 the measurement outcome and, for fidelity estimates, one on the accept/reject
 test of the retransmitted state against the original. A block of trials is
-one index per trial, signal * K + outcome for K outcomes: its histogram gives
-the outcome tallies and the error count, and the accept test looks up its
-probability by it. simulate_strategy draws the index once for both estimates,
-three slots a trial, not five, each bit for bit as its own run would give.
+one index per trial, signal * W + outcome, for rows of W columns, the outcome
+count K rounded up to a power of two: its histogram gives the outcome tallies
+and the error count, and the accept test looks up its probability by it.
+simulate_strategy draws the index once for both estimates, three slots a trial,
+not five, each bit for bit as its own run would give.
 
 Every block of a simulation is drawn into one workspace of buffers, the
 splitmix shifts of each draw into a buffer free at that point, so no array of
 a block's length is allocated per block, and its indices are counted in place.
 A block of CHUNK = 2**15 trials spends 33 bytes a trial, 8 on each of the
 counter offsets, two draw buffers and the index and 1 on the step mask: 1 MiB,
-within one 2 MiB per-core L2 cache. The outcome is found by the guide-table
-(indexed search) method of Chen & Asau (1974): a table of each signal's
-threshold counts at equal bins of the draw range [0, 2**53), built from the
-integer limits below, starts the inverse-CDF walk at the draw's bin. Its
-budget of entries grows with the outcomes, so a bin holds fewer than 8 limits
-on average however many there are, and after WALK_ALL passes the walk goes on
-with only the trials still stepping, at most half a block, whose positions are
-the one array a block may allocate. Every uniform picks the same outcome as
-counting all the thresholds.
+within one 2 MiB per-core L2 cache. The outcome is found by a binary search
+(Knuth, TAOCP vol. 3, section 6.2.1) over the signal's row of the integer limits
+below, padded to W columns with the limit 2**53 that no draw reaches: log2 W
+rounds of one gather, one compare and one shift-add, with no table beyond the
+limits. Every uniform picks the same outcome as counting all the thresholds.
 
 counter_uniforms gives each slot's draws as the integers k = u 2**53 < 2**53
 of its uniforms u, and the simulator decides on k alone, against one table of
 integer limits ceil(c 2**53) a threshold c, each rule exact, so every result is
 bit for bit that of comparing the doubles u:
 - signal: trunc(k0 (m 2**-53)) is trunc(u0 m), one rounding of the same exact product;
-- bin: k1 >> (53 - log2 bins) is floor(u1 bins), bins a power of two;
 - outcome step: k1 >= ceil(c 2**53) exactly when u1 >= c;
 - accept: k2 < ceil(a 2**53) exactly when u2 < a, also for a a hair outside [0, 1].
 
@@ -59,18 +55,9 @@ N_SLOTS = 4
 _STRIDE = np.uint64(N_SLOTS * int(GOLDEN) % (1 << 64))
 # trials per block: the counter offsets below and the workspace every block reuses
 # (two draw buffers and the index) take 8 bytes a trial each, and the step mask 1,
-# 33 bytes a trial: 1 MiB, which fits one 2 MiB per-core L2 cache with the guide
-# table, and memory does not grow with the trials
+# 33 bytes a trial: 1 MiB, which fits one 2 MiB per-core L2 cache, and memory does
+# not grow with the trials
 CHUNK = 1 << 15
-# most entries of a guide table, 64 KiB of int64, so that it stays cache-resident,
-# or a quarter of the signal-outcome pairs where that is more, so that a signal's
-# bins grow with its outcomes and the walk stays a few passes; one a signal where
-# there are more signals
-GUIDE_ENTRIES = 1 << 13
-# passes of the guide walk over all of a block's trials: a bin holds fewer than 8
-# limits on average under that budget, so after these the walk takes only the
-# trials still stepping, where they are at most half
-WALK_ALL = 8
 # counter offsets of a block's trials from its first, t * _STRIDE for t < CHUNK,
 # built in place: a range is filled from it with one add a piece
 _OFFSETS = np.arange(CHUNK, dtype=np.uint64)
@@ -153,10 +140,24 @@ def _signal(k: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     return np.multiply(k, m / (1 << 53), out=out, casting="unsafe")
 
 
+def _padded(a: np.ndarray, fill: float) -> np.ndarray:
+    """a[m, K] widened with fill to W columns, K rounded up to a power of two, or a
+    itself where K is one."""
+    m, k = a.shape
+    width = 1 << (k - 1).bit_length()
+    if width == k:
+        return a
+    out = np.full((m, width), fill)
+    out[:, :k] = a
+    return out
+
+
 def _outcome_limits(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     """Limits of the cumulative outcome distribution per signal of a measurement
     validate_pom accepts, its only check: the rows are clipped into [0, 1], which
-    moves the Born entries t + r.n by at most PSD and rounding, and renormalized."""
+    moves the Born entries t + r.n by at most PSD and rounding, and renormalized.
+    Each row ends in the limit 2**53 that no draw reaches, from outcome K - 1 on
+    through its padding."""
     violations = validate_pom(p)
     if violations:
         raise ValidationError("; ".join(violations))
@@ -164,23 +165,17 @@ def _outcome_limits(e: SymmetricEnsemble, p: Pom) -> np.ndarray:
     np.clip(cum, 0.0, 1.0, out=cum)
     cum /= cum.sum(axis=1, keepdims=True)
     np.cumsum(cum, axis=1, out=cum)
-    cum[:, -1] = 1.0
+    cum = _padded(cum, 1.0)
+    cum[:, len(p) - 1] = 1.0
     return _limits(cum)
 
 
 @dataclass(frozen=True)
 class _Workspace:
-    """What every block of one simulation reuses: the outcome limits[j * K + k], their
-    guide table and the block buffers.
-
-    The guide table (Chen & Asau 1974) cuts the draws [0, 2**53) into bins of
-    2**shift: first[j * bins + b] is j * K plus the count of row j's limits at or
-    below b 2**shift, and passes is the most limits strictly inside any one bin.
-    """
+    """What every block of one simulation reuses: the outcome limits[j * W + k], in
+    rows of W = 2**depth columns, and the block buffers."""
     limits: np.ndarray
-    shift: int
-    first: np.ndarray
-    passes: int
+    depth: int
     k0: np.ndarray
     k1: np.ndarray
     index: np.ndarray
@@ -188,82 +183,33 @@ class _Workspace:
 
 
 def _workspace(limits: np.ndarray, size: int) -> _Workspace:
-    """Workspace for limits[m, K] and blocks of up to size trials; the guide table has
-    at most max(GUIDE_ENTRIES, m K / 4) entries, or one a row where m is larger.
-
-    A limit in bin b = limit >> shift, capped at bins, lies on b's lower edge
-    b 2**shift when it is a multiple of 2**shift and strictly inside b otherwise;
-    the limits at or below b 2**shift are those of the bins before b and b's edge.
-    The table is built a chunk of about CHUNK limits at a time, so what building
-    it takes beside the limits and the table does not grow with m K.
-    """
-    m, k = limits.shape
-    # the largest power of two with m * bins within the budget, and at least 1
-    bins = max(1, 1 << (max(GUIDE_ENTRIES, limits.size // 4) // m).bit_length() >> 1)
-    shift = 54 - bins.bit_length()
-    first = np.empty((m, bins), dtype=np.int64)
-    passes = 0
-    rows = max(1, CHUNK // k)
-    for top in range(0, m, rows):
-        part = limits[top:top + rows]
-        signal = np.arange(part.shape[0])[:, None]
-        off_edge = (part & ((1 << shift) - 1)) != 0
-        cells = part >> shift
-        np.minimum(cells, bins, out=cells)
-        cells += signal * (bins + 1)
-        cells <<= 1
-        cells += off_edge
-        # count[j, b, 1] of row j's limits strictly inside bin b, count[j, b, 0] on its edge
-        count = np.bincount(cells.ravel(), minlength=2 * part.shape[0] * (bins + 1))
-        count = count.reshape(-1, bins + 1, 2)[:, :bins]
-        head = first[top:top + rows]
-        np.cumsum(count.sum(axis=2), axis=1, out=head)
-        head -= count[..., 1]
-        head += (signal + top) * k
-        passes = max(passes, int(count[..., 1].max()))
-    return _Workspace(limits.ravel(), shift, first.ravel(), passes,
+    """Workspace for limits[m, W] and blocks of up to size trials."""
+    return _Workspace(limits.ravel(), limits.shape[1].bit_length() - 1,
                       np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
                       np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
 
 
 def _draw(e: SymmetricEnsemble, work: _Workspace, seed: int, start: int, stop: int) -> np.ndarray:
-    """Index signal * K + outcome of trials start..stop-1, as a view into work's
+    """Index signal * W + outcome of trials start..stop-1, as a view into work's
     buffers.
 
     The outcome counts the limits of the signal's row at or below the draw k1.
-    The guide table gives that count up to the lower edge of k1's bin. Rows do
-    not decrease, so each pass then moves the index one column on where k1
-    reaches the limit it points at; the last, 2**53, never counts. An index that
-    did not move stays, so after WALK_ALL passes the walk takes only the trials
-    that moved, where they are at most half. The signal, bin and step rules are
-    the module's, each exact.
+    The limits a draw can reach, those below 2**53, lead the row in nondecreasing
+    order, so the count is found one bit a level, from the top: level l probes the
+    limit 2**l - 1 columns past those counted so far and counts 2**l more where k1
+    reaches it. The signal and step rules are the module's, each exact.
     """
     index, step = work.index[:stop - start], work.step[:stop - start]
     # each draw holds its splitmix shifts in a buffer that is free at that point
     k0 = counter_uniforms(seed, 0, start, stop, out=work.k0, scratch=work.index)
     _signal(k0, e.m, out=index)
+    index <<= work.depth
     k1 = counter_uniforms(seed, 1, start, stop, out=work.k1, scratch=work.k0)
-    # k0's memory is free. Indices are always in range, and mode="wrap" writes out
-    # in place where mode="raise" would buffer it.
-    cell = np.right_shift(k1, work.shift, out=k0)
-    index <<= 53 - work.shift
-    cell += index
-    np.take(work.first, cell, out=index, mode="wrap")
-    for done in range(1, work.passes + 1):
-        np.greater_equal(k1, np.take(work.limits, index, out=k0, mode="wrap"), out=step)
-        index += step
-        if done == WALK_ALL < work.passes and 2 * np.count_nonzero(step) <= step.size:
-            # a trial that did not step is done, so the rest of the walk takes only
-            # those that did, their draws and indices gathered into halves of k0 and k1
-            live = np.flatnonzero(step)
-            n = live.size
-            key = np.take(k1, live, out=k0[:n], mode="wrap")
-            at = np.take(index, live, out=k1[:n], mode="wrap")
-            for _ in range(work.passes - done):
-                limit = np.take(work.limits, at, out=k0[n:2 * n], mode="wrap")
-                at += np.greater_equal(key, limit, out=step[:n])
-            index[live] = at
-            break
+    # k0's memory is free and takes each probe. Indices are always in range, and
+    # mode="wrap" writes out in place where mode="raise" would buffer it.
+    for level in reversed(range(work.depth)):
+        probe = np.take(work.limits[(1 << level) - 1:], index, out=k0, mode="wrap")
+        index += np.left_shift(np.greater_equal(k1, probe, out=step), level, out=k0, dtype=np.int64)
     return index
 
 
@@ -274,8 +220,6 @@ def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
     ceil(a 2**53) are given: k2 < ceil(a 2**53) exactly when u2 < a."""
     trials = check_integer(trials, "trials", 1)
     limits = _outcome_limits(e, p)
-    # allocated before the workspace, the counts can reuse the freed float table's
-    # pages: qrelay simulate at m = K = 1000 peaks 5.5 MiB lower in RSS under glibc
     counts = np.zeros(limits.size, dtype=np.int64)
     work = _workspace(limits, min(CHUNK, trials))
     hits = 0
@@ -288,7 +232,7 @@ def _estimate(e: SymmetricEnsemble, p: Pom, trials: int, seed: int,
             passed = np.less(k2, np.take(accept, index, out=work.k1[:k2.size], mode="wrap"),
                              out=work.step[:k2.size])
             hits += int(np.count_nonzero(passed))
-    return counts.reshape(limits.shape), hits
+    return counts.reshape(limits.shape)[:, :len(p)], hits
 
 
 def _result(counts: np.ndarray, hits: int) -> SimResult:
@@ -313,7 +257,8 @@ def simulate_fidelity(e: SymmetricEnsemble, s: Strategy, trials: int,
     Born distribution, retransmits the outcome's state and accepts with
     probability |<signal|retransmitted>|^2.
     """
-    accept = _limits(_overlaps(e, s).ravel())  # checks e and s, so it runs before s.pom is read
+    # checks e and s, so it runs before s.pom is read; rows padded as the outcome limits
+    accept = _limits(_padded(_overlaps(e, s), 0.0).ravel())
     return _result(*_estimate(e, s.pom, trials, seed, accept))
 
 
@@ -333,7 +278,8 @@ def simulate_strategy(e: SymmetricEnsemble, s: Strategy, a: Assignment, trials: 
     trials, seed) and simulate_error(e, s.pom, a, trials, seed), but draws
     each trial's index once.
     """
-    accept = _limits(_overlaps(e, s).ravel())  # checks e and s, so it runs before s.pom is read
+    # checks e and s, so it runs before s.pom is read; rows padded as the outcome limits
+    accept = _limits(_padded(_overlaps(e, s), 0.0).ravel())
     read_as = _signal_indices(e, s.pom, a)
     counts, hits = _estimate(e, s.pom, trials, seed, accept)
     return _result(counts, hits), _result(counts, _errors(counts, read_as))

@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -253,7 +255,8 @@ def test_histogram_matches_the_per_trial_oracle(monkeypatch, seed):
     cuts = [0, chunk // 2, chunk + 1, 3 * chunk - 1, trials]
     index = np.concatenate([simulator._draw(e, simulator._workspace(limits, b - a), seed, a, b)
                             for a, b in zip(cuts, cuts[1:])])
-    signal, outcome = np.divmod(index, outcomes)
+    # the index is signal * W + outcome, W the padded row width
+    signal, outcome = np.divmod(index, limits.shape[1])
     assert np.array_equal(signal, np.minimum(
         (uniforms(seed, 0, 0, trials) * m).astype(np.int64), m - 1))
     assert result.estimate == np.count_nonzero(read_as[outcome] != signal) / trials
@@ -371,8 +374,9 @@ def test_one_multiply_signal_truncates_as_the_uniform_times_m(m):
 
 @pytest.mark.parametrize("outputs", [3, 8])
 def test_memory_is_bounded_for_many_signals(outputs):
-    """The guide table stays within its budget of entries however many signals
-    there are: a table of 1024 bins per signal would alone take 16 MB here."""
+    """Beside the m x K tables the simulator holds only its block workspace however
+    many signals there are: a table of 1024 entries per signal would alone take
+    16 MB here."""
     e = symmetric_ensemble(2000, 0.9)
     s = optimal_strategy_analytic(2000, 0.9, outputs, 0.3)
     assignment = greedy_assignment(e, s.pom)
@@ -387,8 +391,9 @@ def test_memory_is_bounded_for_many_signals(outputs):
 
 def test_memory_holds_few_signal_by_outcome_tables():
     """With as many outcomes as signals the m x K tables outweigh the blocks: the
-    outcome and accept limits, the counts and what building the guide table
-    takes stay below five of them at once in every entry point."""
+    outcome and accept limits, the counts and the float table the limits are built
+    from, in rows padded to 1024 columns, stay below 3.5 of them at once in every
+    entry point."""
     m = 1000
     e = symmetric_ensemble(m, 0.9)
     s = optimal_strategy_analytic(m, 0.9)
@@ -403,22 +408,22 @@ def test_memory_holds_few_signal_by_outcome_tables():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 8 * m * m
+        assert peak < 3.5 * 8 * m * m
 
 
-def test_building_the_guide_table_holds_no_signal_by_outcome_temporaries():
-    """With many signals the m x K tables outweigh the blocks: the guide table is
-    built a chunk of limits at a time, so besides the outcome and accept limits,
-    the counts and the guide table, which has at most m K / 4 entries, what the
-    entry points hold at once stays within half a table."""
+def test_entry_points_hold_no_signal_by_outcome_temporaries():
+    """With many signals the m x K tables outweigh the blocks: the entry points hold
+    at most three at once, the accept limits and the outcome limits with either the
+    float table they are built from or the counts, and a tenth of a table besides;
+    simulate_error holds no accept limits."""
     m, outputs = 100_000, 8
     e = symmetric_ensemble(m, 0.9)
     s = optimal_strategy_analytic(m, 0.9, outputs, 0.0)
     assignment = greedy_assignment(e, s.pom)
     table = 8 * m * outputs
-    for run, tables in ((lambda: simulate_strategy(e, s, assignment, 1000, seed=1), 3.5),
-                        (lambda: simulate_fidelity(e, s, 1000, seed=1), 3.5),
-                        (lambda: simulate_error(e, s.pom, assignment, 1000, seed=1), 2.5)):
+    for run, tables in ((lambda: simulate_strategy(e, s, assignment, 1000, seed=1), 3.1),
+                        (lambda: simulate_fidelity(e, s, 1000, seed=1), 3.1),
+                        (lambda: simulate_error(e, s.pom, assignment, 1000, seed=1), 2.1)):
         tracemalloc.start()
         try:
             run()
@@ -482,7 +487,7 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
     limits = simulator._outcome_limits(e, s.pom)
     for start, stop in ((0, 3000), (1 << 20, (1 << 20) + 2000)):
         index = simulator._draw(e, simulator._workspace(limits, stop - start), 17, start, stop)
-        signal, outcome = np.divmod(index, cum.shape[1])
+        signal, outcome = np.divmod(index, limits.shape[1])
         u = uniforms(17, 1, start, stop)
         assert np.array_equal(outcome, (u[:, None] >= cum[signal]).sum(axis=1))
     monkeypatch.setattr(simulator, "CHUNK", chunk)
@@ -492,9 +497,14 @@ def test_outcomes_match_the_all_thresholds_comparison(monkeypatch, m, theta, out
 
 
 # simulate_strategy over 3 * 2**16 + 17 trials at seed 17, seven blocks of CHUNK =
-# 2**15, recorded with the sampler that compared uniform doubles in four of 2**16
+# 2**15, recorded with the sampler that compared uniform doubles in four of 2**16;
+# the last three, whose rows are padded to a power of two, with the guide-table
+# sampler that counted each row unpadded
 _FIVE_ON_EIGHT = dict(enumerate([24441, 24548, 24544, 24566, 24488, 24571, 24702, 24765]))
 _EIGHT_SQUARE_ROOT = dict(enumerate([24376, 24720, 24377, 24543, 24536, 24509, 24633, 24931]))
+_EQUATOR_TRIPLE = {0: 65345, 1: 65484, 2: 65796}
+_FOUR_ON_SIX = dict(enumerate([32641, 32603, 32620, 32795, 33005, 32961]))
+_FIVE_ON_FIVE = dict(enumerate([39103, 39350, 39177, 39343, 39652]))
 RECORDED_BLOCKS = {
     "pair": (SimResult(196625, 0.9447171010807375, 0.0005153792449103862, {0: 97969, 1: 98656}),
              SimResult(196625, 0.07950667514303877, 0.000610088375413191, {0: 97969, 1: 98656})),
@@ -504,77 +514,154 @@ RECORDED_BLOCKS = {
     "eight_square_root": (
         SimResult(196625, 0.8463979656706929, 0.0008131420520688551, _EIGHT_SQUARE_ROOT),
         SimResult(196625, 0.7776223776223776, 0.0009378006908492848, _EIGHT_SQUARE_ROOT)),
+    "equator_triple": (
+        SimResult(196625, 0.7505352828989192, 0.0009758223344144491, _EQUATOR_TRIPLE),
+        SimResult(196625, 0.3476058486967578, 0.001073937974246769, _EQUATOR_TRIPLE)),
+    "four_on_six": (
+        SimResult(196625, 0.8007323585505404, 0.0009008297327199045, _FOUR_ON_SIX),
+        SimResult(196625, 0.5528595041322314, 0.0011212695393616515, _FOUR_ON_SIX)),
+    "five_on_five": (
+        SimResult(196625, 0.8467997457088366, 0.0008122706008050282, _FIVE_ON_FIVE),
+        SimResult(196625, 0.6502784488239034, 0.0010754531866209965, _FIVE_ON_FIVE)),
 }
+# m, theta and the outcomes of the analytic strategy at alpha = 0.3 (m = 2 ignores
+# them), or None for the square-root measurement
+_BLOCK_CASES = {"pair": (2, 1.0, 8), "five_on_eight": (5, 0.9, 8), "eight_square_root": (8, 0.9, None),
+                "equator_triple": (3, math.pi / 2, 3), "four_on_six": (4, 1.1, 6),
+                "five_on_five": (5, 0.9, 5)}
 
 
 @pytest.mark.parametrize("case", RECORDED_BLOCKS)
 def test_results_across_blocks_match_the_recorded_ones(case):
-    if case == "eight_square_root":
-        e = symmetric_ensemble(8, 0.9)
+    m, theta, outputs = _BLOCK_CASES[case]
+    e = symmetric_ensemble(m, theta)
+    if outputs is None:
         pom = square_root_measurement(e)
         s = Strategy(pom=pom, retransmit=optimal_retransmission(e, pom).states)
     else:
-        e = symmetric_ensemble(*{"pair": (2, 1.0), "five_on_eight": (5, 0.9)}[case])
-        s = optimal_strategy_analytic(e.m, e.theta, 8, 0.3)   # m = 2 ignores 8 and 0.3
+        s = optimal_strategy_analytic(m, theta, outputs, 0.3)
     results = simulate_strategy(e, s, greedy_assignment(e, s.pom), 196_625, seed=17)
     assert results == RECORDED_BLOCKS[case]
+
+
+def test_a_thousand_outcomes_match_the_recorded_results():
+    """m = K = 1000, padded to 1024 columns, at 3000 trials and seed 17, recorded
+    with the guide-table sampler: both estimates, their standard errors and the
+    sha256 of the outcome tallies as a JSON list."""
+    e = symmetric_ensemble(1000, 0.9)
+    s = optimal_strategy_analytic(1000, 0.9)
+    fidelity, error = simulate_strategy(e, s, greedy_assignment(e, s.pom), 3000, seed=17)
+    assert (fidelity.estimate, fidelity.std_error) == (0.8486666666666667, 0.0065429747453676235)
+    assert (error.estimate, error.std_error) == (0.9956666666666667, 0.0011992435887613385)
+    assert fidelity.counts == error.counts and fidelity.trials == 3000
+    tallies = json.dumps(list(fidelity.counts.values())).encode()
+    assert hashlib.sha256(tallies).hexdigest() == (
+        "2a701f7839a5cf8513e000168ffd5b909b66d4711300545126de6c17fa74d1f3")
+
+
+_ZERO = Hermitian2(0.0, 0.0, 0j)
+# three signals at colatitude 0.9, 5000 trials at seed 17, recorded with the
+# guide-table sampler: the identity, one outcome in a row of one column, and an
+# x-basis measurement among four zero elements, whose limits repeat
+RECORDED_EDGES = {
+    "one_outcome": (SimResult(5000, 0.812, 0.005525504501853201, {0: 5000}),
+                    SimResult(5000, 0.6602, 0.0066982976941906665, {0: 5000})),
+    "zero_elements": (
+        SimResult(5000, 0.8452, 0.005115407315160739, {0: 0, 1: 2556, 2: 0, 3: 0, 4: 2444, 5: 0}),
+        SimResult(5000, 0.4644, 0.007053121861984238, {0: 0, 1: 2556, 2: 0, 3: 0, 4: 2444, 5: 0})),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_EDGES)
+def test_edge_measurements_match_the_recorded_results(case):
+    e = symmetric_ensemble(3, 0.9)
+    if case == "one_outcome":
+        s = Strategy(pom=Pom(elements=(Hermitian2(1.0, 1.0, 0j),)), retransmit=(PLUS,))
+    else:
+        pom = Pom(elements=(_ZERO, Hermitian2(0.5, 0.5, 0.5 + 0j), _ZERO, _ZERO,
+                            Hermitian2(0.5, 0.5, -0.5 + 0j), _ZERO))
+        s = Strategy(pom=pom, retransmit=optimal_retransmission(e, pom).states)
+    assignment = greedy_assignment(e, s.pom)
+    assert simulate_fidelity(e, s, 5000, seed=17) == RECORDED_EDGES[case][0]
+    assert simulate_error(e, s.pom, assignment, 5000, seed=17) == RECORDED_EDGES[case][1]
+    assert simulate_strategy(e, s, assignment, 5000, seed=17) == RECORDED_EDGES[case]
 
 
 _ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 
 
-@pytest.mark.parametrize("budget,m,rows,bins,passes", [
-    # 8 bins: zero-probability outcomes, thresholds repeated on bin edges, an
-    # interior threshold one ulp above 1, and three thresholds inside bin 1
-    (16, 2, [[0.0, 0.0, 3 / 8, 3 / 8, 0.5, _ABOVE_ONE, 1.0],
-             [1 / 8, 5 / 32, 6 / 32, 7 / 32, 0.6, 0.9, 1.0]], 8, 3),
-    # the same rows at the module's own budget
-    (None, 2, [[0.0, 0.0, 3 / 8, 3 / 8, 0.5, _ABOVE_ONE, 1.0],
-               [1 / 8, 5 / 32, 6 / 32, 7 / 32, 0.6, 0.9, 1.0]], 4096, 1),
-    # three outcomes, one threshold inside a bin
-    (16, 2, [[0.3, 0.7, 1.0], [0.0, _ABOVE_ONE, 1.0]], 8, 1),
-    # one bin per row, at the budget and with more signals than the budget
-    (16, 12, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
-    (16, 17, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
-    (None, 5000, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]], 1, 2),
-    # twelve thresholds inside bin 7, more than simulator.WALK_ALL, so the walk
-    # ends on the few trials still stepping, some of them to the last pass
-    (16, 2, [[0.5, *(7 / 8 + np.arange(1, 13) / 128), 1.0], [*(np.arange(1, 14) / 16), 1.0]], 8, 12),
-])
-def test_guide_table_matches_counting_every_threshold(monkeypatch, budget, m, rows, bins, passes):
-    if budget is not None:
-        monkeypatch.setattr(simulator, "GUIDE_ENTRIES", budget)
+def _random_rows(k: int) -> list[list[float]]:
+    """Three cumulative rows of k outcomes, about a third of them of probability 0,
+    each ending in 1."""
+    rng = np.random.default_rng(k)
+    p = rng.random((3, k)) * (rng.random((3, k)) < 0.7)
+    p[:, -1] += 0.01
+    cum = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+    return cum.tolist()
+
+
+@pytest.mark.parametrize("m,rows", [
+    # zero-probability outcomes, thresholds repeated, an interior threshold one ulp above 1
+    (2, [[0.0, 0.0, 3 / 8, 3 / 8, 0.5, _ABOVE_ONE, 1.0], [1 / 8, 5 / 32, 6 / 32, 7 / 32, 0.6, 0.9, 1.0]]),
+    (2, [[0.3, 0.7, 1.0], [0.0, _ABOVE_ONE, 1.0]]),
+    (5000, [[0.0, 0.0, 0.0, 0.25, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0]]),
+    # twelve thresholds in one band of width 3/32
+    (2, [[0.5, *(7 / 8 + np.arange(1, 13) / 128), 1.0], [*(np.arange(1, 14) / 16), 1.0]]),
+    *((3, _random_rows(k)) for k in (1, 2, 3, 4, 5, 8, 9, 17, 1000)),
+], ids=["zeros_and_ulp", "three", "many_signals", "narrow_band",
+        *(f"random_{k}" for k in (1, 2, 3, 4, 5, 8, 9, 17, 1000))])
+def test_binary_search_matches_counting_every_threshold(monkeypatch, m, rows):
+    """_draw's outcome is the count of the signal's thresholds at or below the
+    uniform, for draws from the streams and for draws at each limit C of the
+    signal's row, C - 1 and C + 1, over blocks cut anywhere. Rows of K outcomes are
+    padded to the next power of two, K = 1 to a row of one column."""
     cum = np.resize(np.array(rows), (m, len(rows[0])))
+    k = cum.shape[1]
+    limits = simulator._limits(simulator._padded(cum.copy(), 1.0))
+    assert limits.shape == (m, 1 << (k - 1).bit_length()) and np.all(limits[:, k - 1:] == 2 ** 53)
+    # signal j's draws at its own limits, j at the middle of its range of k0, then
+    # 3000 trials from the streams
+    on = np.arange(m) if m < 100 else np.arange(0, m, 97)
+    k0 = np.concatenate([np.repeat(((on + 0.5) * 2.0 ** 53 / m).astype(np.int64), 3 * k), counter_uniforms(4, 0, 0, 3000)])
+    k1 = np.concatenate([np.clip(limits[on, :k, None] + np.arange(-1, 2), 0, 2 ** 53 - 1).ravel(),
+                         counter_uniforms(4, 1, 0, 3000)])
+
+    def given(seed, slot, start, stop, *, out, scratch=None):
+        out[:stop - start] = (k0, k1)[slot][start:stop]
+        return out[:stop - start]
+
+    monkeypatch.setattr(simulator, "counter_uniforms", given)
     e = symmetric_ensemble(m, 0.5)
-    trials = 5000
-    limits = simulator._limits(cum.copy())
-    work = simulator._workspace(limits, 2000)
-    # bins equal parts of the draw range [0, 2**53)
-    assert (1 << 53) >> work.shift == bins and work.passes == passes
-    assert work.first.size == m * bins <= max(m, simulator.GUIDE_ENTRIES, limits.size // 4)
-    cuts = [0, 1999, 2000, 3999, trials]
-    index = np.concatenate([simulator._draw(e, work, 4, a, b).copy()
-                            for a, b in zip(cuts, cuts[1:])])
-    signal = np.minimum((uniforms(4, 0, 0, trials) * m).astype(np.int64), m - 1)
-    u = uniforms(4, 1, 0, trials)
-    assert np.array_equal(index, signal * cum.shape[1] + (u[:, None] >= cum[signal]).sum(axis=1))
-    assert np.array_equal(index, simulator._draw(e, simulator._workspace(limits, trials), 4, 0, trials))
+    trials = k0.size
+    cuts = [0, trials // 3, trials // 3 + 1, trials - 1, trials]
+    work = simulator._workspace(limits, trials)
+    index = np.concatenate([simulator._draw(e, work, 4, a, b).copy() for a, b in zip(cuts, cuts[1:])])
+    signal = (k0 * 2.0 ** -53 * m).astype(np.int64)
+    outcome = ((k1 * 2.0 ** -53)[:, None] >= cum[signal]).sum(axis=1)
+    assert np.array_equal(index, signal * limits.shape[1] + outcome)
+    assert np.array_equal(index, simulator._draw(e, work, 4, 0, trials))
 
 
-def test_guide_table_grows_with_the_outcomes():
-    """With as many outcomes as signals the guide table gets m K / 4 entries, so
-    the walk takes a few dozen passes, not a scan of the row, and still picks the
-    outcome of counting every threshold."""
-    m = 1000
-    e = symmetric_ensemble(m, 0.9)
-    s = optimal_strategy_analytic(m, 0.9)
-    cum = cumulative(e, s.pom)
-    work = simulator._workspace(simulator._outcome_limits(e, s.pom), 2000)
-    assert work.first.size <= m * m // 4 and work.passes <= 40
-    for start, stop in ((0, 2000), (5 * simulator.CHUNK, 5 * simulator.CHUNK + 1500)):
-        index = simulator._draw(e, work, 9, start, stop)
-        signal, outcome = np.divmod(index, m)
-        assert np.array_equal(outcome, (uniforms(9, 1, start, stop)[:, None] >= cum[signal]).sum(axis=1))
+@pytest.mark.parametrize("m,theta,outputs", [
+    (2, math.pi / 2, 2), (2, 0.9, 2), (3, math.pi / 2, 3), (5, 0.9, 8), (8, 0.9, None),
+    (4, 0.9, 6), (1000, 0.9, 1000)])
+def test_limit_gaps_are_the_clipped_born_probabilities(m, theta, outputs):
+    """With ideal uniforms outcome k of signal j has probability (limit[j, k] -
+    limit[j, k - 1]) 2**-53. It is the clipped, renormalized Born probability within
+    (K + 1) 2**-51: each limit is off the exact sum of those probabilities by the
+    cumsum's rounding, at most (K - 1) 2**-53, its round up, under 2**-53, and for
+    the last, set to 1, the sum's distance from 1, at most 2 K 2**-53. Checked with
+    no sampling on the bench's strategy families and on m = K = 1000."""
+    e = symmetric_ensemble(m, theta)
+    pom = square_root_measurement(e) if outputs is None else optimal_strategy_analytic(m, theta, outputs, 0.3).pom
+    k = len(pom)
+    born = np.clip(bloch.born(*pom.terms, e.vectors), 0.0, 1.0)
+    born /= born.sum(axis=1, keepdims=True)
+    limits = simulator._outcome_limits(e, pom)
+    assert np.all(limits[:, k - 1:] == 2 ** 53)
+    gaps = np.diff(limits[:, :k], axis=1, prepend=0) * 2.0 ** -53
+    assert np.abs(gaps - born).max() <= (k + 1) * 2.0 ** -51
 
 
 def _boundary_measurements(rng: np.random.Generator, m: int, count: int):
